@@ -173,7 +173,8 @@ def _blocks(z: int, perm: Sequence[int], d: int, base: int) -> tuple:
 @dataclass
 class EtaContext:
     """Shared data of one reduction run: the d-to-d certificate, the grouped
-    constraint symbols, and the gadget template."""
+    constraint symbols, the gadget template, and per symbol the (z, z')
+    pairs with entrywise disjoint permuted blocks (the gadget's edges)."""
 
     instance: CspInstance
     certificate: DtoDCertificate
@@ -185,6 +186,7 @@ class EtaContext:
     variable_structure: RelStructure
     target: RelStructure
     template: PultrTemplate
+    pair_lists: dict
 
 
 def _require_certificate(inst: CspInstance) -> DtoDCertificate:
@@ -229,15 +231,19 @@ def eta_context(inst: CspInstance, *, budget: Optional[int] = None) -> EtaContex
     A = RelStructure(rho, z_all, {"E": []})
     gadgets: dict = {}
     eps: dict = {}
+    pair_lists: dict = {}
     for (mu, nu), name in pair_to_symbol.items():
+        mu_blocks = [_blocks(z, mu, d, base) for z in z_all]
+        nu_blocks = [_blocks(zp, nu, d, base) for zp in z_all]
+        pairs = [
+            (z, zp)
+            for z, zb in enumerate(mu_blocks)
+            for zp, zpb in enumerate(nu_blocks)
+            if all((a, b) in disjoint for a, b in zip(zb, zpb))
+        ]
+        pair_lists[name] = pairs
         dom = [(1, z) for z in z_all] + [(2, z) for z in z_all]
-        edges = []
-        for z in z_all:
-            zb = _blocks(z, mu, d, base)
-            for zp in z_all:
-                zpb = _blocks(zp, nu, d, base)
-                if all((a, b) in disjoint for a, b in zip(zb, zpb)):
-                    edges.append(((1, z), (2, zp)))
+        edges = [((1, z), (2, zp)) for z, zp in pairs]
         gadgets[name] = RelStructure(rho, dom, {"E": edges})
         eps[name] = ({z: (1, z) for z in z_all}, {z: (2, z) for z in z_all})
     template = PultrTemplate(rho, tau, A, gadgets, eps)
@@ -257,12 +263,15 @@ def eta_context(inst: CspInstance, *, budget: Optional[int] = None) -> EtaContex
     target = RelStructure(tau, inst.alphabet, target_rels)
     mu_nu = {name: key for key, name in pair_to_symbol.items()}
     # the target's relations reproduce the predicates: same sanity check the
-    # classifier already passed, kept as a cheap structural assertion
+    # classifier already passed, kept as a cheap structural check
     for c, (mu, nu) in zip(inst.constraints, cert.permutations):
         name = pair_to_symbol[(mu, nu)]
-        assert target_rels[name] == set(c.allowed)
+        if target_rels[name] != set(c.allowed):
+            raise VerificationFailure(
+                f"target relation {name!r} differs from the predicate of scope {c.scope!r}"
+            )
     return EtaContext(
-        inst, cert, d, m, n, symbols, mu_nu, x_struct, target, template
+        inst, cert, d, m, n, symbols, mu_nu, x_struct, target, template, pair_lists
     )
 
 
@@ -279,18 +288,6 @@ def eta_apply(
     # them, which keeps the edge set light at full scale
     by_x = {x: [(x, z) for z in range(z_count)] for x in inst.variables}
     vertices = [v for x in inst.variables for v in by_x[x]]
-    # per symbol, the disjoint (z, z') pairs are shared by all its scopes
-    pair_lists: dict = {}
-    for name in ctx.symbols:
-        mu, nu = ctx.mu_nu[name]
-        pairs = []
-        for z in range(z_count):
-            zb = _blocks(z, mu, ctx.d, base)
-            for zp in range(z_count):
-                zpb = _blocks(zp, nu, ctx.d, base)
-                if all(not set(a) & set(b) for a, b in zip(zb, zpb)):
-                    pairs.append((z, zp))
-        pair_lists[name] = pairs
     var_pos = {x: i for i, x in enumerate(inst.variables)}
     edges = []
     for name in ctx.symbols:
@@ -300,7 +297,7 @@ def eta_apply(
         ):
             x, xp = scope
             left, right = by_x[x], by_x[xp]
-            for z, zp in pair_lists[name]:
+            for z, zp in ctx.pair_lists[name]:
                 edges.append((left[z], right[zp]))
     return RelStructure(GRAPH_SIGNATURE, vertices, {"E": edges})
 

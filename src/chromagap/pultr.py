@@ -29,6 +29,7 @@ from .relstruct import (
     diameter_and_connectivity,
     enumerate_homomorphisms,
     find_homomorphism,
+    is_connected,
 )
 
 
@@ -91,8 +92,7 @@ def template_predicates(template: PultrTemplate) -> TemplateReport:
     faithfulness (gadgets are disjoint isomorphic eps-copies of A), and the
     diameter (max gadget Gaifman diameter, defined when connected)."""
     structures = [template.A] + [template.B[name] for name, _ in template.tau.symbols]
-    conn_flags = [diameter_and_connectivity(s) for s in structures]
-    connected = all(flag for flag, _ in conn_flags)
+    connected = all(is_connected(s) for s in structures)
     if connected:
         for name, arity in template.tau.symbols:
             bt = template.B[name]
@@ -107,10 +107,10 @@ def template_predicates(template: PultrTemplate) -> TemplateReport:
                     break
             if not connected:
                 break
-    diameter = max(d for _, d in conn_flags) if connected and structures else None
-    if diameter is not None and diameter == float("inf"):  # pragma: no cover
-        diameter = None
-        connected = False
+    # the all-pairs sweep runs only once every structure is known connected
+    diameter = (
+        max(diameter_and_connectivity(s)[1] for s in structures) if connected else None
+    )
 
     faithful = True
     for name, arity in template.tau.symbols:

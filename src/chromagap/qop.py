@@ -1,9 +1,12 @@
 """Exact complex projector algebra and quantum-assignment verification.
 
-All matrix entries are Gaussian rationals (pairs of `fractions.Fraction`), so
-projector identities, forbidden-product zero tests, and commutators are exact
-equalities with no tolerances.  Assignments are sparse: a missing label means
-the zero projector.
+All matrix entries are Gaussian rationals.  A matrix keeps them
+fraction-free, as integer real and imaginary numerators over one common
+denominator in lowest terms, so projector identities, forbidden-product zero
+tests, and commutators are exact integer comparisons with no tolerances.
+`GQ` (a pair of `fractions.Fraction`) is the scalar type at the boundary:
+matrices are built from and viewed as `GQ` entries, and traces are `GQ`.
+Assignments are sparse: a missing label means the zero projector.
 
 The verifier realises the two projector conditions that characterise perfect
 k-compatible quantum assignments between structures: ordered products over a
@@ -17,6 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
 from .relstruct import RelStructure, gaifman_balls
@@ -86,29 +90,76 @@ GQ_I = GQ(0, 1)
 
 
 class PMatrix:
-    """An immutable dim x dim matrix of Gaussian rationals."""
+    """An immutable dim x dim matrix of Gaussian rationals.
 
-    __slots__ = ("dim", "entries", "_hash", "_diag_support")
+    Stored fraction-free: a positive denominator `den` and a flat row-major
+    tuple `num` of 2*dim*dim integer numerators, the real and imaginary part
+    of each entry side by side.  The gcd of `den` and all numerators is 1,
+    so the form is canonical and equality and hashing are tuple operations.
+    """
+
+    __slots__ = ("dim", "den", "num", "_hash", "_entries", "_diag_support")
 
     def __init__(self, entries: Sequence[Sequence[GQ]]) -> None:
-        rows = tuple(tuple(e for e in row) for row in entries)
+        rows = [tuple(row) for row in entries]
         dim = len(rows)
-        for row in rows:
+        parts = []
+        for i, row in enumerate(rows):
             if len(row) != dim:
                 raise DimMismatch("matrix must be square")
+            for j, e in enumerate(row):
+                if not isinstance(e, GQ):
+                    raise TypeError(
+                        f"matrix entry ({i}, {j}) is {e!r} of type "
+                        f"{type(e).__name__}, not GQ"
+                    )
+                parts.append(e.re)
+                parts.append(e.im)
+        den = lcm(*(p.denominator for p in parts))
+        self._set(dim, den, [p.numerator * (den // p.denominator) for p in parts])
+
+    def _set(self, dim: int, den: int, num) -> None:
+        g = gcd(den, *num)
+        if g != 1:
+            den //= g
+            num = [x // g for x in num]
         self.dim = dim
-        self.entries = rows
-        self._hash: Optional[int] = None
-        self._diag_support: Optional[object] = None
+        self.den = den
+        self.num = tuple(num)
+        self._hash = None
+        self._entries = None
+        self._diag_support = None
+
+    @staticmethod
+    def _of(dim: int, den: int, num) -> "PMatrix":
+        """Build from integer parts, reducing to the canonical form."""
+        m = object.__new__(PMatrix)
+        m._set(dim, den, num)
+        return m
+
+    @property
+    def entries(self) -> tuple:
+        """Read-only rows of `GQ` entries, built on first use."""
+        if self._entries is None:
+            n, den, num = self.dim, self.den, self.num
+            self._entries = tuple(
+                tuple(
+                    GQ(Fraction(num[p], den), Fraction(num[p + 1], den))
+                    for p in range(2 * n * i, 2 * n * (i + 1), 2)
+                )
+                for i in range(n)
+            )
+        return self._entries
 
     @staticmethod
     def zeros(dim: int) -> "PMatrix":
-        return PMatrix([[GQ_ZERO] * dim for _ in range(dim)])
+        return PMatrix._of(dim, 1, [0] * (2 * dim * dim))
 
     @staticmethod
     def identity(dim: int) -> "PMatrix":
-        return PMatrix(
-            [[GQ_ONE if i == j else GQ_ZERO for j in range(dim)] for i in range(dim)]
+        step = 2 * dim + 2
+        return PMatrix._of(
+            dim, 1, [int(p % step == 0) for p in range(2 * dim * dim)]
         )
 
     @staticmethod
@@ -132,87 +183,109 @@ class PMatrix:
         if self.dim != other.dim:
             raise DimMismatch(f"{self.dim} != {other.dim}")
 
-    def __add__(self, other: "PMatrix") -> "PMatrix":
+    def _common(self, other: "PMatrix") -> tuple:
+        """Numerators of both operands over their least common denominator."""
         self._check(other)
-        return PMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
-        )
+        da, db = self.den, other.den
+        if da == db:
+            return da, self.num, other.num
+        g = gcd(da, db)
+        fa, fb = db // g, da // g
+        return da * fa, [x * fa for x in self.num], [y * fb for y in other.num]
+
+    def __add__(self, other: "PMatrix") -> "PMatrix":
+        den, a, b = self._common(other)
+        return PMatrix._of(self.dim, den, [x + y for x, y in zip(a, b)])
 
     def __sub__(self, other: "PMatrix") -> "PMatrix":
-        self._check(other)
-        return PMatrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
-        )
+        den, a, b = self._common(other)
+        return PMatrix._of(self.dim, den, [x - y for x, y in zip(a, b)])
 
     def __matmul__(self, other: "PMatrix") -> "PMatrix":
         self._check(other)
         n = self.dim
-        a = self.entries
-        bt = tuple(zip(*other.entries))
+        w = 2 * n
+        a, b = self.num, other.num
         out = []
-        for i in range(n):
-            row = []
-            ai = a[i]
-            for j in range(n):
-                bj = bt[j]
-                acc = GQ_ZERO
-                for k in range(n):
-                    x = ai[k]
-                    y = bj[k]
-                    if (x.re or x.im) and (y.re or y.im):
-                        acc = acc + x * y
-                row.append(acc)
-            out.append(row)
-        return PMatrix(out)
+        for r in range(0, n * w, w):
+            terms = [
+                (a[r + k], a[r + k + 1], k * n)
+                for k in range(0, w, 2)
+                if a[r + k] or a[r + k + 1]
+            ]
+            for c in range(0, w, 2):
+                re = im = 0
+                for ar, ai, kw in terms:
+                    br = b[kw + c]
+                    bi = b[kw + c + 1]
+                    re += ar * br - ai * bi
+                    im += ar * bi + ai * br
+                out.append(re)
+                out.append(im)
+        return PMatrix._of(n, self.den * other.den, out)
 
     def scale(self, c: GQ) -> "PMatrix":
-        return PMatrix([[c * e for e in row] for row in self.entries])
+        cd = lcm(c.re.denominator, c.im.denominator)
+        cr = c.re.numerator * (cd // c.re.denominator)
+        ci = c.im.numerator * (cd // c.im.denominator)
+        num = self.num
+        out = []
+        for p in range(0, len(num), 2):
+            x, y = num[p], num[p + 1]
+            out.append(x * cr - y * ci)
+            out.append(x * ci + y * cr)
+        return PMatrix._of(self.dim, self.den * cd, out)
+
+    def _permuted(self, conjugate: bool, transpose: bool) -> "PMatrix":
+        n, num = self.dim, self.num
+        sign = -1 if conjugate else 1
+        out = []
+        for i in range(n):
+            for j in range(n):
+                p = 2 * (j * n + i) if transpose else 2 * (i * n + j)
+                out.append(num[p])
+                out.append(sign * num[p + 1])
+        return PMatrix._of(n, self.den, out)
 
     def conj_transpose(self) -> "PMatrix":
-        return PMatrix(
-            [
-                [self.entries[j][i].conj() for j in range(self.dim)]
-                for i in range(self.dim)
-            ]
-        )
+        return self._permuted(True, True)
 
     def trace(self) -> GQ:
-        acc = GQ_ZERO
-        for i in range(self.dim):
-            acc = acc + self.entries[i][i]
-        return acc
+        step = 2 * self.dim + 2
+        return GQ(
+            Fraction(sum(self.num[::step]), self.den),
+            Fraction(sum(self.num[1::step]), self.den),
+        )
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
+        return not any(self.num)
 
     def is_hermitian(self) -> bool:
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                if self.entries[i][j] != self.entries[j][i].conj():
+        n, num = self.dim, self.num
+        for i in range(n):
+            for j in range(i, n):
+                p, q = 2 * (i * n + j), 2 * (j * n + i)
+                if num[p] != num[q] or num[p + 1] != -num[q + 1]:
                     return False
         return True
 
     def is_identity(self) -> bool:
-        return self == PMatrix.identity(self.dim)
+        step = 2 * self.dim + 2
+        return self.den == 1 and all(
+            x == (p % step == 0) for p, x in enumerate(self.num)
+        )
 
     def diag_support(self):
         """frozenset of nonzero diagonal indices if diagonal, else None."""
         if self._diag_support is None:
-            diagonal = all(
-                self.entries[i][j].is_zero()
-                for i in range(self.dim)
-                for j in range(self.dim)
-                if i != j
+            step = 2 * self.dim + 2
+            num = self.num
+            diagonal = not any(
+                x for p, x in enumerate(num) if p % step > 1
             )
             if diagonal:
                 self._diag_support = frozenset(
-                    i for i in range(self.dim) if not self.entries[i][i].is_zero()
+                    i for i in range(self.dim) if num[i * step] or num[i * step + 1]
                 )
             else:
                 self._diag_support = False
@@ -222,12 +295,13 @@ class PMatrix:
         return (
             isinstance(other, PMatrix)
             and self.dim == other.dim
-            and self.entries == other.entries
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(self.entries)
+            self._hash = hash((self.dim, self.den, self.num))
         return self._hash
 
     def __repr__(self) -> str:
@@ -663,7 +737,7 @@ class GameStrategy:
 
 
 def _conj(m: PMatrix) -> PMatrix:
-    return PMatrix([[e.conj() for e in row] for row in m.entries])
+    return m._permuted(True, False)
 
 
 def game_strategy_from_assignment(inst, assignment: QuantumAssignment) -> GameStrategy:
@@ -720,9 +794,7 @@ def verify_game_strategy(inst, strategy: GameStrategy) -> list:
 
 
 def _transpose(m: PMatrix) -> PMatrix:
-    return PMatrix(
-        [[m.entries[j][i] for j in range(m.dim)] for i in range(m.dim)]
-    )
+    return m._permuted(False, True)
 
 
 # -- the magic square -------------------------------------------------------
@@ -738,16 +810,18 @@ def _pauli() -> dict:
 
 def _kron(a: PMatrix, b: PMatrix) -> PMatrix:
     n, m = a.dim, b.dim
-    out = [[GQ_ZERO] * (n * m) for _ in range(n * m)]
+    out = []
     for i in range(n):
-        for j in range(n):
-            aij = a.entries[i][j]
-            if aij.is_zero():
-                continue
-            for k in range(m):
+        for k in range(m):
+            for j in range(n):
+                p = 2 * (i * n + j)
+                ar, ai = a.num[p], a.num[p + 1]
                 for l in range(m):
-                    out[i * m + k][j * m + l] = aij * b.entries[k][l]
-    return PMatrix(out)
+                    q = 2 * (k * m + l)
+                    br, bi = b.num[q], b.num[q + 1]
+                    out.append(ar * br - ai * bi)
+                    out.append(ar * bi + ai * br)
+    return PMatrix._of(n * m, a.den * b.den, out)
 
 
 MAGIC_SQUARE_OBSERVABLES = (

@@ -370,6 +370,26 @@ def gaifman_balls(X: RelStructure, radius: int) -> dict:
     return balls
 
 
+def _bfs_distances(adj: Mapping, source: Vertex) -> dict:
+    """Gaifman distances from `source` to every vertex it reaches."""
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        w = queue.popleft()
+        for x in adj[w]:
+            if x not in dist:
+                dist[x] = dist[w] + 1
+                queue.append(x)
+    return dist
+
+
+def is_connected(X: RelStructure) -> bool:
+    """Whether the Gaifman graph is connected, decided by one BFS."""
+    if not X.domain:
+        return True
+    return len(_bfs_distances(X.gaifman_adjacency(), X.domain[0])) == len(X.domain)
+
+
 def diameter_and_connectivity(X: RelStructure) -> tuple[bool, object]:
     """(connected, diameter); diameter is inf when disconnected."""
     if not X.domain:
@@ -377,14 +397,7 @@ def diameter_and_connectivity(X: RelStructure) -> tuple[bool, object]:
     adj = X.gaifman_adjacency()
     diameter = 0
     for v in X.domain:
-        dist = {v: 0}
-        queue = deque([v])
-        while queue:
-            w = queue.popleft()
-            for x in adj[w]:
-                if x not in dist:
-                    dist[x] = dist[w] + 1
-                    queue.append(x)
+        dist = _bfs_distances(adj, v)
         if len(dist) < len(X.domain):
             return False, INFINITY
         diameter = max(diameter, max(dist.values()))

@@ -2,16 +2,19 @@
 
 The oracles never share code paths with the implementations they check:
 homomorphism existence enumerates all maps, subspace facts enumerate all
-member vectors, and functional extensions try every candidate value table.
+member vectors, functional extensions try every candidate value table,
+projector arithmetic runs entry by entry on `Fraction` pairs, and template
+predicates run the all-pairs Gaifman sweep on every structure.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
-from chromagap.relstruct import GRAPH_SIGNATURE, RelStructure, Signature
-from chromagap.pultr import PultrTemplate
+from chromagap.relstruct import GRAPH_SIGNATURE, RelStructure, Signature, diameter_and_connectivity
+from chromagap.pultr import PultrTemplate, TemplateReport
 
 
 def brute_force_hom_exists(X: RelStructure, Y: RelStructure) -> bool:
@@ -137,3 +140,137 @@ def uniform_instance(variables, alphabet, constraints):
     from chromagap.csp import CspInstance
 
     return CspInstance(variables, alphabet, constraints)
+
+
+# -- reference projector arithmetic -----------------------------------------
+# A reference matrix is a tuple of rows of (re, im) Fraction pairs; every
+# operation works entry by entry, with no common denominator.
+
+
+def ref_zero(n: int) -> tuple:
+    return tuple(tuple((Fraction(0), Fraction(0)) for _ in range(n)) for _ in range(n))
+
+
+def ref_identity(n: int) -> tuple:
+    return tuple(
+        tuple((Fraction(int(i == j)), Fraction(0)) for j in range(n)) for i in range(n)
+    )
+
+
+def ref_add(a: tuple, b: tuple) -> tuple:
+    return tuple(
+        tuple((x[0] + y[0], x[1] + y[1]) for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
+    )
+
+
+def ref_sub(a: tuple, b: tuple) -> tuple:
+    return tuple(
+        tuple((x[0] - y[0], x[1] - y[1]) for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
+    )
+
+
+def ref_mul(x: tuple, y: tuple) -> tuple:
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def ref_matmul(a: tuple, b: tuple) -> tuple:
+    n = len(a)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = (Fraction(0), Fraction(0))
+            for k in range(n):
+                p = ref_mul(a[i][k], b[k][j])
+                acc = (acc[0] + p[0], acc[1] + p[1])
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def ref_scale(a: tuple, c: tuple) -> tuple:
+    return tuple(tuple(ref_mul(c, x) for x in row) for row in a)
+
+
+def ref_conj(a: tuple) -> tuple:
+    return tuple(tuple((x[0], -x[1]) for x in row) for row in a)
+
+
+def ref_transpose(a: tuple) -> tuple:
+    return tuple(zip(*a))
+
+
+def ref_conj_transpose(a: tuple) -> tuple:
+    return ref_transpose(ref_conj(a))
+
+
+def ref_kron(a: tuple, b: tuple) -> tuple:
+    n, m = len(a), len(b)
+    return tuple(
+        tuple(ref_mul(a[i // m][j // m], b[i % m][j % m]) for j in range(n * m))
+        for i in range(n * m)
+    )
+
+
+def ref_trace(a: tuple) -> tuple:
+    return (sum(a[i][i][0] for i in range(len(a))), sum(a[i][i][1] for i in range(len(a))))
+
+
+def ref_is_zero(a: tuple) -> bool:
+    return all(x == (0, 0) for row in a for x in row)
+
+
+def ref_is_hermitian(a: tuple) -> bool:
+    return a == ref_conj_transpose(a)
+
+
+def ref_is_identity(a: tuple) -> bool:
+    return a == ref_identity(len(a))
+
+
+def ref_diag_support(a: tuple):
+    n = len(a)
+    if any(a[i][j] != (0, 0) for i in range(n) for j in range(n) if i != j):
+        return None
+    return frozenset(i for i in range(n) if a[i][i] != (0, 0))
+
+
+# -- reference template predicates ------------------------------------------
+
+
+def all_pairs_template_predicates(template: PultrTemplate) -> TemplateReport:
+    """Connectivity, faithfulness and diameter from the all-pairs Gaifman
+    sweep of every structure, with no early exit."""
+    structures = [template.A] + [template.B[name] for name, _ in template.tau.symbols]
+    sweeps = [diameter_and_connectivity(s) for s in structures]
+    connected = all(flag for flag, _ in sweeps)
+    for name, arity in template.tau.symbols:
+        maps = template.eps[name]
+        for rname, _ in template.rho.symbols:
+            images = {
+                tuple(maps[i][a] for a in at)
+                for i in range(arity)
+                for at in template.A.relations[rname]
+            }
+            if not template.B[name].relations[rname] <= images:
+                connected = False
+    diameter = int(max(d for _, d in sweeps)) if connected else None
+
+    faithful = True
+    for name, arity in template.tau.symbols:
+        bt = template.B[name]
+        maps = template.eps[name]
+        images = [set(maps[i].values()) for i in range(arity)]
+        if any(len(img) != len(template.A.domain) for img in images):
+            faithful = False
+            continue
+        if sum(len(img) for img in images) != len(bt.domain) or set().union(*images) != set(bt.domain):
+            faithful = False
+            continue
+        for i in range(arity):
+            for rname, _ in template.rho.symbols:
+                mapped = {tuple(maps[i][a] for a in at) for at in template.A.relations[rname]}
+                induced = {t for t in bt.relations[rname] if set(t) <= images[i]}
+                if mapped != induced:
+                    faithful = False
+    return TemplateReport(connected, faithful, diameter)

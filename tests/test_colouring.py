@@ -12,7 +12,7 @@ from chromagap.colouring import (
     xi_colouring,
 )
 from chromagap.csp import CspInstance
-from chromagap.pultr import left_apply
+from chromagap.pultr import left_apply, template_predicates
 from chromagap.qop import lift_classical, verify_assignment
 from chromagap.relstruct import (
     ABOVE_CAP,
@@ -22,7 +22,7 @@ from chromagap.relstruct import (
     find_homomorphism,
     symmetrize,
 )
-from helpers import random_digraph
+from helpers import all_pairs_template_predicates, random_digraph
 
 
 def test_line_digraph_two_path():
@@ -106,6 +106,61 @@ def test_eta_edge_count_matches_brute_force():
             if not za & zb:
                 count += 1
     assert len(eta.relations["E"]) == count == 84
+
+
+def two_symbol_instance():
+    """A 2-to-2 instance on four labels whose constraints fall into two
+    permutation pairs, one of them shared by two scopes."""
+    same_half = {(a, b) for a in range(4) for b in range(4) if a // 2 == b // 2}
+    parity_half = {(a, b) for a in range(4) for b in range(4) if a % 2 == b // 2}
+    return CspInstance(
+        ["x", "y", "z"],
+        range(4),
+        [(("x", "y"), same_half), (("y", "z"), parity_half), (("x", "z"), same_half)],
+    )
+
+
+def test_eta_apply_edges_are_the_gadget_edges_in_order():
+    inst = two_symbol_instance()
+    ctx = eta_context(inst)
+    assert len(ctx.symbols) == 2
+    base = 2 * ctx.d
+    var_pos = {x: i for i, x in enumerate(inst.variables)}
+    expected = []
+    for name in ctx.symbols:
+        mu, nu = ctx.mu_nu[name]
+        # pairs in (z, z') order, by a direct digit test of block disjointness
+        pairs = [
+            (z, zp)
+            for z in range(base**ctx.n)
+            for zp in range(base**ctx.n)
+            if all(
+                not {(z // base ** mu[ctx.d * i + j]) % base for j in range(ctx.d)}
+                & {(zp // base ** nu[ctx.d * i + j]) % base for j in range(ctx.d)}
+                for i in range(ctx.m)
+            )
+        ]
+        gadget = ctx.template.B[name].relations["E"]
+        assert ctx.pair_lists[name] == pairs
+        assert {((1, z), (2, zp)) for z, zp in pairs} == gadget
+        scopes = sorted(
+            ctx.variable_structure.relations[name], key=lambda t: tuple(var_pos[v] for v in t)
+        )
+        for x, xp in scopes:
+            expected += [((x, z), (xp, zp)) for (_, z), (_, zp) in sorted(gadget)]
+    eta = eta_apply(inst, context=ctx)
+    assert len(expected) == len(eta.relations["E"]) == 3 * 7056
+    # the same edges, inserted in the same order, iterate identically
+    assert list(eta.relations["E"]) == list(frozenset(expected))
+    assert list(eta_apply(inst).relations["E"]) == list(eta.relations["E"])
+
+
+def test_eta_template_predicates_match_all_pairs_reference():
+    for inst in (full_d2_instance(), two_symbol_instance()):
+        template = eta_context(inst).template
+        report = template_predicates(template)
+        assert report == all_pairs_template_predicates(template)
+        assert not report.connected and report.diameter is None and report.faithful
 
 
 def test_eta_equals_left_functor_on_small_instance():

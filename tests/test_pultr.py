@@ -28,6 +28,7 @@ from chromagap.relstruct import (
     find_homomorphism,
 )
 from helpers import (
+    all_pairs_template_predicates,
     random_digraph,
     random_faithful_template,
     random_template,
@@ -129,6 +130,22 @@ def test_oracle_trivial_on_loop_target():
 def test_oracle_line_digraph_c5_k2():
     C5 = digraph([(f"v{i}", f"v{(i + 1) % 5}") for i in range(5)])
     assert adjunction_oracle(linedigraph_template(), C5, clique(2)) == (False, False)
+
+
+def test_template_predicates_match_all_pairs_reference():
+    """Connectivity is decided by one BFS per structure and the diameter
+    sweep runs only on connected templates; the report is unchanged."""
+    rng = random.Random(7)
+    templates = [linedigraph_template(), exponential_template(digraph([("g0", "g1")]))]
+    templates += [random_template(rng) for _ in range(60)]
+    templates += [random_faithful_template(rng) for _ in range(60)]
+    outcomes = set()
+    for template in templates:
+        report = template_predicates(template)
+        assert report == all_pairs_template_predicates(template)
+        outcomes.add((report.connected, report.faithful))
+    assert {c for c, _ in outcomes} == {True, False}
+    assert {f for _, f in outcomes} == {True, False}
 
 
 def test_oracle_agreement_on_random_cases():

@@ -1,0 +1,61 @@
+"""Round trips of the JSON encodings, with nested vertex ids and complex
+rational matrix entries written as [re, im] pairs of rational strings."""
+
+import json
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chromagap.qop import GQ, PMatrix, QuantumAssignment
+from chromagap.serialize import assignment_from_dict, assignment_to_dict, decode_id, encode_id
+
+ids = st.recursive(
+    st.one_of(st.integers(-20, 20), st.text(max_size=3)),
+    lambda children: st.lists(children, max_size=3).map(tuple),
+    max_leaves=6,
+)
+
+fractions = st.builds(Fraction, st.integers(-9, 9), st.sampled_from((1, 2, 3, 4, 5, 25)))
+entries = st.tuples(fractions, fractions)
+
+
+@st.composite
+def assignments(draw):
+    dim = draw(st.integers(1, 3))
+    k = draw(st.integers(0, 3))
+    variables = draw(st.lists(ids, min_size=1, max_size=3, unique=True))
+    rows = {}
+    pvms = {}
+    for x in variables:
+        labels = draw(st.lists(ids, min_size=1, max_size=3, unique=True))
+        fam = {}
+        for y in labels:
+            ref = [[draw(entries) for _ in range(dim)] for _ in range(dim)]
+            fam[y] = PMatrix([[GQ(re, im) for re, im in row] for row in ref])
+            rows[(x, y)] = ref
+        pvms[x] = fam
+    return QuantumAssignment(dim, k, pvms), rows
+
+
+@given(ids)
+def test_identifier_round_trip(value):
+    assert decode_id(json.loads(json.dumps(encode_id(value)))) == value
+
+
+@settings(max_examples=60, deadline=None)
+@given(assignments())
+def test_assignment_round_trip(case):
+    assignment, rows = case
+    encoded = assignment_to_dict(assignment)
+    decoded = assignment_from_dict(json.loads(json.dumps(encoded)))
+    assert decoded.dim == assignment.dim and decoded.k == assignment.k
+    assert decoded.pvms == assignment.pvms
+    assert assignment_to_dict(decoded) == encoded
+    # the wire format: one [re, im] pair of reduced rational strings per entry
+    for x, fam in assignment.pvms.items():
+        for y in fam:
+            written = encoded["pvms"][json.dumps(encode_id(x), sort_keys=True)][
+                json.dumps(encode_id(y), sort_keys=True)
+            ]
+            assert written == [[[str(re), str(im)] for re, im in row] for row in rows[(x, y)]]
