@@ -74,22 +74,11 @@ class PipelineReport:
         return "\n".join(lines)
 
 
-def _threads() -> int:
-    """Honour the documented environment knob; execution stays sequential
-    and deterministic, the value only bounds any future fan-out."""
-    raw = os.environ.get("CHROMAGAP_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"CHROMAGAP_THREADS={raw!r} is not an integer") from exc
-    if n < 1:
-        raise ValueError("CHROMAGAP_THREADS must be >= 1")
-    return n
-
-
 def read_config(path: Optional[str]) -> dict:
     """key=value lines; '#' starts a comment.  Recognised keys: budgets and
-    tolerances (sinkhorn_residual, spectral_gap, samples, hom_budget)."""
+    tolerances (sinkhorn_residual, spectral_gap, samples, hom_budget).
+    Raises ValueError naming the line for an unknown key, a line without
+    '=', a count below 1 or a tolerance outside (0, 1)."""
     config: dict = {
         "sinkhorn_residual": 1e-12,
         "spectral_gap": 1e-8,
@@ -99,17 +88,25 @@ def read_config(path: Optional[str]) -> dict:
     if path is None:
         return config
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            key, _, value = line.partition("=")
+            key, eq, value = line.partition("=")
             key = key.strip()
-            value = value.strip()
+            where = f"{path}, line {number}"
+            if not eq:
+                raise ValueError(f"{where}: expected key = value, got {line!r}")
+            if key not in config:
+                raise ValueError(f"{where}: unknown key {key!r}")
             if key in ("samples", "hom_budget"):
                 config[key] = int(value)
+                if config[key] < 1:
+                    raise ValueError(f"{where}: {key} must be at least 1")
             else:
                 config[key] = float(value)
+                if not 0 < config[key] < 1:
+                    raise ValueError(f"{where}: {key} must lie in (0, 1)")
     return config
 
 
@@ -121,10 +118,9 @@ def pipeline_magic_square(
     outdir: Optional[str] = None,
 ) -> PipelineReport:
     """Magic square -> rho -> eta, with exact verification everywhere."""
-    _threads()
     report = PipelineReport("thm15", seed)
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     system, game_assignment = qop.mermin_peres()
     sat = system.sat_value()
     game_check = dkkms.verify_game_assignment(system, 1, game_assignment)
@@ -136,13 +132,13 @@ def pipeline_magic_square(
             "game_form": "pass" if game_check.passed else "FAIL",
             "dim": game_assignment.dim,
         },
-        time.time() - t0,
+        time.perf_counter() - t0,
     )
     if not game_check.passed or sat != Fraction(5, 6):
         report.verdict = "FAIL at the magic-square stage"
         return report
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     rho1 = dkkms.build_rho1(system, 1, 2)
     rho2 = dkkms.build_rho2(rho1)
     _, transferred = dkkms.rho_quantum_transfer(system, 1, 2, game_assignment, rho1=rho2)
@@ -167,13 +163,13 @@ def pipeline_magic_square(
                 "family for this instance would force a classical solution"
             ),
         },
-        time.time() - t0,
+        time.perf_counter() - t0,
     )
     if not (perfect_rho1.perfect and perfect_rho2.perfect):
         report.verdict = "FAIL at the rho stage"
         return report
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     eta, coloured, ctx = colouring.eta_quantum_transfer(rho2.instance, transferred, 0)
     k4 = clique(4)
     if full:
@@ -199,7 +195,7 @@ def pipeline_magic_square(
                 "asymptotically and is not claimed here"
             ),
         },
-        time.time() - t0,
+        time.perf_counter() - t0,
     )
     if outdir:
         os.makedirs(outdir, exist_ok=True)
@@ -300,7 +296,6 @@ def pipeline_machinery(
     """Classically-lifted end-to-end run of the full reduction machinery,
     with the compatibility ledger 3*2^i - 2 -> ... -> 1 enforced by verifier
     runs at every step (i = 2 gives 10 -> 4 -> 1)."""
-    _threads()
     if i != 2:
         raise dmr.SizeBudgetExceeded("the desk-scale machinery run supports i = 2")
     report = PipelineReport("thm14", seed)
@@ -309,7 +304,7 @@ def pipeline_machinery(
         k_ladder.append((k_ladder[-1] - 2) // 2)
     # 10 -> 4 -> 1 for i = 2
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     inst, classical = machinery_seed_instance(seed)
     lift = qop.lift_classical(classical)
     final, dmr_report, tracked = dmr.dmr_pipeline(
@@ -323,10 +318,10 @@ def pipeline_machinery(
             "quantum": dmr_report.quantum_ledger,
             "final": repr(final),
         },
-        time.time() - t0,
+        time.perf_counter() - t0,
     )
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     eta, eta_assignment, ctx = colouring.eta_quantum_transfer(final, tracked, k_ladder[0])
     eta, mapping = relabel(eta, "g")
     eta_assignment = qop.QuantumAssignment(
@@ -344,14 +339,14 @@ def pipeline_machinery(
             "level": k_ladder[0],
             "verification": check0.summary(),
         },
-        time.time() - t0,
+        time.perf_counter() - t0,
     )
 
     current_x, current_y = eta, k4
     current = eta_assignment
     ledger = [k_ladder[0]]
     for step, k_next in enumerate(k_ladder[1:], start=1):
-        t0 = time.time()
+        t0 = time.perf_counter()
         transferred = colouring.linedigraph_quantum_transfer(
             current_x, current_y, current, k_next
         )
@@ -373,14 +368,14 @@ def pipeline_machinery(
                 "level": k_next,
                 "verification": check.summary(),
             },
-            time.time() - t0,
+            time.perf_counter() - t0,
         )
         current = transferred
         if not check.passed:
             report.verdict = f"FAIL at line-digraph step {step}"
             return report
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     delta2k4 = colouring.line_digraph(colouring.line_digraph(clique(4)))
     chi = relstruct.chromatic_number(delta2k4, 4)
     to_k3 = relstruct.find_homomorphism(delta2k4, clique(3))
@@ -401,7 +396,7 @@ def pipeline_machinery(
             "final_bipartite": bipartite,
             "bipartite_note": "a bipartite output would already be quantum 2-colourable",
         },
-        time.time() - t0,
+        time.perf_counter() - t0,
     )
     if outdir:
         os.makedirs(outdir, exist_ok=True)

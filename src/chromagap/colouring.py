@@ -309,7 +309,7 @@ def xi_colouring(ctx: EtaContext) -> tuple[dict, RelStructure, LambdaQuotient]:
     base = 2 * ctx.d
     alpha_index = {a: i for i, a in enumerate(ctx.instance.alphabet)}
     quotient = lambda_quotient(ctx.template, ctx.target)
-    lam_target = left_apply(ctx.template, ctx.target)
+    lam_target = left_apply(ctx.template, ctx.target, quotient=quotient)
     k2d = clique(base)
 
     def colour_of_tag(tag) -> str:

@@ -25,16 +25,13 @@ from .qop import PMatrix, QuantumAssignment, _ProductCache
 from .relstruct import (
     RelStructure,
     Signature,
+    _search_homomorphisms,
     check_homomorphism,
     diameter_and_connectivity,
     enumerate_homomorphisms,
     find_homomorphism,
     is_connected,
 )
-
-
-class EnumerationBudgetExceeded(Exception):
-    pass
 
 
 class NotConnected(Exception):
@@ -253,10 +250,12 @@ def lambda_quotient(template: PultrTemplate, X: RelStructure) -> LambdaQuotient:
     return quotient
 
 
-def left_apply(template: PultrTemplate, X: RelStructure) -> RelStructure:
+def left_apply(
+    template: PultrTemplate, X: RelStructure, *, quotient: Optional[LambdaQuotient] = None
+) -> RelStructure:
     """Glue a copy of A per vertex and a copy of B_T per tau-tuple along the
     eps maps, and push all gadget relations to the quotient."""
-    q = lambda_quotient(template, X)
+    q = quotient if quotient is not None else lambda_quotient(template, X)
     domain = []
     seen = set()
     for i, tag in enumerate(q.tags):
@@ -501,7 +500,7 @@ def lambda_functor(
             out[label] = out[label] + m if label in out else m
         composed[x] = out
     lifted = QuantumAssignment(assignment.dim, assignment.k, composed)
-    lam_y = lambda_y if lambda_y is not None else left_apply(template, Y)
+    lam_y = lambda_y if lambda_y is not None else left_apply(template, Y, quotient=qy)
     result = transfer_lambda(
         template, X, lam_y, lifted, k, quotient=quotient_x
     )
@@ -561,7 +560,8 @@ def _gadget_witness(
     """A homomorphism ell: B_T -> X with ell o eps_i equal to the i-th
     component of the tau-tuple ht of Gamma X; ht is in the relation, so a
     witness exists.  Vertices covered by eps images are forced; the rest are
-    found by constrained search, canonically-first."""
+    found by a search with the forced values fixed, so the witness is the
+    canonically-least homomorphism extending them."""
     bt = template.B[name]
     maps = template.eps[name]
     forced: dict = {}
@@ -578,7 +578,6 @@ def _gadget_witness(
         if not check_homomorphism(forced, bt, X):
             raise WellDefinednessViolation(f"no gadget witness for {name!r} tuple")
         return forced
-    for h in enumerate_homomorphisms(bt, X):
-        if all(h[b] == forced[b] for b in forced):
-            return h
+    for h in _search_homomorphisms(bt, X, fixed=forced, limit=1):
+        return h
     raise WellDefinednessViolation(f"no gadget witness for {name!r} tuple")

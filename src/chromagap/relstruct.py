@@ -84,7 +84,7 @@ class RelStructure:
     instances, not to structures.
     """
 
-    __slots__ = ("signature", "domain", "relations", "_index", "_gaifman")
+    __slots__ = ("signature", "domain", "relations", "_index", "_gaifman", "_supports")
 
     def __init__(
         self,
@@ -116,6 +116,7 @@ class RelStructure:
             raise ValueError(f"relations for unknown symbols: {sorted(map(str, unknown))}")
         self.relations = rels
         self._gaifman: Optional[dict] = None
+        self._supports: dict = {}
 
     def index(self, v: Vertex) -> int:
         try:
@@ -163,6 +164,27 @@ class RelStructure:
             self._gaifman = {v: tuple(sorted(ns, key=self.index)) for v, ns in adj.items()}
         return self._gaifman
 
+    # -- support index -------------------------------------------------
+
+    def supports(self, name: str) -> tuple:
+        """Support index of one symbol, built on first use and cached.
+
+        Entry p maps each value to the tuples of `name` that carry it at
+        position p; for a binary symbol, to the values at the other end
+        instead.  Both are listed in lexicographic domain order.
+        """
+        index = self._supports.get(name)
+        if index is None:
+            idx = self._index
+            arity = self.signature.arity(name)
+            by_pos: list = [{} for _ in range(arity)]
+            for t in sorted(self.relations[name], key=lambda t: [idx[v] for v in t]):
+                for p, v in enumerate(t):
+                    by_pos[p].setdefault(v, []).append(t[1 - p] if arity == 2 else t)
+            index = tuple({v: tuple(s) for v, s in m.items()} for m in by_pos)
+            self._supports[name] = index
+        return index
+
     def is_graph(self) -> bool:
         return len(self.signature.symbols) == 1 and self.signature.symbols[0][1] == 2
 
@@ -205,6 +227,14 @@ def _search_homomorphisms(
     Variables are assigned in `order` (domain order by default); candidate
     labels are tried in Y's domain order, so the first map produced is the
     canonically-least homomorphism for that order.
+
+    Forward checking: once a tuple of X has exactly one unassigned variable
+    u, u's candidates shrink to the values that complete the tuple in Y.
+    The support of the value just assigned, read from `Y.supports`, lists
+    those values (or the Y-tuples to draw them from) in Y's domain order,
+    so when it is shorter than u's list the new list is read from it;
+    otherwise u's list is scanned.  Both sides give the same list, so the
+    output, its order and the node count do not depend on the side read.
     """
     if X.signature != Y.signature:
         raise SignatureMismatch("structures have different signatures")
@@ -212,18 +242,33 @@ def _search_homomorphisms(
     pos = {v: i for i, v in enumerate(var_order)}
     n = len(var_order)
 
-    # Constraints indexed by the position at which they become fully assigned,
-    # plus (tuple, slot) pairs for forward checking.
-    full_at: list[list[tuple[str, tuple]]] = [[] for _ in range(n)]
-    touching: dict[Vertex, list[tuple[str, tuple]]] = {v: [] for v in var_order}
-    for name, t in X.all_tuples():
-        last = max(pos[v] for v in t)
-        full_at[last].append((name, t))
-        for v in set(t):
-            touching[v].append((name, t))
+    # Per symbol and variable v: the tuples through v and another variable
+    # (a wider tuple is paired with its distinct variables).  Once all but
+    # one variable of such a tuple are assigned, forward checking leaves the
+    # last one only values that complete it, so it never needs checking
+    # when full.  A tuple on one variable is checked when that is assigned.
+    groups: list[tuple[str, int, dict]] = []
+    single: list[list[tuple[str, tuple]]] = [[] for _ in range(n)]
+    for name, arity in X.signature.symbols:
+        through: dict[Vertex, list] = {v: [] for v in var_order}
+        for t in X.relations[name]:
+            if arity == 2:
+                a, b = t
+                if a != b:
+                    through[a].append(t)
+                    through[b].append(t)
+                    continue
+            else:
+                distinct = tuple(set(t))
+                if len(distinct) > 1:
+                    for w in distinct:
+                        through[w].append((t, distinct))
+                    continue
+            single[pos[t[0]]].append((name, t))
+        groups.append((name, arity, through))
 
-    y_dom = list(Y.domain)
-    candidates: dict[Vertex, list] = {v: list(y_dom) for v in var_order}
+    full = list(Y.domain)
+    candidates: dict[Vertex, Sequence] = {v: full for v in var_order}
     assignment: dict = {}
     if fixed:
         for v, y in fixed.items():
@@ -235,41 +280,82 @@ def _search_homomorphisms(
     def consistent_tuple(name: str, t: tuple) -> bool:
         return tuple(assignment[v] for v in t) in Y.relations[name]
 
-    def propagate(v: Vertex) -> tuple[list[tuple[Vertex, list]], bool]:
+    def propagate(v: Vertex) -> tuple[list[tuple[Vertex, Sequence]], bool]:
         """Forward-check tuples touching v with exactly one unassigned slot."""
-        trimmed: list[tuple[Vertex, list]] = []
-        for name, t in touching[v]:
-            unassigned = [u for u in set(t) if u not in assignment]
-            if len(unassigned) != 1:
-                continue
-            u = unassigned[0]
+        trimmed: list[tuple[Vertex, Sequence]] = []
+        a = assignment[v]
+        for name, arity, through in groups:
             rel = Y.relations[name]
-            ok = []
-            for y in candidates[u]:
-                image = tuple(y if w == u else assignment[w] for w in t)
-                if image in rel:
-                    ok.append(y)
-            if len(ok) < len(candidates[u]):
-                trimmed.append((u, candidates[u]))
-                candidates[u] = ok
-                if not ok:
-                    return trimmed, True
+            index = None
+            for entry in through[v]:
+                if arity == 2:
+                    t = entry
+                    at = 0 if t[0] == v else 1
+                    u = t[1 - at]
+                    if u in assignment:
+                        continue
+                else:
+                    t, distinct = entry
+                    unassigned = [w for w in distinct if w not in assignment]
+                    if len(unassigned) != 1:
+                        continue
+                    u = unassigned[0]
+                    at = t.index(v)
+                cands = candidates[u]
+                if len(cands) > 1:
+                    if index is None:
+                        index = Y.supports(name)
+                    support = index[at].get(a, ())
+                else:
+                    support = cands  # one value is scanned without the index
+                if len(support) < len(cands):
+                    if arity != 2:
+                        # the Y-tuples with a at position `at`, cut to those
+                        # agreeing with the assignment and repeating one value
+                        # wherever u stands
+                        ui = t.index(u)
+                        support = [
+                            yt[ui]
+                            for yt in support
+                            if yt == tuple(yt[ui] if w == u else assignment[w] for w in t)
+                        ]
+                    if cands is full:
+                        ok = support
+                    else:
+                        kept = set(cands)
+                        ok = [y for y in support if y in kept]
+                elif arity != 2:
+                    ok = [
+                        y
+                        for y in cands
+                        if tuple(y if w == u else assignment[w] for w in t) in rel
+                    ]
+                elif at == 0:
+                    ok = [y for y in cands if (a, y) in rel]
+                else:
+                    ok = [y for y in cands if (y, a) in rel]
+                if len(ok) < len(cands):
+                    trimmed.append((u, cands))
+                    candidates[u] = ok
+                    if not ok:
+                        return trimmed, True
         return trimmed, False
 
-    def undo(trimmed: list[tuple[Vertex, list]]) -> None:
+    def undo(trimmed: list[tuple[Vertex, Sequence]]) -> None:
         # restore in reverse: one propagate call can trim the same variable
         # twice, and forward order would resurrect the intermediate list
         for u, old in reversed(trimmed):
             candidates[u] = old
 
     # iterative depth-first search; recursion would overflow on the large
-    # structures produced by iterated constructions
+    # structures produced by iterated constructions.  Candidate lists are
+    # replaced, never changed in place, so they are iterated without a copy.
     if n == 0:
         yield {}
         return
     iters: list = [None] * n
     trims: list = [None] * n
-    iters[0] = iter(list(candidates[var_order[0]]))
+    iters[0] = iter(candidates[var_order[0]])
     i = 0
     while i >= 0:
         v = var_order[i]
@@ -279,7 +365,7 @@ def _search_homomorphisms(
             if budget is not None and nodes > budget:
                 raise SearchBudgetExceeded(f"homomorphism search exceeded {budget} nodes")
             assignment[v] = y
-            if not all(consistent_tuple(name, t) for name, t in full_at[i]):
+            if not all(consistent_tuple(name, t) for name, t in single[i]):
                 del assignment[v]
                 continue
             trimmed, dead = propagate(v)
@@ -297,7 +383,7 @@ def _search_homomorphisms(
                 continue
             trims[i] = trimmed
             i += 1
-            iters[i] = iter(list(candidates[var_order[i]]))
+            iters[i] = iter(candidates[var_order[i]])
             descended = True
             break
         if not descended:

@@ -3,8 +3,9 @@
 The oracles never share code paths with the implementations they check:
 homomorphism existence enumerates all maps, subspace facts enumerate all
 member vectors, functional extensions try every candidate value table,
-projector arithmetic runs entry by entry on `Fraction` pairs, and template
-predicates run the all-pairs Gaifman sweep on every structure.
+projector arithmetic runs entry by entry on `Fraction` pairs, template
+predicates run the all-pairs Gaifman sweep on every structure, and the
+reference homomorphism search scans every candidate list in full.
 """
 
 from __future__ import annotations
@@ -13,7 +14,17 @@ import itertools
 import random
 from fractions import Fraction
 
-from chromagap.relstruct import GRAPH_SIGNATURE, RelStructure, Signature, diameter_and_connectivity
+from typing import Mapping, Optional, Sequence
+
+from chromagap.relstruct import (
+    GRAPH_SIGNATURE,
+    RelStructure,
+    SearchBudgetExceeded,
+    Signature,
+    SignatureMismatch,
+    Vertex,
+    diameter_and_connectivity,
+)
 from chromagap.pultr import PultrTemplate, TemplateReport
 
 
@@ -274,3 +285,126 @@ def all_pairs_template_predicates(template: PultrTemplate) -> TemplateReport:
                 if mapped != induced:
                     faithful = False
     return TemplateReport(connected, faithful, diameter)
+
+
+# -- reference homomorphism search --------------------------------------------
+# The forward-checking search as it was before the support index: every
+# variable starts with all of Y's domain, and each forward check builds and
+# tests one image tuple per candidate.
+
+
+def reference_search_homomorphisms(
+    X: RelStructure,
+    Y: RelStructure,
+    *,
+    order: Optional[Sequence[Vertex]] = None,
+    fixed: Optional[Mapping] = None,
+    limit: Optional[int] = None,
+    budget: Optional[int] = None,
+):
+    """Backtracking with forward checking; yields maps in lexicographic order.
+
+    Variables are assigned in `order` (domain order by default); candidate
+    labels are tried in Y's domain order, so the first map produced is the
+    canonically-least homomorphism for that order.
+    """
+    if X.signature != Y.signature:
+        raise SignatureMismatch("structures have different signatures")
+    var_order = list(order) if order is not None else list(X.domain)
+    pos = {v: i for i, v in enumerate(var_order)}
+    n = len(var_order)
+
+    # Constraints indexed by the position at which they become fully assigned,
+    # plus (tuple, slot) pairs for forward checking.
+    full_at: list[list[tuple[str, tuple]]] = [[] for _ in range(n)]
+    touching: dict[Vertex, list[tuple[str, tuple]]] = {v: [] for v in var_order}
+    for name, t in X.all_tuples():
+        last = max(pos[v] for v in t)
+        full_at[last].append((name, t))
+        for v in set(t):
+            touching[v].append((name, t))
+
+    y_dom = list(Y.domain)
+    candidates: dict[Vertex, list] = {v: list(y_dom) for v in var_order}
+    assignment: dict = {}
+    if fixed:
+        for v, y in fixed.items():
+            candidates[v] = [y]
+
+    nodes = 0
+    found = 0
+
+    def consistent_tuple(name: str, t: tuple) -> bool:
+        return tuple(assignment[v] for v in t) in Y.relations[name]
+
+    def propagate(v: Vertex) -> tuple[list[tuple[Vertex, list]], bool]:
+        """Forward-check tuples touching v with exactly one unassigned slot."""
+        trimmed: list[tuple[Vertex, list]] = []
+        for name, t in touching[v]:
+            unassigned = [u for u in set(t) if u not in assignment]
+            if len(unassigned) != 1:
+                continue
+            u = unassigned[0]
+            rel = Y.relations[name]
+            ok = []
+            for y in candidates[u]:
+                image = tuple(y if w == u else assignment[w] for w in t)
+                if image in rel:
+                    ok.append(y)
+            if len(ok) < len(candidates[u]):
+                trimmed.append((u, candidates[u]))
+                candidates[u] = ok
+                if not ok:
+                    return trimmed, True
+        return trimmed, False
+
+    def undo(trimmed: list[tuple[Vertex, list]]) -> None:
+        # restore in reverse: one propagate call can trim the same variable
+        # twice, and forward order would resurrect the intermediate list
+        for u, old in reversed(trimmed):
+            candidates[u] = old
+
+    # iterative depth-first search; recursion would overflow on the large
+    # structures produced by iterated constructions
+    if n == 0:
+        yield {}
+        return
+    iters: list = [None] * n
+    trims: list = [None] * n
+    iters[0] = iter(list(candidates[var_order[0]]))
+    i = 0
+    while i >= 0:
+        v = var_order[i]
+        descended = False
+        for y in iters[i]:
+            nodes += 1
+            if budget is not None and nodes > budget:
+                raise SearchBudgetExceeded(f"homomorphism search exceeded {budget} nodes")
+            assignment[v] = y
+            if not all(consistent_tuple(name, t) for name, t in full_at[i]):
+                del assignment[v]
+                continue
+            trimmed, dead = propagate(v)
+            if dead:
+                undo(trimmed)
+                del assignment[v]
+                continue
+            if i == n - 1:
+                found += 1
+                yield dict(assignment)
+                undo(trimmed)
+                del assignment[v]
+                if limit is not None and found >= limit:
+                    return
+                continue
+            trims[i] = trimmed
+            i += 1
+            iters[i] = iter(list(candidates[var_order[i]]))
+            descended = True
+            break
+        if not descended:
+            i -= 1
+            if i >= 0:
+                undo(trims[i])
+                trims[i] = None
+                del assignment[var_order[i]]

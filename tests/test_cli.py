@@ -137,14 +137,21 @@ def test_config_parsing(tmp_path):
     config = cli.read_config(path)
     assert config["samples"] == 17
     assert config["spectral_gap"] == 1e-6
-
-
-def test_threads_env_validation(monkeypatch):
-    monkeypatch.setenv("CHROMAGAP_THREADS", "3")
-    assert cli._threads() == 3
-    monkeypatch.setenv("CHROMAGAP_THREADS", "zero")
-    with pytest.raises(ValueError):
-        cli._threads()
+    rejected = {
+        "# budgets\nsampels = 5\n": ("line 2", "sampels"),
+        "samples = 5\nhom_budget\n": ("line 2", "hom_budget"),
+        "samples = 0\n": ("line 1", "samples"),
+        "hom_budget = -3\n": ("line 1", "hom_budget"),
+        "sinkhorn_residual = 0\n": ("line 1", "sinkhorn_residual"),
+        "spectral_gap = 1\n": ("line 1", "spectral_gap"),
+        "spectral_gap = -1e-8\n": ("line 1", "spectral_gap"),
+    }
+    for text, (line, key) in rejected.items():
+        with open(path, "w") as fh:
+            fh.write(text)
+        with pytest.raises(ValueError) as info:
+            cli.read_config(path)
+        assert line in str(info.value) and key in str(info.value), text
 
 
 def test_serialize_round_trips(tmp_path):

@@ -4,8 +4,10 @@ import random
 import pytest
 
 from chromagap.colouring import line_digraph, linedigraph_template
+from chromagap import pultr
 from chromagap.pultr import (
     CompatibilityTooLow,
+    NotConnected,
     PultrTemplate,
     adjunction_oracle,
     central_apply,
@@ -22,9 +24,11 @@ from chromagap.qop import QuantumAssignment, lift_classical, verify_assignment
 from chromagap.relstruct import (
     GRAPH_SIGNATURE,
     RelStructure,
+    Signature,
     check_homomorphism,
     clique,
     digraph,
+    enumerate_homomorphisms,
     find_homomorphism,
 )
 from helpers import (
@@ -89,6 +93,23 @@ def test_central_functor_is_line_digraph():
         assert gx.relations["E"] == dx.relations["E"]
 
 
+def test_central_functor_is_line_digraph_in_domain_order():
+    """Gamma of the line-digraph template is the line digraph itself, with
+    the same vertex order; the thm14 chain relies on this identity."""
+    rng = random.Random(41)
+    seen_loop = seen_isolated = False
+    for _ in range(60):
+        X = random_digraph(rng, 6, 9)
+        gx = central_apply(linedigraph_template(), X)
+        dx = line_digraph(X)
+        assert gx.domain == dx.domain
+        assert gx.relations == dx.relations
+        seen_loop |= any(a == b for a, b in X.relations["E"])
+        touched = {v for t in X.relations["E"] for v in t}
+        seen_isolated |= len(touched) < len(X.domain)
+    assert seen_loop and seen_isolated
+
+
 def test_central_functor_matches_exponential_graph():
     for seed in range(4):
         rng = random.Random(seed)
@@ -146,6 +167,92 @@ def test_template_predicates_match_all_pairs_reference():
         outcomes.add((report.connected, report.faithful))
     assert {c for c, _ in outcomes} == {True, False}
     assert {f for _, f in outcomes} == {True, False}
+
+
+def test_left_apply_reuses_a_given_quotient():
+    rng = random.Random(19)
+    for _ in range(30):
+        template = random_template(rng) if rng.random() < 0.5 else random_faithful_template(rng)
+        X = random_digraph(rng, 3, 4)
+        X = RelStructure(
+            template.tau,
+            X.domain,
+            {
+                name: {tuple(rng.choice(X.domain) for _ in range(arity)) for _ in range(rng.randint(0, 3))}
+                for name, arity in template.tau.symbols
+            },
+        )
+        plain = left_apply(template, X)
+        given = left_apply(template, X, quotient=lambda_quotient(template, X))
+        assert given.domain == plain.domain
+        assert given.relations == plain.relations
+
+
+def _first_filtered_witness(template, name, ht, X, a_index):
+    """The gadget witness as the first homomorphism B_T -> X, in canonical
+    order, that agrees with the eps images forced by ht."""
+    forced = {
+        b: ht[i][a_index[a]] for i, m in enumerate(template.eps[name]) for a, b in m.items()
+    }
+    for h in enumerate_homomorphisms(template.B[name], X):
+        if all(h[b] == y for b, y in forced.items()):
+            return h
+    return None
+
+
+def test_gadget_witness_with_free_gadget_vertices():
+    """Gadgets with vertices outside every eps image: the witness found with
+    the forced values fixed is the first witness of the filtered enumeration."""
+    rho = GRAPH_SIGNATURE
+    A = RelStructure(rho, ["a1", "a2"], {"E": [("a1", "a2")]})
+    # b3 hangs off the single eps image; b4 and b5 sit between two images
+    one = RelStructure(rho, ["b1", "b2", "b3"], {"E": [("b1", "b2"), ("b2", "b3")]})
+    two = RelStructure(
+        rho,
+        ["b1", "b2", "b3", "b4", "b5"],
+        {"E": [("b1", "b2"), ("b4", "b5"), ("b2", "b3"), ("b3", "b4"), ("b5", "b5")]},
+    )
+    templates = [
+        PultrTemplate(rho, Signature((("S", 1),)), A, {"S": one}, {"S": ({"a1": "b1", "a2": "b2"},)}),
+        PultrTemplate(
+            rho,
+            Signature((("S", 2),)),
+            A,
+            {"S": two},
+            {"S": ({"a1": "b1", "a2": "b2"}, {"a1": "b4", "a2": "b5"})},
+        ),
+    ]
+    rng = random.Random(8)
+    checked = 0
+    for template in templates:
+        assert not template_predicates(template).connected
+        a_index = {a: i for i, a in enumerate(template.A.domain)}
+        for _ in range(15):
+            X = random_digraph(rng, 5, 9)
+            gx = central_apply(template, X)
+            for ht in gx.relations["S"]:
+                witness = pultr._gadget_witness(template, "S", ht, X, a_index)
+                assert witness == _first_filtered_witness(template, "S", ht, X, a_index)
+                checked += 1
+            with pytest.raises(NotConnected):
+                gamma_functor(template, X, X, lift_classical({v: v for v in X.domain}), 0)
+    assert checked > 50
+
+
+def test_gamma_functor_unchanged_with_filtered_witness(monkeypatch):
+    rng = random.Random(4)
+    cases = []
+    for _ in range(10):
+        X = random_digraph(rng, 4, 6)
+        f = find_homomorphism(X, clique(4))
+        if f is not None:
+            cases.append((X, lift_classical(f)))
+    outputs = [gamma_functor(linedigraph_template(), X, clique(4), q, 1) for X, q in cases]
+    monkeypatch.setattr(pultr, "_gadget_witness", _first_filtered_witness)
+    for (X, q), out in zip(cases, outputs):
+        again = gamma_functor(linedigraph_template(), X, clique(4), q, 1)
+        assert again.pvms == out.pvms and again.k == out.k
+    assert len(cases) >= 5
 
 
 def test_oracle_agreement_on_random_cases():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -8,7 +9,9 @@ from chromagap.relstruct import (
     PartialMap,
     RelStructure,
     SearchBudgetExceeded,
+    Signature,
     SignatureMismatch,
+    _search_homomorphisms,
     check_homomorphism,
     chromatic_number,
     clique,
@@ -21,7 +24,13 @@ from chromagap.relstruct import (
     relabel,
     symmetrize,
 )
-from helpers import brute_force_all_homs, brute_force_hom_exists, random_digraph
+from helpers import (
+    brute_force_all_homs,
+    brute_force_hom_exists,
+    random_digraph,
+    random_structure,
+    reference_search_homomorphisms,
+)
 
 C5 = digraph([(f"v{i}", f"v{(i + 1) % 5}") for i in range(5)])
 
@@ -215,3 +224,102 @@ def test_relabel_preserves_shape():
     assert len(renamed.domain) == 5
     assert chromatic_number(renamed, 5) == 3
     assert {mapping[v] for v in C5.domain} == set(renamed.domain)
+
+
+def _outcome(search, X, Y, **kwargs):
+    """The maps a search yields, in order, and whether it ran out of budget."""
+    out = []
+    try:
+        for f in search(X, Y, **kwargs):
+            out.append(f)
+    except SearchBudgetExceeded:
+        return out, True
+    return out, False
+
+
+def _dense_structure(rng, sig, n):
+    """A structure on n vertices holding each possible tuple with a random
+    density, so support lists are sometimes shorter and sometimes longer
+    than the candidate lists they are compared with."""
+    dom = [f"y{i}" for i in range(n)]
+    rels = {}
+    for name, arity in sig.symbols:
+        density = rng.choice((0.15, 0.4, 0.7, 1.0))
+        rels[name] = [t for t in itertools.product(dom, repeat=arity) if rng.random() < density]
+    return RelStructure(sig, dom, rels)
+
+
+def test_search_matches_reference_search():
+    """The indexed search yields the reference search's maps in the same
+    order, and runs out of budget at exactly the same budgets, with every
+    combination of order, fixed, limit and budget."""
+    rng = random.Random(2024)
+    budget_sweeps = 0
+    for case in range(300):
+        arities = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+        if case % 3 == 0:
+            arities[0] = 2
+        sig = Signature(tuple((f"R{j}", a) for j, a in enumerate(arities)))
+        X = random_structure(rng, sig, 5)
+        if rng.random() < 0.5:
+            Y = _dense_structure(rng, sig, rng.randint(1, 6))
+        else:
+            Y = random_structure(rng, sig, 4)
+        kwargs = {}
+        if rng.random() < 0.5:
+            order = list(X.domain)
+            rng.shuffle(order)
+            kwargs["order"] = order
+        if rng.random() < 0.4:
+            kwargs["fixed"] = {
+                v: rng.choice(Y.domain) for v in rng.sample(X.domain, rng.randint(1, len(X.domain)))
+            }
+        if rng.random() < 0.4:
+            kwargs["limit"] = rng.randint(1, 3)
+        expected = _outcome(reference_search_homomorphisms, X, Y, **kwargs)
+        assert _outcome(_search_homomorphisms, X, Y, **kwargs) == expected, case
+        if case % 4 == 0:
+            # the least budget that suffices is the node count; compare at it,
+            # around it and below it
+            low, high = 0, 1
+            while _outcome(reference_search_homomorphisms, X, Y, budget=high, **kwargs)[1]:
+                low, high = high, 2 * high
+            while low < high:
+                mid = (low + high) // 2
+                if _outcome(reference_search_homomorphisms, X, Y, budget=mid, **kwargs)[1]:
+                    low = mid + 1
+                else:
+                    high = mid
+            for budget in {0, 1, rng.randint(0, low), low // 2, low - 1, low, low + 1}:
+                expected = _outcome(reference_search_homomorphisms, X, Y, budget=budget, **kwargs)
+                assert expected[1] == (budget < low)
+                assert _outcome(_search_homomorphisms, X, Y, budget=budget, **kwargs) == expected, (case, budget)
+            budget_sweeps += 1
+    assert budget_sweeps == 75
+
+
+def test_search_matches_reference_on_larger_digraph_targets():
+    """Digraph targets large enough that forward checks read supports both
+    from the full domain and from lists trimmed twice over."""
+    rng = random.Random(11)
+    for _ in range(12):
+        Y = random_digraph(rng, 12, 40)
+        X = random_digraph(rng, 5, 7)
+        assert _outcome(_search_homomorphisms, X, Y) == _outcome(reference_search_homomorphisms, X, Y)
+
+
+def test_supports_list_matching_tuples_in_domain_order():
+    rng = random.Random(7)
+    for _ in range(40):
+        sig = Signature((("E", 2), ("R", 3), ("U", 1)))
+        Y = _dense_structure(rng, sig, rng.randint(1, 4))
+        assert Y.supports("E") is Y.supports("E")
+        for name, arity in sig.symbols:
+            ordered = sorted(Y.relations[name], key=lambda t: [Y.index(v) for v in t])
+            index = Y.supports(name)
+            assert len(index) == arity
+            for p in range(arity):
+                for value in Y.domain:
+                    matching = [t for t in ordered if t[p] == value]
+                    want = tuple(t[1 - p] for t in matching) if arity == 2 else tuple(matching)
+                    assert index[p].get(value, ()) == want
