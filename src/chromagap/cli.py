@@ -347,10 +347,11 @@ def pipeline_machinery(
     ledger = [k_ladder[0]]
     for step, k_next in enumerate(k_ladder[1:], start=1):
         t0 = time.perf_counter()
+        line_x = colouring.line_digraph(current_x)
         transferred = colouring.linedigraph_quantum_transfer(
-            current_x, current_y, current, k_next
+            current_x, current_y, current, k_next, gamma_x=line_x
         )
-        current_x = colouring.line_digraph(current_x)
+        current_x = line_x
         current_y = colouring.line_digraph(current_y)
         current_x, mapping = relabel(current_x, f"d{step}_")
         transferred = qop.QuantumAssignment(

@@ -32,16 +32,13 @@ from .relstruct import (
     GRAPH_SIGNATURE,
     RelStructure,
     Signature,
+    SizeBudgetExceeded,
     check_homomorphism,
     clique,
 )
 
 
 class NotDtoD(Exception):
-    pass
-
-
-class SizeBudgetExceeded(Exception):
     pass
 
 
@@ -410,8 +407,10 @@ def linedigraph_quantum_transfer(
     k: int,
     *,
     budget: Optional[int] = None,
+    gamma_x: Optional[RelStructure] = None,
 ) -> QuantumAssignment:
     """From X ~> Y at level 2k+2 to line digraphs at level k; the gadget has
-    diameter 2, so 2k+2 is exactly the contracted input level."""
+    diameter 2, so 2k+2 is exactly the contracted input level.  `gamma_x`,
+    when given, must be line_digraph(X)."""
     template = linedigraph_template()
-    return gamma_functor(template, X, Y, assignment, k, budget=budget)
+    return gamma_functor(template, X, Y, assignment, k, budget=budget, gamma_x=gamma_x)

@@ -31,13 +31,10 @@ from .f2linalg import (
     functional_from_constraints,
 )
 from .qop import QuantumAssignment, VerificationFailure, verify_pvm
+from .relstruct import SizeBudgetExceeded
 
 
 class NotRegular(Exception):
-    pass
-
-
-class SizeBudgetExceeded(Exception):
     pass
 
 

@@ -21,6 +21,7 @@ from typing import Optional
 
 from .csp import CspInstance, classify_label_cover, to_structures
 from .qop import QuantumAssignment, VerificationFailure, cleanup_bipartite, verify_assignment
+from .relstruct import SizeBudgetExceeded
 
 
 class ZeroCopyCount(Exception):
@@ -32,10 +33,6 @@ class NotLeftRegular(Exception):
 
 
 class NotDto1(Exception):
-    pass
-
-
-class SizeBudgetExceeded(Exception):
     pass
 
 

@@ -323,10 +323,20 @@ def transfer_gamma(
     q = quotient if quotient is not None else lambda_quotient(template, X)
     gy = gamma_y if gamma_y is not None else central_apply(template, Y)
     a_order = template.A.domain
+    return _gamma_products(
+        X, gy, assignment, k, lambda x: [q.cls(("A", x, a)) for a in a_order]
+    )
+
+
+def _gamma_products(
+    X: RelStructure, gy: RelStructure, assignment: QuantumAssignment, k: int, copies
+) -> QuantumAssignment:
+    """W[x, h] for x in X and h in gy: the product, in the canonical order
+    of A, of the families of the variables copies(x) at the labels of h."""
     cache = _ProductCache()
     pvms: dict = {}
     for x in X.domain:
-        fams = [ _present(assignment, q.cls(("A", x, a))) for a in a_order ]
+        fams = [_present(assignment, v) for v in copies(x)]
         mats = [m for fam in fams for m in fam.values()]
         if not all(
             cache.commute(ma, mb) for ma, mb in itertools.combinations(mats, 2)
@@ -339,8 +349,7 @@ def transfer_gamma(
         for h in gy.domain:
             prod: Optional[PMatrix] = None
             ok = True
-            for a, y in zip(a_order, h):
-                fam = _present(assignment, q.cls(("A", x, a)))
+            for fam, y in zip(fams, h):
                 if y not in fam:
                     ok = False
                     break
@@ -515,43 +524,34 @@ def gamma_functor(
     k: int,
     *,
     budget: Optional[int] = None,
+    gamma_x: Optional[RelStructure] = None,
 ) -> QuantumAssignment:
     """Functorial action towards the central functor: X ~> Y at level
     (k+1)*diam gives Gamma X ~> Gamma Y at level k, via the adjunction
-    counit Lambda Gamma X -> X composed with the connected transfer."""
-    gx = central_apply(template, X, budget=budget)
-    q = lambda_quotient(template, gx)
-    a_order = template.A.domain
-    a_index = {a: i for i, a in enumerate(a_order)}
+    counit Lambda Gamma X -> X composed with the connected transfer.
 
-    witness_cache: dict = {}
-
-    def counit_of_tag(tag):
-        if tag[0] == "A":
-            _, h, a = tag
-            return h[a_index[a]]
-        _, name, ht, b = tag
-        key = (name, ht)
-        ell = witness_cache.get(key)
-        if ell is None:
+    Lambda Gamma X is not built: its quotient unions exactly the gluing
+    pairs (A, ht[j], a) ~ (B, T, ht, eps_j(a)) over the tau-tuples ht, so
+    the counit (A, h, a) -> h(a), (B, T, ht, b) -> ell(b) for a gadget
+    witness ell of ht is well defined iff ell(eps_j(a)) == ht[j](a) on
+    every pair; the class of (A, h, a) then carries the family of h(a).
+    `gamma_x`, if given, must equal central_apply(template, X).
+    """
+    if not template_predicates(template).connected:
+        raise NotConnected("transfer towards the central functor needs a connected template")
+    gx = gamma_x if gamma_x is not None else central_apply(template, X, budget=budget)
+    a_index = {a: i for i, a in enumerate(template.A.domain)}
+    for name, _ in template.tau.symbols:
+        eps = template.eps[name]
+        pairs = [(j, a_index[a], b) for j, m in enumerate(eps) for a, b in m.items()]
+        for ht in gx.relations[name]:
             ell = _gadget_witness(template, name, ht, X, a_index)
-            witness_cache[key] = ell
-        return ell[b]
-
-    counit: dict = {}
-    for class_name, members in q.classes().items():
-        images = {counit_of_tag(t) for t in members}
-        if len(images) != 1:
-            raise WellDefinednessViolation(
-                f"adjunction counit ill-defined on class {class_name!r}"
-            )
-        counit[class_name] = images.pop()
-
-    composed = {
-        z: dict(assignment.pvms[xv]) for z, xv in counit.items()
-    }
-    lifted = QuantumAssignment(assignment.dim, assignment.k, composed)
-    return transfer_gamma(template, gx, Y, lifted, k, quotient=q)
+            for j, ai, b in pairs:
+                if ell[b] != ht[j][ai]:
+                    raise WellDefinednessViolation(
+                        f"counit ill-defined: symbol {name!r}, tuple {ht!r}, gadget vertex {b!r}"
+                    )
+    return _gamma_products(gx, central_apply(template, Y), assignment, k, lambda h: h)
 
 
 def _gadget_witness(

@@ -414,6 +414,8 @@ class VerificationReport:
     commutators_checked: int
     sampled: bool
     pvm_issues: list = field(default_factory=list)
+    sampled_short: Optional[tuple[int, int]] = None
+    """(drawn, requested) when rejection sampling ran out of draws first."""
 
     @property
     def perfect(self) -> bool:
@@ -430,6 +432,7 @@ class VerificationReport:
             f"(viol {len(self.product_violations)}) commutators={self.commutators_checked} "
             f"(viol {len(self.commutator_violations)})"
             + (" [sampled]" if self.sampled else "")
+            + (" [sampled short: %d of %d]" % self.sampled_short if self.sampled_short else "")
         )
 
 
@@ -498,7 +501,8 @@ def verify_assignment(
     distance k of each other commute.  Absent labels are zero projectors, so
     product checks iterate over present labels only, which is sound and
     complete.  With `product_samples`, that many (constraint, label-tuple)
-    checks are drawn with a fixed seed instead of the full sweep.
+    checks are drawn with a fixed seed instead of the full sweep; when the
+    draws run out first (400n + 1000 attempts), `sampled_short` says so.
     """
     if set(assignment.pvms) != set(X.domain):
         raise KeyMismatch("assignment keys differ from the variable domain")
@@ -558,6 +562,7 @@ def verify_assignment(
     sampled = product_samples is not None
     checks = rejection_sample(product_samples) if sampled else full_sweep()
     products_checked = 0
+    sampled_short = None
     for name, t, combo in checks:
         products_checked += 1
         mats = [assignment.pvms[v][y] for v, y in zip(t, combo)]
@@ -567,6 +572,10 @@ def verify_assignment(
             else:
                 product_violations.append(Violation("product", ("...",)))
                 break
+    else:
+        # the checks ran out without hitting the witness cap
+        if sampled and products_checked < product_samples:
+            sampled_short = (products_checked, product_samples)
 
     commutator_violations: list[Violation] = []
     commutators_checked = 0
@@ -599,6 +608,7 @@ def verify_assignment(
         commutators_checked,
         sampled,
         pvm_issues,
+        sampled_short,
     )
 
 

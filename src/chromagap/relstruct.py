@@ -38,6 +38,10 @@ class SearchBudgetExceeded(Exception):
     pass
 
 
+class SizeBudgetExceeded(Exception):
+    """A construction would exceed its size budget; raised before building."""
+
+
 class _AboveCap:
     """Sentinel returned when an exact search exhausts its colour cap."""
 
@@ -202,14 +206,18 @@ def check_homomorphism(f: Mapping, X: RelStructure, Y: RelStructure) -> bool:
     """
     if X.signature != Y.signature:
         raise SignatureMismatch("structures have different signatures")
+    known = Y._index
     for v in X.domain:
         if v not in f:
             raise PartialMap(repr(v))
-        if f[v] not in Y:
+        if f[v] not in known:
             raise UnknownVertex(repr(f[v]))
-    for name, t in X.all_tuples():
-        if tuple(f[v] for v in t) not in Y.relations[name]:
-            return False
+    image = f.__getitem__
+    for name, tuples in X.relations.items():
+        rel = Y.relations[name]
+        for t in tuples:
+            if tuple(map(image, t)) not in rel:
+                return False
     return True
 
 

@@ -4,8 +4,10 @@ The oracles never share code paths with the implementations they check:
 homomorphism existence enumerates all maps, subspace facts enumerate all
 member vectors, functional extensions try every candidate value table,
 projector arithmetic runs entry by entry on `Fraction` pairs, template
-predicates run the all-pairs Gaifman sweep on every structure, and the
-reference homomorphism search scans every candidate list in full.
+predicates run the all-pairs Gaifman sweep on every structure, the
+reference homomorphism search scans every candidate list in full, and the
+reference Gamma functor builds the whole quotient Lambda Gamma X (it shares
+only the product routine, through `transfer_gamma`, with `gamma_functor`).
 """
 
 from __future__ import annotations
@@ -16,12 +18,16 @@ from fractions import Fraction
 
 from typing import Mapping, Optional, Sequence
 
+from chromagap import pultr
+from chromagap.qop import QuantumAssignment
 from chromagap.relstruct import (
     GRAPH_SIGNATURE,
+    PartialMap,
     RelStructure,
     SearchBudgetExceeded,
     Signature,
     SignatureMismatch,
+    UnknownVertex,
     Vertex,
     diameter_and_connectivity,
 )
@@ -408,3 +414,80 @@ def reference_search_homomorphisms(
                 undo(trims[i])
                 trims[i] = None
                 del assignment[var_order[i]]
+
+
+# -- reference homomorphism check -----------------------------------------------
+# The check as it was before it read Y's index and relations directly.
+
+
+def reference_check_homomorphism(f: Mapping, X: RelStructure, Y: RelStructure) -> bool:
+    """Return True iff f maps every tuple of X into the matching relation of Y.
+
+    Raises PartialMap if f misses a vertex of X and SignatureMismatch if the
+    two structures disagree on the signature.
+    """
+    if X.signature != Y.signature:
+        raise SignatureMismatch("structures have different signatures")
+    for v in X.domain:
+        if v not in f:
+            raise PartialMap(repr(v))
+        if f[v] not in Y:
+            raise UnknownVertex(repr(f[v]))
+    for name, t in X.all_tuples():
+        if tuple(f[v] for v in t) not in Y.relations[name]:
+            return False
+    return True
+
+
+# -- reference Gamma functor ------------------------------------------------------
+# The functor action as it was before the counit was checked on gluing pairs:
+# it builds Lambda Gamma X, evaluates the counit on every member of every
+# class, and hands the lifted assignment to transfer_gamma.  The witness is
+# looked up on the module, so a test that patches it reaches both paths.
+
+
+def reference_gamma_functor(
+    template: PultrTemplate,
+    X: RelStructure,
+    Y: RelStructure,
+    assignment: QuantumAssignment,
+    k: int,
+    *,
+    budget: Optional[int] = None,
+) -> QuantumAssignment:
+    """Functorial action towards the central functor: X ~> Y at level
+    (k+1)*diam gives Gamma X ~> Gamma Y at level k, via the adjunction
+    counit Lambda Gamma X -> X composed with the connected transfer."""
+    gx = pultr.central_apply(template, X, budget=budget)
+    q = pultr.lambda_quotient(template, gx)
+    a_order = template.A.domain
+    a_index = {a: i for i, a in enumerate(a_order)}
+
+    witness_cache: dict = {}
+
+    def counit_of_tag(tag):
+        if tag[0] == "A":
+            _, h, a = tag
+            return h[a_index[a]]
+        _, name, ht, b = tag
+        key = (name, ht)
+        ell = witness_cache.get(key)
+        if ell is None:
+            ell = pultr._gadget_witness(template, name, ht, X, a_index)
+            witness_cache[key] = ell
+        return ell[b]
+
+    counit: dict = {}
+    for class_name, members in q.classes().items():
+        images = {counit_of_tag(t) for t in members}
+        if len(images) != 1:
+            raise pultr.WellDefinednessViolation(
+                f"adjunction counit ill-defined on class {class_name!r}"
+            )
+        counit[class_name] = images.pop()
+
+    composed = {
+        z: dict(assignment.pvms[xv]) for z, xv in counit.items()
+    }
+    lifted = QuantumAssignment(assignment.dim, assignment.k, composed)
+    return pultr.transfer_gamma(template, gx, Y, lifted, k, quotient=q)

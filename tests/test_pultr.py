@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,6 +10,7 @@ from chromagap.pultr import (
     CompatibilityTooLow,
     NotConnected,
     PultrTemplate,
+    WellDefinednessViolation,
     adjunction_oracle,
     central_apply,
     gamma_functor,
@@ -20,7 +22,7 @@ from chromagap.pultr import (
     transfer_gamma,
     transfer_lambda,
 )
-from chromagap.qop import QuantumAssignment, lift_classical, verify_assignment
+from chromagap.qop import PMatrix, QuantumAssignment, lift_classical, verify_assignment
 from chromagap.relstruct import (
     GRAPH_SIGNATURE,
     RelStructure,
@@ -36,6 +38,7 @@ from helpers import (
     random_digraph,
     random_faithful_template,
     random_template,
+    reference_gamma_functor,
     structure_with_hom_from,
 )
 
@@ -424,3 +427,121 @@ def test_gamma_functor_line_digraph_classical():
     for (u, v) in dx.domain:
         label = next(iter(out.pvms[(u, v)]))
         assert label == (f[u], f[v])
+
+
+# -- the Gamma functor against the quotient-building reference ---------------
+
+HALF = Fraction(1, 2)
+STANDARD = (PMatrix.from_rows([[1, 0], [0, 0]]), PMatrix.from_rows([[0, 0], [0, 1]]))
+HADAMARD = (
+    PMatrix.from_rows([[HALF, HALF], [HALF, HALF]]),
+    PMatrix.from_rows([[HALF, -HALF], [-HALF, HALF]]),
+)
+
+
+def _dim2_assignment(rng, X, Y, bases) -> QuantumAssignment:
+    """Each vertex splits the plane over two labels in one of `bases`, or
+    puts the identity on one label; vertices split in different bases give
+    non-commuting copy projectors."""
+    pvms = {}
+    for x in X.domain:
+        if rng.random() < 0.25:
+            pvms[x] = {rng.choice(Y.domain): PMatrix.identity(2)}
+        else:
+            p, q = rng.choice(bases)
+            y0, y1 = rng.sample(Y.domain, 2)
+            pvms[x] = {y0: p, y1: q}
+    return QuantumAssignment(2, 4, pvms)
+
+
+def _outcome(functor, *args, **kwargs):
+    """The output as ordered (vertex, ordered family) pairs with dim and k,
+    or the type of the exception raised."""
+    try:
+        out = functor(*args, **kwargs)
+    except Exception as exc:  # compared by type across the two paths
+        return type(exc)
+    return out.dim, out.k, [(v, list(fam.items())) for v, fam in out.pvms.items()]
+
+
+def _wrong_witness_at(vertex):
+    """A gadget witness that is right except at one gadget vertex, where
+    it names another vertex of X."""
+    real = pultr._gadget_witness
+
+    def witness(template, name, ht, X, a_index):
+        ell = dict(real(template, name, ht, X, a_index))
+        ell[vertex] = next(v for v in X.domain if v != ell[vertex])
+        return ell
+
+    return witness
+
+
+def test_gamma_functor_matches_reference(monkeypatch):
+    """Same PVMs, dim and k, or the same exception type, as the reference
+    that builds Lambda Gamma X; passing gamma_x = line_digraph(X) changes
+    nothing; a witness wrong at one gadget vertex raises on both paths."""
+    template = linedigraph_template()
+    targets = [clique(3), clique(4), line_digraph(clique(4))]
+    rng = random.Random(23)
+    kinds = set()
+    seen_loop = seen_isolated = False
+    for case in range(150):
+        X = random_digraph(rng, 5, 8)
+        if rng.random() < 0.4:
+            X = RelStructure(GRAPH_SIGNATURE, X.domain + ("iso",), X.relations)
+        Y = targets[case % 3]
+        if case % 2 == 0:
+            f = find_homomorphism(X, Y) or {x: rng.choice(Y.domain) for x in X.domain}
+            assignment = lift_classical(f)
+        else:
+            bases = [STANDARD] if rng.random() < 0.5 else [STANDARD, HADAMARD]
+            assignment = _dim2_assignment(rng, X, Y, bases)
+        k = rng.randint(0, 2)
+        expected = _outcome(reference_gamma_functor, template, X, Y, assignment, k)
+        assert _outcome(gamma_functor, template, X, Y, assignment, k) == expected
+        given = _outcome(gamma_functor, template, X, Y, assignment, k, gamma_x=line_digraph(X))
+        assert given == expected
+        kinds.add(expected if isinstance(expected, type) else ("dim", expected[0]))
+        seen_loop |= any(a == b for a, b in X.relations["E"])
+        seen_isolated |= "iso" in X.domain
+        if len(X.domain) > 1 and line_digraph(X).relations["E"]:
+            b = rng.choice(template.B["E"].domain)
+            with monkeypatch.context() as patch:
+                patch.setattr(pultr, "_gadget_witness", _wrong_witness_at(b))
+                assert _outcome(reference_gamma_functor, template, X, Y, assignment, k) is (
+                    WellDefinednessViolation
+                )
+                assert _outcome(gamma_functor, template, X, Y, assignment, k) is (
+                    WellDefinednessViolation
+                )
+    assert kinds == {("dim", 1), ("dim", 2), CompatibilityTooLow}
+    assert seen_loop and seen_isolated
+
+
+@pytest.mark.parametrize("vertex", ["b1", "b2", "b3"])
+def test_gamma_functor_rejects_a_wrong_witness(monkeypatch, vertex):
+    """b2 is glued by both eps maps, b1 only by the first, b3 only by the
+    second; a witness wrong at any of them makes the counit ill-defined."""
+    X = digraph([("a", "b"), ("b", "c"), ("c", "a")])
+    lift = lift_classical(find_homomorphism(X, clique(3)))
+    monkeypatch.setattr(pultr, "_gadget_witness", _wrong_witness_at(vertex))
+    for functor in (reference_gamma_functor, gamma_functor):
+        with pytest.raises(WellDefinednessViolation):
+            functor(linedigraph_template(), X, clique(3), lift, 1)
+
+
+def test_gamma_functor_rejects_a_disconnected_template_before_enumerating(monkeypatch):
+    rho = GRAPH_SIGNATURE
+    line = linedigraph_template()
+    loose = RelStructure(rho, ["b1", "b2", "b3", "b4"], line.B["E"].relations)
+    template = PultrTemplate(rho, rho, line.A, {"E": loose}, line.eps)
+    assert not template_predicates(template).connected
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("central_apply ran before the connectivity check")
+
+    monkeypatch.setattr(pultr, "central_apply", unexpected)
+    X = digraph([("a", "b")])
+    with pytest.raises(NotConnected):
+        gamma_functor(template, X, X, lift_classical({v: v for v in X.domain}), 0)

@@ -128,6 +128,28 @@ def test_lift_classical_verifies_at_any_level():
         assert verify_assignment(C5, K3, lift, k).passed
 
 
+def test_sampled_verification_flags_a_short_sample():
+    """One forbidden check in a thousand: 10 draws need about 10,000
+    attempts, more than the sampler's 400n + 1000 = 5,000, so it falls short
+    and says so; a sample that reaches its count, one cut by the witness
+    cap and a full sweep do not."""
+    X = digraph([(i, i + 1) for i in range(999)] + [(0, 0)])
+    lift = lift_classical({v: f"k{v % 2}" for v in X.domain})
+    K2 = clique(2)
+    short = verify_assignment(X, K2, lift, 0, product_samples=10)
+    m = short.products_checked
+    assert 0 < m < 10 and short.sampled_short == (m, 10)
+    assert short.summary().endswith(f" [sampled] [sampled short: {m} of 10]")
+    loops = digraph([(0, 0), (1, 1)])
+    reached = verify_assignment(loops, K2, lift_classical({0: "k0", 1: "k1"}), 0, product_samples=5)
+    assert reached.products_checked == 5 and reached.sampled_short is None
+    assert reached.summary().endswith(" [sampled]")
+    capped = verify_assignment(X, K2, lift, 0, product_samples=10, max_witnesses=1)
+    assert capped.sampled_short is None and capped.products_checked == 2
+    full = verify_assignment(X, K2, lift, 0)
+    assert full.sampled_short is None and full.summary().endswith("commutators=0 (viol 0)")
+
+
 def test_lift_qsat_equals_classical_value_exhaustive():
     rng = random.Random(4)
     for _ in range(12):

@@ -11,6 +11,8 @@ from chromagap.relstruct import (
     SearchBudgetExceeded,
     Signature,
     SignatureMismatch,
+    SizeBudgetExceeded,
+    UnknownVertex,
     _search_homomorphisms,
     check_homomorphism,
     chromatic_number,
@@ -29,6 +31,7 @@ from helpers import (
     brute_force_hom_exists,
     random_digraph,
     random_structure,
+    reference_check_homomorphism,
     reference_search_homomorphisms,
 )
 
@@ -133,6 +136,25 @@ def test_first_witness_is_lexicographically_least():
 def test_budget_exceeded():
     with pytest.raises(SearchBudgetExceeded):
         find_homomorphism(clique(5), clique(5), budget=3)
+
+
+def test_one_size_budget_error_raised_by_every_builder():
+    from chromagap import colouring, dkkms, dmr
+    from chromagap.csp import CspInstance
+
+    assert dmr.SizeBudgetExceeded is colouring.SizeBudgetExceeded is dkkms.SizeBudgetExceeded
+    assert dmr.SizeBudgetExceeded is SizeBudgetExceeded
+    full = {(a, b) for a in range(2) for b in range(2)}
+    with pytest.raises(SizeBudgetExceeded):
+        colouring.eta_context(CspInstance(["x", "y"], range(2), [(("x", "y"), full)]), budget=1)
+    system = dkkms.XorSystem.from_equations([(("a", "b", "c"), 0), (("d", "e", "f"), 1)])
+    with pytest.raises(SizeBudgetExceeded):
+        dkkms.game_csp(system, 1, budget=1)
+    pred = {("a0", "b0"), ("a1", "b0")}
+    scopes = [(("p", "y"), pred), (("q", "y"), pred)]
+    d_to_1 = CspInstance(["p", "q", "y"], ["a0", "a1", "b0"], scopes)
+    with pytest.raises(SizeBudgetExceeded):
+        dmr.left_regularize(d_to_1, 1, 1, budget=1)
 
 
 def test_gaifman_distance_basics():
@@ -323,3 +345,45 @@ def test_supports_list_matching_tuples_in_domain_order():
                     matching = [t for t in ordered if t[p] == value]
                     want = tuple(t[1 - p] for t in matching) if arity == 2 else tuple(matching)
                     assert index[p].get(value, ()) == want
+
+
+def _check_outcome(check, f, X, Y):
+    try:
+        return check(f, X, Y)
+    except (SignatureMismatch, PartialMap, UnknownVertex) as exc:
+        return type(exc), str(exc)
+
+
+def test_check_homomorphism_matches_reference():
+    """Same verdict, or the same exception with the same message, on
+    homomorphisms, non-homomorphisms, partial maps, unknown images and
+    mismatched signatures."""
+    rng = random.Random(31)
+    signatures = [
+        GRAPH_SIGNATURE,
+        Signature((("U", 1), ("R", 3))),
+        Signature((("E", 2), ("U", 1), ("S", 2))),
+    ]
+    seen = set()
+    for _ in range(400):
+        sig = rng.choice(signatures)
+        X = random_structure(rng, sig, 4)
+        Y = random_structure(rng, sig, 3)
+        kind = rng.choice(["hom", "any", "partial", "unknown", "signature"])
+        homs = brute_force_all_homs(X, Y)
+        if kind == "hom" and homs:
+            f = dict(rng.choice(homs))
+        else:
+            f = {x: rng.choice(Y.domain) for x in X.domain}
+        if kind == "partial":
+            del f[rng.choice(X.domain)]
+            if f and rng.random() < 0.5:
+                f[rng.choice(list(f))] = "outside"  # the domain order decides which raises
+        elif kind == "unknown":
+            f[rng.choice(X.domain)] = "outside"
+        elif kind == "signature":
+            Y = random_structure(rng, rng.choice([t for t in signatures if t != sig]), 3)
+        outcome = _check_outcome(check_homomorphism, f, X, Y)
+        assert outcome == _check_outcome(reference_check_homomorphism, f, X, Y)
+        seen.add(outcome if isinstance(outcome, bool) else outcome[0])
+    assert seen == {True, False, SignatureMismatch, PartialMap, UnknownVertex}
