@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .csp import CspInstance, DtoDCertificate, classify_label_cover
 from .pultr import (
     LambdaQuotient,
@@ -107,6 +105,8 @@ def build_transition_matrix(
         raise ValueError("d must be >= 2")
     if d in _TRANSITION_CACHE:
         return _TRANSITION_CACHE[d]
+    import numpy as np
+
     states = tuple(itertools.product(range(2 * d), repeat=d))
     n = len(states)
     pattern = np.zeros((n, n))
@@ -205,12 +205,8 @@ def eta_context(inst: CspInstance, *, budget: Optional[int] = None) -> EtaContex
             f"{len(inst.variables)} * (2d)^{n} vertices exceed the budget"
         )
     transition = build_transition_matrix(d)
-    disjoint = {
-        (a, b)
-        for a in itertools.product(range(base), repeat=d)
-        for b in itertools.product(range(base), repeat=d)
-        if not set(a) & set(b)
-    }
+    block_values = list(itertools.product(range(base), repeat=d))
+    partners = {a: [b for b in block_values if not set(a) & set(b)] for a in block_values}
 
     pair_to_symbol: dict = {}
     scopes_by_symbol: dict = {}
@@ -230,14 +226,16 @@ def eta_context(inst: CspInstance, *, budget: Optional[int] = None) -> EtaContex
     eps: dict = {}
     pair_lists: dict = {}
     for (mu, nu), name in pair_to_symbol.items():
-        mu_blocks = [_blocks(z, mu, d, base) for z in z_all]
-        nu_blocks = [_blocks(zp, nu, d, base) for zp in z_all]
-        pairs = [
-            (z, zp)
-            for z, zb in enumerate(mu_blocks)
-            for zp, zpb in enumerate(nu_blocks)
-            if all((a, b) in disjoint for a, b in zip(zb, zpb))
-        ]
+        # z' is paired with z when each of its nu-blocks is a disjoint
+        # partner of z's mu-block at the same place; listed by z, then z'
+        by_blocks: dict = {}
+        for zp in z_all:
+            by_blocks.setdefault(_blocks(zp, nu, d, base), []).append(zp)
+        pairs = []
+        for z in z_all:
+            choices = [partners[a] for a in _blocks(z, mu, d, base)]
+            zps = [zp for bs in itertools.product(*choices) for zp in by_blocks.get(bs, ())]
+            pairs += [(z, zp) for zp in sorted(zps)]
         pair_lists[name] = pairs
         dom = [(1, z) for z in z_all] + [(2, z) for z in z_all]
         edges = [((1, z), (2, zp)) for z, zp in pairs]

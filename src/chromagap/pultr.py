@@ -108,36 +108,32 @@ def template_predicates(template: PultrTemplate) -> TemplateReport:
     diameter = (
         max(diameter_and_connectivity(s)[1] for s in structures) if connected else None
     )
+    return TemplateReport(connected, _is_faithful(template), int(diameter) if connected else None)
 
-    faithful = True
+
+def _is_faithful(template: PultrTemplate) -> bool:
+    """The gadgets are disjoint isomorphic eps-copies of A."""
     for name, arity in template.tau.symbols:
         bt = template.B[name]
         maps = template.eps[name]
         images = [frozenset(maps[i].values()) for i in range(arity)]
         if any(len(img) != len(template.A.domain) for img in images):
-            faithful = False
-            break
+            return False
         union: set = set()
         total = 0
         for img in images:
             union |= img
             total += len(img)
         if union != set(bt.domain) or total != len(bt.domain):
-            faithful = False
-            break
+            return False
         for i in range(arity):
             img = images[i]
             for rname, _ in template.rho.symbols:
                 mapped = {tuple(maps[i][a] for a in at) for at in template.A.relations[rname]}
                 induced = {t for t in bt.relations[rname] if set(t) <= img}
                 if mapped != induced:
-                    faithful = False
-                    break
-            if not faithful:
-                break
-        if not faithful:
-            break
-    return TemplateReport(connected, faithful, int(diameter) if connected else None)
+                    return False
+    return True
 
 
 def _hom_key(h: Mapping, domain_order: Sequence) -> tuple:
@@ -256,13 +252,7 @@ def left_apply(
     """Glue a copy of A per vertex and a copy of B_T per tau-tuple along the
     eps maps, and push all gadget relations to the quotient."""
     q = quotient if quotient is not None else lambda_quotient(template, X)
-    domain = []
-    seen = set()
-    for i, tag in enumerate(q.tags):
-        name = q.class_name[q.class_of_id[i]]
-        if name not in seen:
-            seen.add(name)
-            domain.append(name)
+    names = [q.class_name[root] for root in q.class_of_id]
     relations: dict[str, set] = {name: set() for name, _ in template.rho.symbols}
     for rname, _ in template.rho.symbols:
         for at in template.A.relations[rname]:
@@ -270,12 +260,14 @@ def left_apply(
                 relations[rname].add(tuple(q.cls(("A", x, a)) for a in at))
         for tname, _ in template.tau.symbols:
             bt = template.B[tname]
-            for xt in X.relations[tname]:
-                for btuple in bt.relations[rname]:
-                    relations[rname].add(
-                        tuple(q.cls(("B", tname, xt, b)) for b in btuple)
-                    )
-    return RelStructure(template.rho, domain, relations)
+            # the tags of the copy of B_T over xt are consecutive in q.tags, in
+            # bt's domain order, so its class names are one slice of `names`
+            places = [tuple(map(bt.index, btuple)) for btuple in bt.relations[rname]]
+            for xt in X.relations[tname] if places else ():
+                start = q.tag_ids[("B", tname, xt, bt.domain[0])]
+                block = names[start : start + len(bt.domain)].__getitem__
+                relations[rname].update(tuple(map(block, ps)) for ps in places)
+    return RelStructure(template.rho, list(dict.fromkeys(names)), relations)
 
 
 def adjunction_oracle(
@@ -360,38 +352,6 @@ def _gamma_products(
     return QuantumAssignment(assignment.dim, k, pvms)
 
 
-def gamma_product_for_map(
-    template: PultrTemplate,
-    X: RelStructure,
-    assignment: QuantumAssignment,
-    x,
-    h: Mapping,
-    *,
-    quotient: Optional[LambdaQuotient] = None,
-) -> PMatrix:
-    """The ordered copy-projector product for an arbitrary map h: A -> Y;
-    zero whenever h is not a homomorphism (a property tests rely on)."""
-    q = quotient if quotient is not None else lambda_quotient(template, X)
-    prod: Optional[PMatrix] = None
-    for a in template.A.domain:
-        fam = _present(assignment, q.cls(("A", x, a)))
-        m = fam.get(h[a])
-        if m is None:
-            return PMatrix.zeros(assignment.dim)
-        prod = m if prod is None else prod @ m
-    return prod if prod is not None else PMatrix.identity(assignment.dim)
-
-
-def _faithful_parts(template: PultrTemplate, name: str) -> dict:
-    """For a faithful template: gadget vertex -> (part index, A-preimage)."""
-    maps = template.eps[name]
-    out: dict = {}
-    for i, m in enumerate(maps):
-        for a, b in m.items():
-            out[b] = (i, a)
-    return out
-
-
 def transfer_lambda(
     template: PultrTemplate,
     X: RelStructure,
@@ -409,67 +369,73 @@ def transfer_lambda(
     independently and compared exactly; a mismatch raises
     WellDefinednessViolation naming the class.
     """
-    report = template_predicates(template)
-    if not report.faithful:
+    if not _is_faithful(template):
         raise NotFaithful("transfer towards the left functor needs a faithful template")
     q = quotient if quotient is not None else lambda_quotient(template, X)
     a_order = template.A.domain
     a_index = {a: i for i, a in enumerate(a_order)}
-    parts = {name: _faithful_parts(template, name) for name, _ in template.tau.symbols}
     dim = assignment.dim
-
+    # a gadget vertex as (part i, A-index of its eps_i preimage); a gadget
+    # tuple as the places of its vertices, which read its image off glued labels
+    parts = {
+        name: {b: (i, a_index[a]) for i, m in enumerate(template.eps[name]) for a, b in m.items()}
+        for name, _ in template.tau.symbols
+    }
+    places = {
+        (name, rname): [
+            tuple(map(parts[name].__getitem__, bt)) for bt in template.B[name].relations[rname]
+        ]
+        for name, _ in template.tau.symbols
+        for rname, _ in template.rho.symbols
+    }
     hom_cache: dict = {}
-    product_cache: dict = {}
 
     def glued_is_hom(name: str, labels: tuple) -> bool:
         key = (name, labels)
-        hit = hom_cache.get(key)
-        if hit is not None:
-            return hit
-        bt = template.B[name]
-        part = parts[name]
-        ok = True
-        for rname, _ in template.rho.symbols:
-            rel = Y.relations[rname]
-            for btuple in bt.relations[rname]:
-                image = tuple(labels[part[b][0]][a_index[part[b][1]]] for b in btuple)
-                if image not in rel:
-                    ok = False
-                    break
-            if not ok:
-                break
-        hom_cache[key] = ok
-        return ok
+        if key not in hom_cache:
+            hom_cache[key] = all(
+                tuple([labels[i][ai] for i, ai in ref]) in Y.relations[rname]
+                for rname, _ in template.rho.symbols
+                for ref in places[name, rname]
+            )
+        return hom_cache[key]
 
-    def scope_product(xt: tuple, labels: tuple) -> PMatrix:
-        key = (xt, labels)
-        prod = product_cache.get(key)
-        if prod is None:
-            prod = _present(assignment, xt[0])[labels[0]]
-            for xj, h in zip(xt[1:], labels[1:]):
-                prod = prod @ _present(assignment, xj)[h]
-            product_cache[key] = prod
-        return prod
+    scope_sums: dict = {}
 
-    def member_family(tag) -> dict:
-        fam: dict = {}
-        if tag[0] == "A":
-            _, x, a = tag
-            ai = a_index[a]
-            for h, m in _present(assignment, x).items():
-                y = h[ai]
-                fam[y] = fam[y] + m if y in fam else m
-        else:
-            _, name, xt, b = tag
-            part = parts[name]
-            i_b, a_b = part[b]
-            label_lists = [list(_present(assignment, xj).keys()) for xj in xt]
-            for labels in itertools.product(*label_lists):
+    def part_sums(name: str, xt: tuple) -> list:
+        """Per part i of the gadget glued along xt: each label h of xt[i]
+        with the sum of the scope-ordered products over the glued label
+        tuples that carry h there and form homomorphisms B_T -> Y.  The
+        glued label tuples are checked and multiplied once per tau-tuple."""
+        found = scope_sums.get((name, xt))
+        if found is None:
+            fams = [_present(assignment, xj) for xj in xt]
+            found = [{} for _ in xt]
+            for labels in itertools.product(*fams):
                 if not glued_is_hom(name, labels):
                     continue
-                y = labels[i_b][a_index[a_b]]
-                prod = scope_product(xt, labels)
-                fam[y] = fam[y] + prod if y in fam else prod
+                prod = fams[0][labels[0]]
+                for fam, h in zip(fams[1:], labels[1:]):
+                    prod = prod @ fam[h]
+                for sums, h in zip(found, labels):
+                    sums[h] = sums[h] + prod if h in sums else prod
+            scope_sums[(name, xt)] = found
+        return found
+
+    def member_family(tag) -> dict:
+        # the family of a copy vertex over a: sums of its source family
+        # grouped by the value h(a) of each label h
+        if tag[0] == "A":
+            _, x, a = tag
+            source, ai = _present(assignment, x), a_index[a]
+        else:
+            _, name, xt, b = tag
+            i_b, ai = parts[name][b]
+            source = part_sums(name, xt)[i_b]
+        fam: dict = {}
+        for h, m in source.items():
+            y = h[ai]
+            fam[y] = fam[y] + m if y in fam else m
         return {y: m for y, m in fam.items() if not m.is_zero()}
 
     pvms: dict = {}
@@ -542,11 +508,10 @@ def gamma_functor(
     gx = gamma_x if gamma_x is not None else central_apply(template, X, budget=budget)
     a_index = {a: i for i, a in enumerate(template.A.domain)}
     for name, _ in template.tau.symbols:
-        eps = template.eps[name]
-        pairs = [(j, a_index[a], b) for j, m in enumerate(eps) for a, b in m.items()]
+        plan = _gluing_plan(template, name, a_index)
         for ht in gx.relations[name]:
-            ell = _gadget_witness(template, name, ht, X, a_index)
-            for j, ai, b in pairs:
+            ell = _gadget_witness(template, name, ht, X, plan)
+            for j, ai, b in plan[0]:
                 if ell[b] != ht[j][ai]:
                     raise WellDefinednessViolation(
                         f"counit ill-defined: symbol {name!r}, tuple {ht!r}, gadget vertex {b!r}"
@@ -554,26 +519,36 @@ def gamma_functor(
     return _gamma_products(gx, central_apply(template, Y), assignment, k, lambda h: h)
 
 
-def _gadget_witness(
-    template: PultrTemplate, name: str, ht: tuple, X: RelStructure, a_index: dict
-):
+def _gluing_plan(template: PultrTemplate, name: str, a_index: dict) -> tuple:
+    """The gluing of symbol `name`, found once per symbol: the pairs (j,
+    a-index, b) in eps order, each forcing b to ht[j][a-index] for a tau-tuple
+    ht; the index pairs ((j, ai), (j', ai')) of a later pair on an already
+    forced b and its first pair, where ht must agree; the unforced vertices."""
+    pairs = [(j, a_index[a], b) for j, m in enumerate(template.eps[name]) for a, b in m.items()]
+    first: dict = {}
+    agree = []
+    for j, ai, b in pairs:
+        if b in first:
+            agree.append((first[b], (j, ai)))
+        else:
+            first[b] = (j, ai)
+    free = [b for b in template.B[name].domain if b not in first]
+    return pairs, agree, free
+
+
+def _gadget_witness(template: PultrTemplate, name: str, ht: tuple, X: RelStructure, plan: tuple):
     """A homomorphism ell: B_T -> X with ell o eps_i equal to the i-th
     component of the tau-tuple ht of Gamma X; ht is in the relation, so a
     witness exists.  Vertices covered by eps images are forced; the rest are
     found by a search with the forced values fixed, so the witness is the
-    canonically-least homomorphism extending them."""
+    canonically-least homomorphism extending them.  `plan` is
+    `_gluing_plan(template, name, a_index)`."""
+    pairs, agree, free = plan
+    for (i, ai), (j, aj) in agree:
+        if ht[i][ai] != ht[j][aj]:
+            raise WellDefinednessViolation(f"incompatible eps images while gluing {name!r}")
     bt = template.B[name]
-    maps = template.eps[name]
-    forced: dict = {}
-    for i, m in enumerate(maps):
-        for a, b in m.items():
-            want = ht[i][a_index[a]]
-            if forced.get(b, want) != want:
-                raise WellDefinednessViolation(
-                    f"incompatible eps images while gluing {name!r}"
-                )
-            forced[b] = want
-    free = [b for b in bt.domain if b not in forced]
+    forced = {b: ht[j][ai] for j, ai, b in pairs}
     if not free:
         if not check_homomorphism(forced, bt, X):
             raise WellDefinednessViolation(f"no gadget witness for {name!r} tuple")

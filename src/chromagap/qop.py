@@ -18,6 +18,7 @@ lifts) take an exact fast path through supports.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -500,9 +501,11 @@ def verify_assignment(
     is the zero matrix; and all projector pairs of variables within Gaifman
     distance k of each other commute.  Absent labels are zero projectors, so
     product checks iterate over present labels only, which is sound and
-    complete.  With `product_samples`, that many (constraint, label-tuple)
-    checks are drawn with a fixed seed instead of the full sweep; when the
-    draws run out first (400n + 1000 attempts), `sampled_short` says so.
+    complete.  Each distinct family gets one PVM check, and the full sweep
+    decides each distinct (symbol, families) once.  With `product_samples`,
+    that many (constraint, label-tuple) checks are drawn with a fixed seed
+    instead of the full sweep; when the draws run out first (400n + 1000
+    attempts), `sampled_short` says so.
     """
     if set(assignment.pvms) != set(X.domain):
         raise KeyMismatch("assignment keys differ from the variable domain")
@@ -513,17 +516,19 @@ def verify_assignment(
 
     pvm_ok = True
     pvm_issues = []
+    pvm_reports: dict = {}  # keyed by the projectors in order, all a PVM check reads
     for x in X.domain:
-        fam = assignment.pvms[x]
-        mats = list(fam.values())
+        mats = tuple(assignment.pvms[x].values())
         if not mats:
             pvm_ok = False
             pvm_issues.append((x, "empty"))
             continue
-        rep = verify_pvm(mats)
+        rep = pvm_reports.get(mats)
+        if rep is None:
+            rep = pvm_reports[mats] = verify_pvm(mats)
         if not rep.passed:
             pvm_ok = False
-            pvm_issues.append((x, rep.issues))
+            pvm_issues.append((x, list(rep.issues)))
 
     cache = _ProductCache()
     product_violations: list[Violation] = []
@@ -562,6 +567,28 @@ def verify_assignment(
     sampled = product_samples is not None
     checks = rejection_sample(product_samples) if sampled else full_sweep()
     products_checked = 0
+    if not sampled:
+        # scope tuples of one symbol over the same families, keyed by their
+        # (label, projector) items in order, have the same checks with the
+        # same verdicts, so each distinct one is checked once; the sweep runs
+        # tuple by tuple only when a product is nonzero, to name witnesses
+        family_id: dict = {}
+        fid = {
+            x: family_id.setdefault(tuple(fam.items()), len(family_id))
+            for x, fam in assignment.pvms.items()
+        }
+        fams = [dict(items) for items in family_id]
+        keys = Counter((name, *map(fid.__getitem__, t)) for name, t in X.all_tuples())
+        total = 0
+        for (name, *ids), n in keys.items():
+            fs = [fams[i] for i in ids]
+            forbidden = [c for c in itertools.product(*fs) if c not in Y.relations[name]]
+            products = ([f[y] for f, y in zip(fs, c)] for c in forbidden)
+            if not all(_ordered_product_is_zero(mats, cache) for mats in products):
+                break
+            total += n * len(forbidden)
+        else:
+            checks, products_checked = (), total
     sampled_short = None
     for name, t, combo in checks:
         products_checked += 1

@@ -5,9 +5,12 @@ homomorphism existence enumerates all maps, subspace facts enumerate all
 member vectors, functional extensions try every candidate value table,
 projector arithmetic runs entry by entry on `Fraction` pairs, template
 predicates run the all-pairs Gaifman sweep on every structure, the
-reference homomorphism search scans every candidate list in full, and the
+reference homomorphism search scans every candidate list in full, the
 reference Gamma functor builds the whole quotient Lambda Gamma X (it shares
-only the product routine, through `transfer_gamma`, with `gamma_functor`).
+only the product routine, through `transfer_gamma`, with `gamma_functor`),
+and the reference eta-stage layers (faithful transfer, left functor,
+verifier, eta pair lists) work tag by tag, vertex by vertex and tuple by
+tuple.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from fractions import Fraction
 
 from typing import Mapping, Optional, Sequence
 
-from chromagap import pultr
-from chromagap.qop import QuantumAssignment
+from chromagap import colouring, pultr, qop, relstruct
+from chromagap.qop import PMatrix, QuantumAssignment
 from chromagap.relstruct import (
     GRAPH_SIGNATURE,
     PartialMap,
@@ -31,7 +34,7 @@ from chromagap.relstruct import (
     Vertex,
     diameter_and_connectivity,
 )
-from chromagap.pultr import PultrTemplate, TemplateReport
+from chromagap.pultr import LambdaQuotient, PultrTemplate, TemplateReport, _present, lambda_quotient
 
 
 def brute_force_hom_exists(X: RelStructure, Y: RelStructure) -> bool:
@@ -473,7 +476,8 @@ def reference_gamma_functor(
         key = (name, ht)
         ell = witness_cache.get(key)
         if ell is None:
-            ell = pultr._gadget_witness(template, name, ht, X, a_index)
+            plan = pultr._gluing_plan(template, name, a_index)
+            ell = pultr._gadget_witness(template, name, ht, X, plan)
             witness_cache[key] = ell
         return ell[b]
 
@@ -491,3 +495,322 @@ def reference_gamma_functor(
     }
     lifted = QuantumAssignment(assignment.dim, assignment.k, composed)
     return pultr.transfer_gamma(template, gx, Y, lifted, k, quotient=q)
+
+
+# -- copy-product test helper ----------------------------------------------------
+
+
+def gamma_product_for_map(
+    template: PultrTemplate,
+    X: RelStructure,
+    assignment: QuantumAssignment,
+    x,
+    h: Mapping,
+    *,
+    quotient: Optional[LambdaQuotient] = None,
+) -> PMatrix:
+    """The ordered copy-projector product for an arbitrary map h: A -> Y;
+    zero whenever h is not a homomorphism (a property tests rely on)."""
+    q = quotient if quotient is not None else lambda_quotient(template, X)
+    prod: Optional[PMatrix] = None
+    for a in template.A.domain:
+        fam = _present(assignment, q.cls(("A", x, a)))
+        m = fam.get(h[a])
+        if m is None:
+            return PMatrix.zeros(assignment.dim)
+        prod = m if prod is None else prod @ m
+    return prod if prod is not None else PMatrix.identity(assignment.dim)
+
+
+# -- reference eta-stage layers --------------------------------------------------
+# The left functor, the faithful transfer, the verifier and the eta pair
+# lists as they were before the eta stage did its work once per scope and
+# once per distinct family: per-vertex class lookups, per-tag label products
+# behind a hash-keyed cache, one PVM check per variable, a per-tuple product
+# sweep, and an all-pairs block test.  Names are read `pultr.`-, `qop.`- and
+# `relstruct.`-qualified, so the helpers they call are the library's own.
+
+
+def _faithful_parts(template: PultrTemplate, name: str) -> dict:
+    """For a faithful template: gadget vertex -> (part index, A-preimage)."""
+    maps = template.eps[name]
+    out: dict = {}
+    for i, m in enumerate(maps):
+        for a, b in m.items():
+            out[b] = (i, a)
+    return out
+
+
+def reference_transfer_lambda(
+    template: PultrTemplate,
+    X: RelStructure,
+    Y: RelStructure,
+    assignment: QuantumAssignment,
+    k: int,
+    *,
+    quotient: Optional[pultr.LambdaQuotient] = None,
+) -> QuantumAssignment:
+    """From X ~> Gamma Y at level k to Lambda X ~> Y at the same level.
+
+    Copy vertices of A get fibre sums over their hom-labels; copy vertices of
+    gadgets get sums of gadget products over glued label tuples that form
+    homomorphisms B_T -> Y.  Every member of a quotient class is computed
+    independently and compared exactly; a mismatch raises
+    WellDefinednessViolation naming the class.
+    """
+    report = pultr.template_predicates(template)
+    if not report.faithful:
+        raise pultr.NotFaithful("transfer towards the left functor needs a faithful template")
+    q = quotient if quotient is not None else pultr.lambda_quotient(template, X)
+    a_order = template.A.domain
+    a_index = {a: i for i, a in enumerate(a_order)}
+    parts = {name: _faithful_parts(template, name) for name, _ in template.tau.symbols}
+    dim = assignment.dim
+
+    hom_cache: dict = {}
+    product_cache: dict = {}
+
+    def glued_is_hom(name: str, labels: tuple) -> bool:
+        key = (name, labels)
+        hit = hom_cache.get(key)
+        if hit is not None:
+            return hit
+        bt = template.B[name]
+        part = parts[name]
+        ok = True
+        for rname, _ in template.rho.symbols:
+            rel = Y.relations[rname]
+            for btuple in bt.relations[rname]:
+                image = tuple(labels[part[b][0]][a_index[part[b][1]]] for b in btuple)
+                if image not in rel:
+                    ok = False
+                    break
+            if not ok:
+                break
+        hom_cache[key] = ok
+        return ok
+
+    def scope_product(xt: tuple, labels: tuple) -> qop.PMatrix:
+        key = (xt, labels)
+        prod = product_cache.get(key)
+        if prod is None:
+            prod = pultr._present(assignment, xt[0])[labels[0]]
+            for xj, h in zip(xt[1:], labels[1:]):
+                prod = prod @ pultr._present(assignment, xj)[h]
+            product_cache[key] = prod
+        return prod
+
+    def member_family(tag) -> dict:
+        fam: dict = {}
+        if tag[0] == "A":
+            _, x, a = tag
+            ai = a_index[a]
+            for h, m in pultr._present(assignment, x).items():
+                y = h[ai]
+                fam[y] = fam[y] + m if y in fam else m
+        else:
+            _, name, xt, b = tag
+            part = parts[name]
+            i_b, a_b = part[b]
+            label_lists = [list(pultr._present(assignment, xj).keys()) for xj in xt]
+            for labels in itertools.product(*label_lists):
+                if not glued_is_hom(name, labels):
+                    continue
+                y = labels[i_b][a_index[a_b]]
+                prod = scope_product(xt, labels)
+                fam[y] = fam[y] + prod if y in fam else prod
+        return {y: m for y, m in fam.items() if not m.is_zero()}
+
+    pvms: dict = {}
+    for class_name, members in q.classes().items():
+        first = member_family(members[0])
+        for other in members[1:]:
+            if member_family(other) != first:
+                raise pultr.WellDefinednessViolation(
+                    f"class {class_name!r}: members {members[0]!r} and {other!r} disagree"
+                )
+        pvms[class_name] = first
+    return QuantumAssignment(dim, k, pvms)
+
+
+def reference_left_apply(
+    template: PultrTemplate, X: RelStructure, *, quotient: Optional[pultr.LambdaQuotient] = None
+) -> RelStructure:
+    """Glue a copy of A per vertex and a copy of B_T per tau-tuple along the
+    eps maps, and push all gadget relations to the quotient."""
+    q = quotient if quotient is not None else pultr.lambda_quotient(template, X)
+    domain = []
+    seen = set()
+    for i, tag in enumerate(q.tags):
+        name = q.class_name[q.class_of_id[i]]
+        if name not in seen:
+            seen.add(name)
+            domain.append(name)
+    relations: dict[str, set] = {name: set() for name, _ in template.rho.symbols}
+    for rname, _ in template.rho.symbols:
+        for at in template.A.relations[rname]:
+            for x in X.domain:
+                relations[rname].add(tuple(q.cls(("A", x, a)) for a in at))
+        for tname, _ in template.tau.symbols:
+            bt = template.B[tname]
+            for xt in X.relations[tname]:
+                for btuple in bt.relations[rname]:
+                    relations[rname].add(
+                        tuple(q.cls(("B", tname, xt, b)) for b in btuple)
+                    )
+    return RelStructure(template.rho, domain, relations)
+
+
+def reference_verify_assignment(
+    X: RelStructure,
+    Y: RelStructure,
+    assignment: QuantumAssignment,
+    k: int,
+    *,
+    product_samples: Optional[int] = None,
+    seed: int = 0,
+    max_witnesses: int = 25,
+) -> qop.VerificationReport:
+    """Exact verification of a perfect k-compatible quantum assignment.
+
+    Checks, in order: every family is a PVM; for every symbol R, scope tuple
+    in R(X) and label tuple outside R(Y) the scope-ordered projector product
+    is the zero matrix; and all projector pairs of variables within Gaifman
+    distance k of each other commute.  Absent labels are zero projectors, so
+    product checks iterate over present labels only, which is sound and
+    complete.  With `product_samples`, that many (constraint, label-tuple)
+    checks are drawn with a fixed seed instead of the full sweep; when the
+    draws run out first (400n + 1000 attempts), `sampled_short` says so.
+    """
+    if set(assignment.pvms) != set(X.domain):
+        raise qop.KeyMismatch("assignment keys differ from the variable domain")
+    for fam in assignment.pvms.values():
+        for y in fam:
+            if y not in Y:
+                raise qop.KeyMismatch(f"label {y!r} outside the target domain")
+
+    pvm_ok = True
+    pvm_issues = []
+    for x in X.domain:
+        fam = assignment.pvms[x]
+        mats = list(fam.values())
+        if not mats:
+            pvm_ok = False
+            pvm_issues.append((x, "empty"))
+            continue
+        rep = qop.verify_pvm(mats)
+        if not rep.passed:
+            pvm_ok = False
+            pvm_issues.append((x, rep.issues))
+
+    cache = qop._ProductCache()
+    product_violations: list[qop.Violation] = []
+    labels_of = {x: tuple(assignment.pvms[x].keys()) for x in X.domain}
+
+    def full_sweep():
+        for name, t in X.all_tuples():
+            rel = Y.relations[name]
+            for combo in itertools.product(*(labels_of[v] for v in t)):
+                if combo not in rel:
+                    yield name, t, combo
+
+    def rejection_sample(count: int):
+        # uniform over (tuple, present-label combo) pairs, conditioned on
+        # the combo being forbidden: exactly uniform over forbidden checks
+        import random
+
+        rng = random.Random(seed)
+        tuples_all = list(X.all_tuples())
+        produced = 0
+        attempts = 0
+        limit = 400 * count + 1000
+        while produced < count and attempts < limit:
+            attempts += 1
+            name, t = tuples_all[rng.randrange(len(tuples_all))]
+            combo = tuple(
+                labels_of[v][rng.randrange(len(labels_of[v]))] if labels_of[v] else None
+                for v in t
+            )
+            if None in combo:
+                continue
+            if combo not in Y.relations[name]:
+                produced += 1
+                yield name, t, combo
+
+    sampled = product_samples is not None
+    checks = rejection_sample(product_samples) if sampled else full_sweep()
+    products_checked = 0
+    sampled_short = None
+    for name, t, combo in checks:
+        products_checked += 1
+        mats = [assignment.pvms[v][y] for v, y in zip(t, combo)]
+        if not qop._ordered_product_is_zero(mats, cache):
+            if len(product_violations) < max_witnesses:
+                product_violations.append(qop.Violation("product", (name, t, combo)))
+            else:
+                product_violations.append(qop.Violation("product", ("...",)))
+                break
+    else:
+        # the checks ran out without hitting the witness cap
+        if sampled and products_checked < product_samples:
+            sampled_short = (products_checked, product_samples)
+
+    commutator_violations: list[qop.Violation] = []
+    commutators_checked = 0
+    if k >= 1 and not assignment.all_diagonal():
+        balls = relstruct.gaifman_balls(X, k)
+        index = {v: i for i, v in enumerate(X.domain)}
+        done = False
+        for x in X.domain:
+            if done:
+                break
+            for xp in balls[x]:
+                if index[xp] <= index[x]:
+                    continue
+                for ya, ma in assignment.pvms[x].items():
+                    for yb, mb in assignment.pvms[xp].items():
+                        commutators_checked += 1
+                        if not cache.commute(ma, mb):
+                            commutator_violations.append(
+                                qop.Violation("commutator", (x, xp, ya, yb))
+                            )
+                            if len(commutator_violations) >= max_witnesses:
+                                done = True
+                if done:
+                    break
+    return qop.VerificationReport(
+        pvm_ok,
+        product_violations,
+        commutator_violations,
+        products_checked,
+        commutators_checked,
+        sampled,
+        pvm_issues,
+        sampled_short,
+    )
+
+
+def reference_eta_pair_lists(ctx) -> dict:
+    """The (z, z') pairs of every symbol of an eta context, from the
+    all-pairs test of its permuted d-blocks."""
+    d, n = ctx.d, ctx.n
+    base = 2 * d
+    disjoint = {
+        (a, b)
+        for a in itertools.product(range(base), repeat=d)
+        for b in itertools.product(range(base), repeat=d)
+        if not set(a) & set(b)
+    }
+    z_all = range(base**n)
+    pair_lists: dict = {}
+    for name, (mu, nu) in ctx.mu_nu.items():
+        mu_blocks = [colouring._blocks(z, mu, d, base) for z in z_all]
+        nu_blocks = [colouring._blocks(zp, nu, d, base) for zp in z_all]
+        pairs = [
+            (z, zp)
+            for z, zb in enumerate(mu_blocks)
+            for zp, zpb in enumerate(nu_blocks)
+            if all((a, b) in disjoint for a, b in zip(zb, zpb))
+        ]
+        pair_lists[name] = pairs
+    return pair_lists

@@ -1,6 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
+
 import numpy as np
 
+from chromagap import colouring, pultr
 from chromagap.colouring import (
     alpha_beta,
     build_transition_matrix,
@@ -12,8 +18,9 @@ from chromagap.colouring import (
     xi_colouring,
 )
 from chromagap.csp import CspInstance
+from chromagap.dkkms import build_rho1, build_rho2
 from chromagap.pultr import left_apply, template_predicates
-from chromagap.qop import lift_classical, verify_assignment
+from chromagap.qop import PMatrix, QuantumAssignment, lift_classical, mermin_peres, verify_assignment
 from chromagap.relstruct import (
     ABOVE_CAP,
     chromatic_number,
@@ -22,7 +29,13 @@ from chromagap.relstruct import (
     find_homomorphism,
     symmetrize,
 )
-from helpers import all_pairs_template_predicates, random_digraph
+from helpers import (
+    all_pairs_template_predicates,
+    random_digraph,
+    reference_eta_pair_lists,
+    reference_left_apply,
+    reference_transfer_lambda,
+)
 
 
 def test_line_digraph_two_path():
@@ -236,3 +249,71 @@ def test_linedigraph_quantum_transfer_levels():
     dx, dk4 = line_digraph(X), line_digraph(K4)
     assert verify_assignment(dx, dk4, out, 1).passed
     assert out.dim == 1
+
+
+def test_eta_pair_lists_match_all_pairs_reference_on_rho2():
+    system, _ = mermin_peres()
+    ctx = eta_context(build_rho2(build_rho1(system, 1, 2)).instance)
+    assert len(ctx.symbols) == 15
+    assert ctx.pair_lists == reference_eta_pair_lists(ctx)
+
+
+HALF = Fraction(1, 2)
+STANDARD = (PMatrix.from_rows([[1, 0], [0, 0]]), PMatrix.from_rows([[0, 0], [0, 1]]))
+HADAMARD = (
+    PMatrix.from_rows([[HALF, HALF], [HALF, HALF]]),
+    PMatrix.from_rows([[HALF, -HALF], [-HALF, HALF]]),
+)
+
+
+def _eta_outcome(inst, assignment):
+    try:
+        eta, coloured, _ = eta_quantum_transfer(inst, assignment, 0, check_input=False)
+    except Exception as exc:  # compared by type and message across the two paths
+        return type(exc), str(exc)
+    return (
+        eta.domain,
+        eta.relations,
+        [(v, list(fam.items())) for v, fam in coloured.pvms.items()],
+    )
+
+
+def test_eta_transfer_matches_reference_layers(monkeypatch):
+    """The eta transfer gives the same digraph and ordered families, or the
+    same exception, when the faithful transfer and the left functor are the
+    references: for a classical lift, diagonal and non-diagonal perfect
+    inputs, and an input whose transfer is ill-defined."""
+    inst = two_symbol_instance()
+    # two solutions side by side, one per basis vector or per Hadamard vector
+    s1, s2 = {"x": 0, "y": 0, "z": 1}, {"x": 2, "y": 3, "z": 2}
+
+    def split(p, q, v):
+        return {s1[v]: p, s2[v]: q}
+
+    assignments = [
+        lift_classical(s1),
+        QuantumAssignment(2, 0, {v: split(*STANDARD, v) for v in inst.variables}),
+        QuantumAssignment(2, 0, {v: split(*HADAMARD, v) for v in inst.variables}),
+        QuantumAssignment(
+            2, 0, {v: split(*(HADAMARD if v == "y" else STANDARD), v) for v in inst.variables}
+        ),
+    ]
+    got = [_eta_outcome(inst, a) for a in assignments]
+    monkeypatch.setattr(pultr, "transfer_lambda", reference_transfer_lambda)
+    monkeypatch.setattr(pultr, "left_apply", reference_left_apply)
+    monkeypatch.setattr(colouring, "left_apply", reference_left_apply)
+    assert got == [_eta_outcome(inst, a) for a in assignments]
+    assert not any(isinstance(out[0], type) for out in got[:3])
+    assert got[3][0] is pultr.WellDefinednessViolation
+
+
+def test_import_leaves_numpy_unloaded():
+    """numpy is imported only where the transition matrix is built."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    code = "import sys, chromagap; print('numpy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

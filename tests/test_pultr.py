@@ -14,7 +14,6 @@ from chromagap.pultr import (
     adjunction_oracle,
     central_apply,
     gamma_functor,
-    gamma_product_for_map,
     lambda_functor,
     lambda_quotient,
     left_apply,
@@ -35,10 +34,13 @@ from chromagap.relstruct import (
 )
 from helpers import (
     all_pairs_template_predicates,
+    gamma_product_for_map,
     random_digraph,
     random_faithful_template,
     random_template,
     reference_gamma_functor,
+    reference_left_apply,
+    reference_transfer_lambda,
     structure_with_hom_from,
 )
 
@@ -191,9 +193,10 @@ def test_left_apply_reuses_a_given_quotient():
         assert given.relations == plain.relations
 
 
-def _first_filtered_witness(template, name, ht, X, a_index):
+def _first_filtered_witness(template, name, ht, X, plan):
     """The gadget witness as the first homomorphism B_T -> X, in canonical
     order, that agrees with the eps images forced by ht."""
+    a_index = {a: i for i, a in enumerate(template.A.domain)}
     forced = {
         b: ht[i][a_index[a]] for i, m in enumerate(template.eps[name]) for a, b in m.items()
     }
@@ -229,17 +232,34 @@ def test_gadget_witness_with_free_gadget_vertices():
     checked = 0
     for template in templates:
         assert not template_predicates(template).connected
-        a_index = {a: i for i, a in enumerate(template.A.domain)}
+        plan = pultr._gluing_plan(template, "S", {a: i for i, a in enumerate(template.A.domain)})
         for _ in range(15):
             X = random_digraph(rng, 5, 9)
             gx = central_apply(template, X)
             for ht in gx.relations["S"]:
-                witness = pultr._gadget_witness(template, "S", ht, X, a_index)
-                assert witness == _first_filtered_witness(template, "S", ht, X, a_index)
+                witness = pultr._gadget_witness(template, "S", ht, X, plan)
+                assert witness == _first_filtered_witness(template, "S", ht, X, plan)
                 checked += 1
             with pytest.raises(NotConnected):
                 gamma_functor(template, X, X, lift_classical({v: v for v in X.domain}), 0)
     assert checked > 50
+
+
+def test_gadget_witness_rejects_tuples_that_disagree_on_a_glued_vertex():
+    """b2 is the head of the first eps image and the tail of the second, so
+    two arcs that do not meet there cannot be glued."""
+    template = linedigraph_template()
+    X = digraph([("a", "b"), ("b", "c"), ("c", "d")])
+    plan = pultr._gluing_plan(template, "E", {"a1": 0, "a2": 1})
+    assert pultr._gadget_witness(template, "E", (("a", "b"), ("b", "c")), X, plan) == {
+        "b1": "a",
+        "b2": "b",
+        "b3": "c",
+    }
+    with pytest.raises(WellDefinednessViolation, match="incompatible eps images while gluing 'E'"):
+        pultr._gadget_witness(template, "E", (("a", "b"), ("c", "d")), X, plan)
+    with pytest.raises(WellDefinednessViolation, match="no gadget witness for 'E' tuple"):
+        pultr._gadget_witness(template, "E", (("a", "b"), ("b", "a")), X, plan)
 
 
 def test_gamma_functor_unchanged_with_filtered_witness(monkeypatch):
@@ -469,8 +489,8 @@ def _wrong_witness_at(vertex):
     it names another vertex of X."""
     real = pultr._gadget_witness
 
-    def witness(template, name, ht, X, a_index):
-        ell = dict(real(template, name, ht, X, a_index))
+    def witness(template, name, ht, X, plan):
+        ell = dict(real(template, name, ht, X, plan))
         ell[vertex] = next(v for v in X.domain if v != ell[vertex])
         return ell
 
@@ -545,3 +565,95 @@ def test_gamma_functor_rejects_a_disconnected_template_before_enumerating(monkey
     X = digraph([("a", "b")])
     with pytest.raises(NotConnected):
         gamma_functor(template, X, X, lift_classical({v: v for v in X.domain}), 0)
+
+
+# -- the faithful transfer and the left functor against their references ------
+
+
+def _lambda_outcome(functor, *args, **kwargs):
+    """Ordered (vertex, ordered family) pairs with dim and k, or the type
+    and message of the exception raised."""
+    try:
+        out = functor(*args, **kwargs)
+    except Exception as exc:  # compared by type and message across the two paths
+        return type(exc), str(exc)
+    return out.dim, out.k, [(v, list(fam.items())) for v, fam in out.pvms.items()]
+
+
+def _random_tau_structure(rng, template, size):
+    dom = [f"x{i}" for i in range(rng.randint(1, size))]
+    return RelStructure(
+        template.tau,
+        dom,
+        {
+            name: {tuple(rng.choice(dom) for _ in range(arity)) for _ in range(rng.randint(0, 3))}
+            for name, arity in template.tau.symbols
+        },
+    )
+
+
+def _labelled_assignment(rng, template, X, Y, bases) -> QuantumAssignment:
+    """Labels are maps A -> Y in A's domain order, homomorphisms or not, so
+    the glued hom check filters; a vertex splits the plane over two labels
+    in one of `bases`, keeps one of those halves only (not a PVM), or puts
+    the identity on one label."""
+    maps = list(itertools.product(Y.domain, repeat=len(template.A.domain)))
+    pvms = {}
+    for x in X.domain:
+        roll = rng.random()
+        if roll < 0.2 or len(maps) < 2:
+            pvms[x] = {rng.choice(maps): PMatrix.identity(2)}
+        else:
+            p, q = rng.choice(bases)
+            h0, h1 = rng.sample(maps, 2)
+            pvms[x] = {h0: p} if roll < 0.3 else {h0: p, h1: q}
+    return QuantumAssignment(2, 2, pvms)
+
+
+def test_transfer_lambda_matches_reference():
+    """Same ordered PVMs, or the same WellDefinednessViolation message, as the
+    reference that sums each gadget tag over every glued label tuple; dim-2
+    assignments in the standard basis or mixed with the Hadamard basis, on
+    random faithful templates and on gadgets with edges across the copies."""
+    rng = random.Random(41)
+    kinds = set()
+    for case in range(240):
+        template = random_faithful_template(rng)
+        if case % 3 == 2:
+            # an edge from the first copy into the last makes the hom check bite
+            name, arity = template.tau.symbols[0]
+            bt = template.B[name]
+            edge = (
+                rng.choice([b for b in bt.domain if b[0] == 0]),
+                rng.choice([b for b in bt.domain if b[0] == arity - 1]),
+            )
+            bt = RelStructure(bt.signature, bt.domain, {"E": set(bt.relations["E"]) | {edge}})
+            template = PultrTemplate(template.rho, template.tau, template.A, {name: bt}, template.eps)
+        X = _random_tau_structure(rng, template, 3)
+        Y = random_digraph(rng, 3, 5)
+        bases = [STANDARD] if case % 2 == 0 else [STANDARD, HADAMARD]
+        assignment = _labelled_assignment(rng, template, X, Y, bases)
+        expected = _lambda_outcome(reference_transfer_lambda, template, X, Y, assignment, 1)
+        assert _lambda_outcome(transfer_lambda, template, X, Y, assignment, 1) == expected
+        quotient = lambda_quotient(template, X)
+        assert _lambda_outcome(transfer_lambda, template, X, Y, assignment, 1, quotient=quotient) == expected
+        if isinstance(expected[0], type):
+            kinds.add(expected[0].__name__)
+        else:
+            mats = [m for _, fam in expected[2] for _, m in fam]
+            kinds.add("diagonal" if all(m.diag_support() is not None for m in mats) else "mixed")
+    assert {"WellDefinednessViolation", "diagonal", "mixed"} <= kinds
+
+
+def test_left_apply_matches_reference():
+    """Equal domains in order, equal relations, and the same iteration order
+    of every relation, on random connected, faithful and edged templates."""
+    rng = random.Random(43)
+    for case in range(200):
+        template = random_template(rng) if case % 2 else random_faithful_template(rng)
+        X = _random_tau_structure(rng, template, 4)
+        got = left_apply(template, X)
+        want = reference_left_apply(template, X)
+        assert got.domain == want.domain
+        assert got.relations == want.relations
+        assert all(list(got.relations[r]) == list(want.relations[r]) for r in got.relations)

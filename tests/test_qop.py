@@ -22,7 +22,7 @@ from chromagap.qop import (
     verify_pvm,
 )
 from chromagap.relstruct import clique, digraph, diameter_and_connectivity, find_homomorphism
-from helpers import random_digraph, structure_with_hom_from
+from helpers import random_digraph, reference_verify_assignment, structure_with_hom_from
 
 
 def diag(*entries):
@@ -298,3 +298,74 @@ def test_game_strategy_view_rejects_noncommuting(magic):
     game = game_csp(system, 1)
     with pytest.raises(VerificationFailure):
         game_strategy_from_assignment(game, assignment)
+
+
+HALF = Fraction(1, 2)
+_STANDARD = (diag(1, 0), diag(0, 1))
+_HADAMARD = (
+    PMatrix.from_rows([[HALF, HALF], [HALF, HALF]]),
+    PMatrix.from_rows([[HALF, -HALF], [-HALF, HALF]]),
+)
+
+
+def _family_pool(rng, labels) -> list:
+    """A few dim-2 families over `labels`: splits in the standard or the
+    Hadamard basis, each with its labels swapped and its projectors listed
+    in both orders, the identity on one label, and a non-PVM that repeats a
+    projector."""
+    pool = []
+    for _ in range(4):
+        y0, y1 = rng.sample(labels, 2)
+        p, q = rng.choice([_STANDARD, _HADAMARD])
+        pool += [{y0: p, y1: q}, {y1: p, y0: q}, {y0: q, y1: p}, {y1: q, y0: p}]
+    pool.append({rng.choice(labels): PMatrix.identity(2)})
+    pool.append({labels[0]: _STANDARD[0], labels[1]: _STANDARD[0]})
+    rng.shuffle(pool)
+    return pool
+
+
+def test_verify_assignment_matches_reference():
+    """Field-for-field equal reports (PVM issues, witnesses in order, counts,
+    sampled_short) as the per-variable, per-tuple reference, on passing and
+    failing inputs whose families are shared by many vertices, with witness
+    caps of 1, 2 and 25 that the violations exceed."""
+    rng = random.Random(47)
+    seen = set()
+    for case in range(300):
+        cap = [1, 2, 25][case % 3]
+        X = random_digraph(rng, 4 * cap + 5, 4 * cap + 14)
+        Y = [clique(2), clique(3), digraph([("a", "b"), ("b", "c"), ("c", "a"), ("a", "a")])][case % 4 % 3]
+        labels = list(Y.domain)
+        if case % 4 == 0:
+            f = find_homomorphism(X, Y) if len(X.domain) < 15 else None
+            pvms = lift_classical(f or {x: rng.choice(labels) for x in X.domain}).pvms
+            assignment = QuantumAssignment(1, 0, pvms)
+        else:
+            pool = _family_pool(rng, labels)[: rng.randint(2, 10)]
+            assignment = QuantumAssignment(2, 0, {x: rng.choice(pool) for x in X.domain})
+        k = rng.randint(0, 2)
+        samples = rng.choice([None, None, None, 5, 40]) if X.relations["E"] else None
+        args = (X, Y, assignment, k)
+        kwargs = dict(max_witnesses=cap, product_samples=samples, seed=case)
+        got = verify_assignment(*args, **kwargs)
+        assert got == reference_verify_assignment(*args, **kwargs)
+        seen.add("pass" if got.passed else "fail")
+        if samples is None and len(got.product_violations) > cap:
+            seen.add(f"capped at {cap}")
+        if got.pvm_issues:
+            seen.add("pvm issues")
+    assert seen >= {"pass", "fail", "capped at 1", "capped at 2", "capped at 25", "pvm issues"}
+
+
+def test_verify_assignment_tells_apart_families_that_differ_in_labels_only():
+    """v0 and v2 carry the same projectors in the same order under swapped
+    labels: the edge v0 -> v1 is perfect, the edge v1 -> v2 is not."""
+    p, q = _STANDARD
+    X = digraph([("v0", "v1"), ("v1", "v2")])
+    pvms = {"v0": {"k0": p, "k1": q}, "v1": {"k0": q, "k1": p}, "v2": {"k1": p, "k0": q}}
+    report = verify_assignment(X, clique(2), QuantumAssignment(2, 0, pvms), 0)
+    assert [v.witness for v in report.product_violations] == [
+        ("E", ("v1", "v2"), ("k0", "k0")),
+        ("E", ("v1", "v2"), ("k1", "k1")),
+    ]
+    assert report.products_checked == 4
