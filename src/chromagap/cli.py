@@ -217,37 +217,17 @@ def pipeline_magic_square(
     return report
 
 
-def _chromatic_lower_bound(X: relstruct.RelStructure, clique_tries: int = 64) -> tuple[bool, int]:
-    """(bipartite, lower bound): one BFS 2-colouring pass for odd cycles,
-    plus a bounded greedy clique probe from the highest-degree vertices."""
-    from collections import deque
+_CLIQUE_TRIES = 64
 
+
+def _chromatic_lower_bound(X: relstruct.RelStructure) -> tuple[bool, int]:
+    """(bipartite, lower bound): a BFS 2-colouring, and for a graph that is
+    not bipartite a greedy clique probe from the highest-degree vertices."""
     adj = X.gaifman_adjacency()
-    if all(not ns for ns in adj.values()):
-        return True, 1
-    colour: dict = {}
-    bipartite = True
-    for start in X.domain:
-        if start in colour:
-            continue
-        colour[start] = 0
-        queue = deque([start])
-        while queue and bipartite:
-            u = queue.popleft()
-            for v in adj[u]:
-                if v == u:
-                    bipartite = False
-                    break
-                if v not in colour:
-                    colour[v] = 1 - colour[u]
-                    queue.append(v)
-                elif colour[v] == colour[u]:
-                    bipartite = False
-                    break
-        if not bipartite:
-            break
-    best_clique = 2
-    by_degree = sorted(X.domain, key=lambda v: -len(adj[v]))[:clique_tries]
+    if relstruct.is_bipartite(X):
+        return True, 2 if any(adj.values()) else 1
+    best_clique = 3
+    by_degree = sorted(X.domain, key=lambda v: -len(adj[v]))[:_CLIQUE_TRIES]
     neighbour_sets: dict = {}
 
     def nbrs(w):
@@ -261,8 +241,7 @@ def _chromatic_lower_bound(X: relstruct.RelStructure, clique_tries: int = 64) ->
             if all(u in nbrs(w) for w in members):
                 members.append(u)
         best_clique = max(best_clique, len(members))
-    lower = 2 if bipartite else max(3, best_clique)
-    return bipartite, max(lower, best_clique)
+    return False, best_clique
 
 
 def machinery_seed_instance(seed: int) -> tuple[csp.CspInstance, dict]:
@@ -386,8 +365,7 @@ def pipeline_machinery(
         {v: v for v in current.pvms}, current, to_k3, k=0
     )
     check_final = qop.verify_assignment(current_x, clique(3), final_assignment, 0)
-    undirected = relstruct.symmetrize(current_x)
-    bipartite = relstruct.find_homomorphism(undirected, clique(2)) is not None
+    bipartite = relstruct.is_bipartite(current_x)
     report.add(
         "three-colouring",
         {

@@ -9,7 +9,6 @@ homomorphism machinery in `relstruct`.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Iterable, Mapping, Optional, Sequence
@@ -19,6 +18,7 @@ from .relstruct import (
     SearchBudgetExceeded,
     Signature,
     SignatureMismatch,
+    gaifman_balls,
 )
 
 Label = Hashable
@@ -43,7 +43,7 @@ class Constraint:
 class CspInstance:
     """Variables, a constraint multiset, an alphabet, and exact weights."""
 
-    __slots__ = ("variables", "alphabet", "constraints", "_var_index", "_adj")
+    __slots__ = ("variables", "alphabet", "constraints", "_var_index")
 
     def __init__(
         self,
@@ -83,7 +83,6 @@ class CspInstance:
         self.constraints = tuple(
             Constraint(scope, allowed, w) for (scope, allowed), w in zip(raw, ws)
         )
-        self._adj: Optional[dict] = None
 
     def __repr__(self) -> str:
         return (
@@ -93,33 +92,6 @@ class CspInstance:
 
     def is_binary(self) -> bool:
         return all(c.arity == 2 for c in self.constraints)
-
-    def gaifman_adjacency(self) -> dict:
-        if self._adj is None:
-            adj: dict = {v: set() for v in self.variables}
-            for c in self.constraints:
-                for a in c.scope:
-                    for b in c.scope:
-                        if a != b:
-                            adj[a].add(b)
-            self._adj = adj
-        return self._adj
-
-    def gaifman_distance(self, u: Var, v: Var):
-        if u == v:
-            return 0
-        adj = self.gaifman_adjacency()
-        dist = {u: 0}
-        queue = deque([u])
-        while queue:
-            w = queue.popleft()
-            for x in adj[w]:
-                if x not in dist:
-                    dist[x] = dist[w] + 1
-                    if x == v:
-                        return dist[x]
-                    queue.append(x)
-        return float("inf")
 
     def value_of(self, f: Mapping) -> Fraction:
         """Weighted satisfied fraction of the classical assignment f."""
@@ -277,40 +249,14 @@ class LabelCoverProfile:
 
 
 def _bipartite_split(inst: CspInstance) -> Optional[tuple[frozenset, frozenset]]:
-    """Orient every scope left-to-right; propagate sides per component."""
-    side: dict = {}
-    adj: dict = {v: [] for v in inst.variables}
-    for c in inst.constraints:
-        x, y = c.scope
-        if x == y:
-            return None
-        adj[x].append((y, 1))
-        adj[y].append((x, 0))
-    # Seed each component from a vertex that occurs first in some scope when
-    # possible, so orientation and 2-colouring are decided together.
+    """Orient every scope left-to-right: first entries left, second entries
+    right, unconstrained variables left; no variable may be on both sides."""
     firsts = {c.scope[0] for c in inst.constraints}
-    for v in inst.variables:
-        if v in side:
-            continue
-        side[v] = 0 if (v in firsts or not adj[v]) else 1
-        queue = deque([v])
-        while queue:
-            w = queue.popleft()
-            for u, s in adj[w]:
-                # s == 1: scope (w, u) forces side[w]=0, side[u]=1;
-                # s == 0: scope (u, w) forces side[w]=1, side[u]=0.
-                expect_w = 0 if s == 1 else 1
-                if side[w] != expect_w:
-                    return None
-                expect_u = 1 - expect_w
-                if u in side:
-                    if side[u] != expect_u:
-                        return None
-                else:
-                    side[u] = expect_u
-                    queue.append(u)
-    left = frozenset(v for v in inst.variables if side.get(v, 0) == 0)
-    right = frozenset(v for v in inst.variables if side.get(v) == 1)
+    seconds = {c.scope[1] for c in inst.constraints}
+    if firsts & seconds:
+        return None
+    left = frozenset(v for v in inst.variables if v not in seconds)
+    right = frozenset(v for v in inst.variables if v in seconds)
     return left, right
 
 
@@ -427,12 +373,15 @@ def augment_k(inst: CspInstance, k: int) -> CspInstance:
     uniformly over the new constraints."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    pairs = []
-    for i, x in enumerate(inst.variables):
-        for y in inst.variables[i + 1:]:
-            dist = inst.gaifman_distance(x, y)
-            if dist <= k:
-                pairs.append((x, y))
+    # structures have no arity-0 symbols; an empty scope joins no variables
+    scoped = [(c.scope, c.allowed) for c in inst.constraints if c.scope]
+    balls = gaifman_balls(to_structures(CspInstance(inst.variables, inst.alphabet, scoped))[0], k)
+    pairs = [
+        (x, y)
+        for i, x in enumerate(inst.variables)
+        for y in inst.variables[i + 1:]
+        if y in balls[x]
+    ]
     if not pairs:
         return CspInstance(
             inst.variables,

@@ -551,7 +551,7 @@ def verify_assignment(
         produced = 0
         attempts = 0
         limit = 400 * count + 1000
-        while produced < count and attempts < limit:
+        while tuples_all and produced < count and attempts < limit:
             attempts += 1
             name, t = tuples_all[rng.randrange(len(tuples_all))]
             combo = tuple(

@@ -425,26 +425,6 @@ def enumerate_homomorphisms(
     return list(_search_homomorphisms(X, Y, budget=budget))
 
 
-def gaifman_distance(X: RelStructure, u: Vertex, v: Vertex):
-    """BFS distance between u and v in the Gaifman graph; inf if disconnected."""
-    X.index(u)
-    X.index(v)
-    if u == v:
-        return 0
-    adj = X.gaifman_adjacency()
-    dist = {u: 0}
-    queue = deque([u])
-    while queue:
-        w = queue.popleft()
-        for x in adj[w]:
-            if x not in dist:
-                dist[x] = dist[w] + 1
-                if x == v:
-                    return dist[x]
-                queue.append(x)
-    return INFINITY
-
-
 def gaifman_balls(X: RelStructure, radius: int) -> dict:
     """For each vertex, the set of vertices within `radius` Gaifman steps."""
     adj = X.gaifman_adjacency()
@@ -475,6 +455,13 @@ def _bfs_distances(adj: Mapping, source: Vertex) -> dict:
                 dist[x] = dist[w] + 1
                 queue.append(x)
     return dist
+
+
+def gaifman_distance(X: RelStructure, u: Vertex, v: Vertex):
+    """BFS distance between u and v in the Gaifman graph; inf if disconnected."""
+    X.index(u)
+    X.index(v)
+    return _bfs_distances(X.gaifman_adjacency(), u).get(v, INFINITY)
 
 
 def is_connected(X: RelStructure) -> bool:
@@ -513,6 +500,19 @@ def symmetrize(D: RelStructure) -> RelStructure:
     edges = set(D.relations[sym])
     edges |= {(b, a) for (a, b) in edges}
     return RelStructure(D.signature, D.domain, {sym: edges})
+
+
+def is_bipartite(G: RelStructure) -> bool:
+    """Whether the graph G has a homomorphism to K2: BFS depths, taken from
+    each unvisited vertex in domain order, must differ in parity across
+    every edge (so a loop rules it out)."""
+    edges = G.relations[G.graph_symbol()]
+    adj = G.gaifman_adjacency()
+    depth: dict = {}
+    for v in G.domain:
+        if v not in depth:
+            depth.update(_bfs_distances(adj, v))
+    return all((depth[a] - depth[b]) % 2 for a, b in edges)
 
 
 def chromatic_number(G: RelStructure, cap: int, *, budget: Optional[int] = None):

@@ -10,21 +10,25 @@ reference Gamma functor builds the whole quotient Lambda Gamma X (it shares
 only the product routine, through `transfer_gamma`, with `gamma_functor`),
 and the reference eta-stage layers (faithful transfer, left functor,
 verifier, eta pair lists) work tag by tag, vertex by vertex and tuple by
-tuple.
+tuple.  The reference graph walks are the per-caller BFS loops that the
+shared Gaifman BFS in `relstruct` replaced.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 from fractions import Fraction
 
 from typing import Mapping, Optional, Sequence
 
 from chromagap import colouring, pultr, qop, relstruct
+from chromagap.csp import CspInstance
 from chromagap.qop import PMatrix, QuantumAssignment
 from chromagap.relstruct import (
     GRAPH_SIGNATURE,
+    INFINITY,
     PartialMap,
     RelStructure,
     SearchBudgetExceeded,
@@ -814,3 +818,185 @@ def reference_eta_pair_lists(ctx) -> dict:
         ]
         pair_lists[name] = pairs
     return pair_lists
+
+
+# -- reference graph walks --------------------------------------------------
+# The per-caller BFS loops that `relstruct.is_bipartite`, `_bfs_distances`
+# and `gaifman_balls` replaced, kept as they were (the CspInstance methods
+# as functions of the instance).
+
+
+def reference_gaifman_distance(X: RelStructure, u: Vertex, v: Vertex):
+    """BFS distance between u and v in the Gaifman graph; inf if disconnected."""
+    X.index(u)
+    X.index(v)
+    if u == v:
+        return 0
+    adj = X.gaifman_adjacency()
+    dist = {u: 0}
+    queue = deque([u])
+    while queue:
+        w = queue.popleft()
+        for x in adj[w]:
+            if x not in dist:
+                dist[x] = dist[w] + 1
+                if x == v:
+                    return dist[x]
+                queue.append(x)
+    return INFINITY
+
+
+def reference_chromatic_lower_bound(X: RelStructure, clique_tries: int = 64) -> tuple[bool, int]:
+    """(bipartite, lower bound): one BFS 2-colouring pass for odd cycles,
+    plus a bounded greedy clique probe from the highest-degree vertices."""
+    adj = X.gaifman_adjacency()
+    if all(not ns for ns in adj.values()):
+        return True, 1
+    colour: dict = {}
+    bipartite = True
+    for start in X.domain:
+        if start in colour:
+            continue
+        colour[start] = 0
+        queue = deque([start])
+        while queue and bipartite:
+            u = queue.popleft()
+            for v in adj[u]:
+                if v == u:
+                    bipartite = False
+                    break
+                if v not in colour:
+                    colour[v] = 1 - colour[u]
+                    queue.append(v)
+                elif colour[v] == colour[u]:
+                    bipartite = False
+                    break
+        if not bipartite:
+            break
+    best_clique = 2
+    by_degree = sorted(X.domain, key=lambda v: -len(adj[v]))[:clique_tries]
+    neighbour_sets: dict = {}
+
+    def nbrs(w):
+        if w not in neighbour_sets:
+            neighbour_sets[w] = set(adj[w])
+        return neighbour_sets[w]
+
+    for v in by_degree:
+        members = [v]
+        for u in adj[v]:
+            if all(u in nbrs(w) for w in members):
+                members.append(u)
+        best_clique = max(best_clique, len(members))
+    lower = 2 if bipartite else max(3, best_clique)
+    return bipartite, max(lower, best_clique)
+
+
+def reference_bipartite_split(inst: CspInstance) -> Optional[tuple[frozenset, frozenset]]:
+    """Orient every scope left-to-right; propagate sides per component."""
+    side: dict = {}
+    adj: dict = {v: [] for v in inst.variables}
+    for c in inst.constraints:
+        x, y = c.scope
+        if x == y:
+            return None
+        adj[x].append((y, 1))
+        adj[y].append((x, 0))
+    # Seed each component from a vertex that occurs first in some scope when
+    # possible, so orientation and 2-colouring are decided together.
+    firsts = {c.scope[0] for c in inst.constraints}
+    for v in inst.variables:
+        if v in side:
+            continue
+        side[v] = 0 if (v in firsts or not adj[v]) else 1
+        queue = deque([v])
+        while queue:
+            w = queue.popleft()
+            for u, s in adj[w]:
+                # s == 1: scope (w, u) forces side[w]=0, side[u]=1;
+                # s == 0: scope (u, w) forces side[w]=1, side[u]=0.
+                expect_w = 0 if s == 1 else 1
+                if side[w] != expect_w:
+                    return None
+                expect_u = 1 - expect_w
+                if u in side:
+                    if side[u] != expect_u:
+                        return None
+                else:
+                    side[u] = expect_u
+                    queue.append(u)
+    left = frozenset(v for v in inst.variables if side.get(v, 0) == 0)
+    right = frozenset(v for v in inst.variables if side.get(v) == 1)
+    return left, right
+
+
+def reference_csp_gaifman_adjacency(inst: CspInstance) -> dict:
+    adj: dict = {v: set() for v in inst.variables}
+    for c in inst.constraints:
+        for a in c.scope:
+            for b in c.scope:
+                if a != b:
+                    adj[a].add(b)
+    return adj
+
+
+def reference_csp_gaifman_distance(inst: CspInstance, u, v):
+    if u == v:
+        return 0
+    adj = reference_csp_gaifman_adjacency(inst)
+    dist = {u: 0}
+    queue = deque([u])
+    while queue:
+        w = queue.popleft()
+        for x in adj[w]:
+            if x not in dist:
+                dist[x] = dist[w] + 1
+                if x == v:
+                    return dist[x]
+                queue.append(x)
+    return float("inf")
+
+
+def reference_augment_k(inst: CspInstance, k: int) -> CspInstance:
+    """Add a full-predicate binary constraint for every distinct variable pair
+    at Gaifman distance <= k; halve original weights, spread the other half
+    uniformly over the new constraints."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    pairs = []
+    for i, x in enumerate(inst.variables):
+        for y in inst.variables[i + 1:]:
+            dist = reference_csp_gaifman_distance(inst, x, y)
+            if dist <= k:
+                pairs.append((x, y))
+    if not pairs:
+        return CspInstance(
+            inst.variables,
+            inst.alphabet,
+            [(c.scope, c.allowed) for c in inst.constraints],
+            [c.weight for c in inst.constraints],
+        )
+    full = frozenset(itertools.product(inst.alphabet, inst.alphabet))
+    alpha = len(pairs)
+    scopes = [(c.scope, c.allowed) for c in inst.constraints]
+    weights = [c.weight / 2 for c in inst.constraints]
+    for p in pairs:
+        scopes.append((p, full))
+        weights.append(Fraction(1, 2 * alpha))
+    return CspInstance(inst.variables, inst.alphabet, scopes, weights)
+
+
+def random_csp_instance(rng: random.Random, arity: int, max_variables: int = 6) -> CspInstance:
+    """A random instance of one arity over a small alphabet: scopes may
+    repeat a variable, repeat a scope, or leave variables unconstrained."""
+    variables = [f"x{i}" for i in range(rng.randint(1, max_variables))]
+    alphabet = [0, 1]
+    constraints = []
+    for _ in range(rng.randint(0, 2 * len(variables))):
+        scope = tuple(rng.choice(variables) for _ in range(arity))
+        allowed = {
+            t for t in itertools.product(alphabet, repeat=arity) if rng.random() < 0.5
+        }
+        constraints.append((scope, allowed))
+    weights = [rng.randint(1, 3) for _ in constraints]
+    return CspInstance(variables, alphabet, constraints, weights)

@@ -527,6 +527,7 @@ def test_criterion_10_machinery_end_to_end():
     assert final_stage.details["ledger"] == [10, 4, 1]
     assert "pass" in final_stage.details["verification"]
     assert final_stage.details["chi_delta2_k4"] == 3
+    assert final_stage.details["final_bipartite"] is False
     assert not report.verdict.startswith("FAIL")
     verdict(
         10,

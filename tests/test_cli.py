@@ -1,5 +1,6 @@
 import json
 import os
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,8 @@ import pytest
 from chromagap import cli, serialize
 from chromagap.csp import CspInstance
 from chromagap.qop import lift_classical, mermin_peres
-from chromagap.relstruct import clique, digraph, find_homomorphism
+from chromagap.relstruct import GRAPH_SIGNATURE, RelStructure, clique, digraph, find_homomorphism
+from helpers import reference_chromatic_lower_bound
 
 
 def write(tmp_path, name, payload):
@@ -71,6 +73,44 @@ def test_qverify_command(tmp_path, c5_file, k3_file, capsys):
     qpath = write(str(tmp_path), "q.json", serialize.assignment_to_dict(lift))
     assert run(["qverify", c5_file, k3_file, qpath, "--k", "1"]) == 0
     assert json.loads(capsys.readouterr().out)["passed"]
+    # a structure with no tuples gives a sample nothing to draw from
+    lone = RelStructure(GRAPH_SIGNATURE, ["a"], {})
+    xpath = write(str(tmp_path), "lone.json", serialize.structure_to_dict(lone))
+    qpath = write(str(tmp_path), "q1.json", serialize.assignment_to_dict(lift_classical({"a": "k0"})))
+    assert run(["qverify", xpath, k3_file, qpath, "--samples", "4"]) == 0
+    summary = json.loads(capsys.readouterr().out)["summary"]
+    assert summary.endswith("products=0 (viol 0) commutators=0 (viol 0) [sampled] [sampled short: 0 of 4]")
+
+
+def test_chromatic_lower_bound_rejects_loops():
+    """A loop maps to no K2, so a looped graph is never bipartite."""
+    for G in (digraph([("a", "b"), ("b", "b")]), digraph([("a", "a")])):
+        bipartite, lower = cli._chromatic_lower_bound(G)
+        assert bipartite is False and lower >= 3
+
+
+def test_chromatic_lower_bound_matches_reference():
+    """Loop-free random graphs.  Every tenth one has 65 to 90 vertices, more
+    than the clique probe starts from: a planted clique competes there with
+    the higher-degree big side of a planted complete bipartite block."""
+    rng = random.Random(11)
+    seen = set()
+    for trial in range(300):
+        n = rng.randint(1, 9) if trial % 10 else rng.randint(65, 90)
+        dom = [f"v{i}" for i in range(n)]
+        rng.shuffle(dom)
+        edges = {
+            (a, b) for a in dom for b in dom if a != b and rng.random() < 1 / (2 * n)
+        }
+        if n > 9:
+            small, big, members = dom[:4], dom[4:rng.randint(30, n - 6)], dom[-rng.randint(4, 6):]
+            edges |= {(a, b) for a in small for b in big}
+            edges |= {(a, b) for a in members for b in members if a != b}
+        G = RelStructure(GRAPH_SIGNATURE, sorted(dom, key=lambda v: int(v[1:])), {"E": edges})
+        got = cli._chromatic_lower_bound(G)
+        assert got == reference_chromatic_lower_bound(G)
+        seen.add(got)
+    assert {(True, 1), (True, 2), (False, 3)} <= seen and any(b > 3 for _, b in seen)
 
 
 def test_transition_command(capsys):
@@ -184,6 +224,7 @@ def test_machinery_pipeline_reproducible_and_artifacts_reverify(tmp_path):
     second = cli.pipeline_machinery(2, seed=1)
     assert strip_timing(first.to_dict()) == strip_timing(second.to_dict())
     assert first.stages[-1].details["ledger"] == [10, 4, 1]
+    assert first.stages[-1].details["final_bipartite"] is False
 
     from chromagap.qop import verify_assignment
 

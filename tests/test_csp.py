@@ -7,6 +7,7 @@ import pytest
 from chromagap.csp import (
     CspInstance,
     NotBinary,
+    _bipartite_split,
     augment_k,
     classify_label_cover,
     from_structures,
@@ -15,7 +16,12 @@ from chromagap.csp import (
     to_structures,
 )
 from chromagap.relstruct import clique, digraph, find_homomorphism
-from helpers import brute_force_hom_exists
+from helpers import (
+    brute_force_hom_exists,
+    random_csp_instance,
+    reference_augment_k,
+    reference_bipartite_split,
+)
 
 
 def xor_instance():
@@ -191,6 +197,41 @@ def test_augment_isolated_variables_untouched():
     out = augment_k(inst, 3)
     scopes = {c.scope for c in out.constraints}
     assert ("x", "z") not in scopes and ("z", "x") not in scopes
+
+
+def test_bipartite_split_matches_reference():
+    """Binary instances with self-scopes and unconstrained variables."""
+    rng = random.Random(12)
+    outcomes = {"split": 0, "none": 0, "self": 0, "free": 0}
+    for _ in range(400):
+        inst = random_csp_instance(rng, 2)
+        got, want = _bipartite_split(inst), reference_bipartite_split(inst)
+        assert got == want
+        if got is not None:  # the sides iterate in the same order too
+            assert [list(side) for side in got] == [list(side) for side in want]
+        outcomes["none" if got is None else "split"] += 1
+        outcomes["self"] += any(c.scope[0] == c.scope[1] for c in inst.constraints)
+        used = {v for c in inst.constraints for v in c.scope}
+        outcomes["free"] += len(used) < len(inst.variables)
+    assert min(outcomes.values()) >= 20, outcomes
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+def test_augment_k_matches_reference(arity):
+    """Same scopes, in the same order, with the same weights; some instances
+    carry an arity-0 constraint, which joins no variables."""
+    rng = random.Random(13 + arity)
+    for trial in range(150):
+        inst = random_csp_instance(rng, arity)
+        if trial % 4 == 0:
+            extra = [((), {()})] + [(c.scope, c.allowed) for c in inst.constraints]
+            inst = CspInstance(inst.variables, inst.alphabet, extra)
+        k = rng.randint(1, 3)
+        got, want = augment_k(inst, k), reference_augment_k(inst, k)
+        assert got.variables == want.variables and got.alphabet == want.alphabet
+        assert [(c.scope, c.allowed, c.weight) for c in got.constraints] == [
+            (c.scope, c.allowed, c.weight) for c in want.constraints
+        ]
 
 
 def test_structures_round_trip():

@@ -21,7 +21,14 @@ from chromagap.qop import (
     verify_game_strategy,
     verify_pvm,
 )
-from chromagap.relstruct import clique, digraph, diameter_and_connectivity, find_homomorphism
+from chromagap.relstruct import (
+    GRAPH_SIGNATURE,
+    RelStructure,
+    clique,
+    diameter_and_connectivity,
+    digraph,
+    find_homomorphism,
+)
 from helpers import random_digraph, reference_verify_assignment, structure_with_hom_from
 
 
@@ -131,8 +138,9 @@ def test_lift_classical_verifies_at_any_level():
 def test_sampled_verification_flags_a_short_sample():
     """One forbidden check in a thousand: 10 draws need about 10,000
     attempts, more than the sampler's 400n + 1000 = 5,000, so it falls short
-    and says so; a sample that reaches its count, one cut by the witness
-    cap and a full sweep do not."""
+    and says so, as does a sample with no scope tuple to draw from; a sample
+    that reaches its count, one cut by the witness cap and a full sweep do
+    not."""
     X = digraph([(i, i + 1) for i in range(999)] + [(0, 0)])
     lift = lift_classical({v: f"k{v % 2}" for v in X.domain})
     K2 = clique(2)
@@ -140,6 +148,9 @@ def test_sampled_verification_flags_a_short_sample():
     m = short.products_checked
     assert 0 < m < 10 and short.sampled_short == (m, 10)
     assert short.summary().endswith(f" [sampled] [sampled short: {m} of 10]")
+    lone = RelStructure(GRAPH_SIGNATURE, ["a"], {})
+    empty = verify_assignment(lone, K2, lift_classical({"a": "k0"}), 0, product_samples=3)
+    assert empty.passed and empty.products_checked == 0 and empty.sampled_short == (0, 3)
     loops = digraph([(0, 0), (1, 1)])
     reached = verify_assignment(loops, K2, lift_classical({0: "k0", 1: "k1"}), 0, product_samples=5)
     assert reached.products_checked == 5 and reached.sampled_short is None

@@ -23,6 +23,7 @@ from chromagap.relstruct import (
     find_homomorphism,
     gaifman_distance,
     independence_number,
+    is_bipartite,
     relabel,
     symmetrize,
 )
@@ -32,6 +33,7 @@ from helpers import (
     random_digraph,
     random_structure,
     reference_check_homomorphism,
+    reference_gaifman_distance,
     reference_search_homomorphisms,
 )
 
@@ -176,6 +178,33 @@ def test_gaifman_metric_triangle_inequality():
                     dvw = gaifman_distance(X, v, w)
                     duw = gaifman_distance(X, u, w)
                     assert duw <= duv + dvw
+
+
+def test_gaifman_distance_matches_reference():
+    rng = random.Random(6)
+    for _ in range(40):
+        X = random_digraph(rng, 6, 6)
+        for u in X.domain:
+            for v in X.domain:
+                assert gaifman_distance(X, u, v) == reference_gaifman_distance(X, u, v)
+
+
+def test_is_bipartite_matches_k2_search():
+    """Random digraphs with loops, isolated vertices and several components
+    against the homomorphism search to K2 of their symmetrisation."""
+    rng = random.Random(8)
+    K2 = clique(2)
+    kinds = {"loop": 0, "isolated": 0, "components": 0, "bipartite": 0, "odd": 0}
+    for trial in range(400):
+        G = random_digraph(rng, 8, 9) if trial % 4 else random_digraph(rng, 16, 16)
+        expected = find_homomorphism(symmetrize(G), K2) is not None
+        assert is_bipartite(G) == expected
+        adj = G.gaifman_adjacency()
+        kinds["loop"] += any(a == b for a, b in G.relations["E"])
+        kinds["isolated"] += any(not adj[v] for v in G.domain)
+        kinds["components"] += not diameter_and_connectivity(G)[0]
+        kinds["bipartite" if expected else "odd"] += 1
+    assert min(kinds.values()) >= 20, kinds
 
 
 def test_diameter_and_connectivity():
