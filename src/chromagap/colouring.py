@@ -52,15 +52,13 @@ def line_digraph(X: RelStructure) -> RelStructure:
     """Vertices are the edges of X; (e, f) is an edge when e ends where f
     starts."""
     sym = X.graph_symbol()
-    edges = sorted(X.relations[sym], key=lambda t: (X.index(t[0]), X.index(t[1])))
+    edges = X.ordered(sym)
     by_tail: dict = {}
     for e in edges:
         by_tail.setdefault(e[0], []).append(e)
-    new_edges = []
-    for e in edges:
-        for f in by_tail.get(e[1], ()):
-            new_edges.append((e, f))
-    return RelStructure(GRAPH_SIGNATURE, edges, {sym: new_edges})
+    # edges in canonical order give the (e, f) pairs in canonical order
+    new_edges = [(e, f) for e in edges for f in by_tail.get(e[1], ())]
+    return RelStructure._trusted(X.signature, edges, {sym: new_edges})
 
 
 def alpha_beta(n: int) -> tuple[int, int]:
@@ -283,14 +281,9 @@ def eta_apply(
     # them, which keeps the edge set light at full scale
     by_x = {x: [(x, z) for z in range(z_count)] for x in inst.variables}
     vertices = [v for x in inst.variables for v in by_x[x]]
-    var_pos = {x: i for i, x in enumerate(inst.variables)}
     edges = []
     for name in ctx.symbols:
-        for scope in sorted(
-            ctx.variable_structure.relations[name],
-            key=lambda t: tuple(var_pos[v] for v in t),
-        ):
-            x, xp = scope
+        for x, xp in ctx.variable_structure.ordered(name):
             left, right = by_x[x], by_x[xp]
             for z, zp in ctx.pair_lists[name]:
                 edges.append((left[z], right[zp]))

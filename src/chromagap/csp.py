@@ -436,7 +436,7 @@ def from_structures(
     scopes = []
     ws = [] if weights is not None else None
     for name in X.signature.names():
-        for t in sorted(X.relations[name], key=lambda t: tuple(X.index(v) for v in t)):
+        for t in X.ordered(name):
             scopes.append((t, A.relations[name]))
             if ws is not None:
                 ws.append(Fraction(weights[(name, t)]))

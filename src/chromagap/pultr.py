@@ -19,12 +19,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Hashable, Mapping, Optional, Sequence
 
 from .qop import PMatrix, QuantumAssignment, _ProductCache
 from .relstruct import (
     RelStructure,
     Signature,
+    SignatureMismatch,
+    UnknownVertex,
     _search_homomorphisms,
     check_homomorphism,
     diameter_and_connectivity,
@@ -223,7 +226,7 @@ def lambda_quotient(template: PultrTemplate, X: RelStructure) -> LambdaQuotient:
             add(("A", x, a))
     for name, arity in template.tau.symbols:
         bdom = template.B[name].domain
-        for xt in sorted(X.relations[name], key=lambda t: tuple(X.index(v) for v in t)):
+        for xt in X.ordered(name):
             for b in bdom:
                 add(("B", name, xt, b))
     uf = _UnionFind(len(tags))
@@ -337,16 +340,13 @@ def _gamma_products(
                 f"copy projectors over {x!r} do not commute; "
                 f"declared level {assignment.k} is insufficient"
             )
+        index = gy._index  # label tuples over present labels, in gy's order
         fam_out: dict = {}
-        for h in gy.domain:
+        for _, h in sorted((index[h], h) for h in itertools.product(*fams) if h in index):
             prod: Optional[PMatrix] = None
-            ok = True
             for fam, y in zip(fams, h):
-                if y not in fam:
-                    ok = False
-                    break
                 prod = fam[y] if prod is None else prod @ fam[y]
-            if ok and prod is not None and not prod.is_zero():
+            if prod is not None and not prod.is_zero():
                 fam_out[h] = prod
         pvms[x] = fam_out
     return QuantumAssignment(assignment.dim, k, pvms)
@@ -509,7 +509,7 @@ def gamma_functor(
     a_index = {a: i for i, a in enumerate(template.A.domain)}
     for name, _ in template.tau.symbols:
         plan = _gluing_plan(template, name, a_index)
-        for ht in gx.relations[name]:
+        for ht in gx.ordered(name):
             ell = _gadget_witness(template, name, ht, X, plan)
             for j, ai, b in plan[0]:
                 if ell[b] != ht[j][ai]:
@@ -523,7 +523,9 @@ def _gluing_plan(template: PultrTemplate, name: str, a_index: dict) -> tuple:
     """The gluing of symbol `name`, found once per symbol: the pairs (j,
     a-index, b) in eps order, each forcing b to ht[j][a-index] for a tau-tuple
     ht; the index pairs ((j, ai), (j', ai')) of a later pair on an already
-    forced b and its first pair, where ht must agree; the unforced vertices."""
+    forced b and its first pair, where ht must agree; the unforced vertices;
+    the place (j, ai) of each forced gadget vertex in domain order (None if
+    free); per symbol, a reader of each gadget tuple's image off those."""
     pairs = [(j, a_index[a], b) for j, m in enumerate(template.eps[name]) for a, b in m.items()]
     first: dict = {}
     agree = []
@@ -532,8 +534,16 @@ def _gluing_plan(template: PultrTemplate, name: str, a_index: dict) -> tuple:
             agree.append((first[b], (j, ai)))
         else:
             first[b] = (j, ai)
-    free = [b for b in template.B[name].domain if b not in first]
-    return pairs, agree, free
+    bt = template.B[name]
+    free = [b for b in bt.domain if b not in first]
+    readers = [(r, [_reader(bt, t) for t in bt.ordered(r)]) for r in bt.signature.names()]
+    return pairs, agree, free, [first.get(b) for b in bt.domain], readers
+
+
+def _reader(bt: RelStructure, t: tuple):
+    """Reads the image of the tuple t of bt off the images of bt's domain."""
+    ps = tuple(map(bt.index, t))
+    return itemgetter(*ps) if len(ps) > 1 else lambda image: (image[ps[0]],)
 
 
 def _gadget_witness(template: PultrTemplate, name: str, ht: tuple, X: RelStructure, plan: tuple):
@@ -542,17 +552,27 @@ def _gadget_witness(template: PultrTemplate, name: str, ht: tuple, X: RelStructu
     witness exists.  Vertices covered by eps images are forced; the rest are
     found by a search with the forced values fixed, so the witness is the
     canonically-least homomorphism extending them.  `plan` is
-    `_gluing_plan(template, name, a_index)`."""
-    pairs, agree, free = plan
+    `_gluing_plan(template, name, a_index)`; with nothing free, the forced
+    map is checked as `check_homomorphism` would, read off ht by place."""
+    pairs, agree, free, places, readers = plan
     for (i, ai), (j, aj) in agree:
         if ht[i][ai] != ht[j][aj]:
             raise WellDefinednessViolation(f"incompatible eps images while gluing {name!r}")
     bt = template.B[name]
-    forced = {b: ht[j][ai] for j, ai, b in pairs}
     if not free:
-        if not check_homomorphism(forced, bt, X):
-            raise WellDefinednessViolation(f"no gadget witness for {name!r} tuple")
-        return forced
+        if bt.signature is not X.signature and bt.signature != X.signature:
+            raise SignatureMismatch("structures have different signatures")
+        image = [ht[j][ai] for j, ai in places]
+        for y in image:
+            if y not in X._index:
+                raise UnknownVertex(repr(y))
+        for rname, reads in readers:
+            rel = X.relations[rname]
+            for read in reads:
+                if read(image) not in rel:
+                    raise WellDefinednessViolation(f"no gadget witness for {name!r} tuple")
+        return dict(zip(bt.domain, image))
+    forced = {b: ht[j][ai] for j, ai, b in pairs}
     for h in _search_homomorphisms(bt, X, fixed=forced, limit=1):
         return h
     raise WellDefinednessViolation(f"no gadget witness for {name!r} tuple")

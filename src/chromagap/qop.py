@@ -578,7 +578,7 @@ def verify_assignment(
             for x, fam in assignment.pvms.items()
         }
         fams = [dict(items) for items in family_id]
-        keys = Counter((name, *map(fid.__getitem__, t)) for name, t in X.all_tuples())
+        keys = Counter((s, *map(fid.__getitem__, t)) for s, ts in X.relations.items() for t in ts)
         total = 0
         for (name, *ids), n in keys.items():
             fs = [fams[i] for i in ids]

@@ -85,10 +85,12 @@ class RelStructure:
     The domain order is canonical: searches and enumerations iterate vertices
     in this order, which makes every result of this module reproducible.
     Relation sets are duplicate-free; constraint multiplicity belongs to CSP
-    instances, not to structures.
+    instances, not to structures.  `relations` holds frozensets for
+    membership; `ordered` lists the same tuples in the canonical tuple order
+    (lexicographic by domain index), and order-sensitive walks read it.
     """
 
-    __slots__ = ("signature", "domain", "relations", "_index", "_gaifman", "_supports")
+    __slots__ = ("signature", "domain", "relations", "_index", "_ordered", "_gaifman", "_supports")
 
     def __init__(
         self,
@@ -97,14 +99,8 @@ class RelStructure:
         relations: Mapping[str, Iterable[tuple]],
     ) -> None:
         self.signature = signature
-        dom: list[Vertex] = []
-        seen = set()
-        for v in domain:
-            if v not in seen:
-                seen.add(v)
-                dom.append(v)
-        self.domain = tuple(dom)
-        self._index = {v: i for i, v in enumerate(self.domain)}
+        self.domain = tuple(dict.fromkeys(domain))
+        self._index = index = {v: i for i, v in enumerate(self.domain)}
         rels: dict[str, frozenset] = {}
         for name, arity in signature.symbols:
             tuples = frozenset(tuple(t) for t in relations.get(name, ()))
@@ -112,15 +108,29 @@ class RelStructure:
                 if len(t) != arity:
                     raise ValueError(f"tuple {t!r} has wrong arity for {name!r}")
                 for entry in t:
-                    if entry not in seen:
+                    if entry not in index:
                         raise ValueError(f"tuple entry {entry!r} not in domain")
             rels[name] = tuples
         unknown = set(relations) - set(signature.names())
         if unknown:
             raise ValueError(f"relations for unknown symbols: {sorted(map(str, unknown))}")
         self.relations = rels
+        self._ordered: dict = {}
         self._gaifman: Optional[dict] = None
         self._supports: dict = {}
+
+    @classmethod
+    def _trusted(cls, signature: Signature, domain: tuple, ordered: Mapping) -> "RelStructure":
+        """A structure from checked parts: `domain` duplicate-free, and per
+        symbol a duplicate-free list of tuples over it, of the symbol's arity,
+        already in the canonical tuple order.  Nothing is checked again."""
+        self = cls.__new__(cls)
+        self.signature, self.domain = signature, domain
+        self._index = {v: i for i, v in enumerate(domain)}
+        self._ordered = {name: tuple(ordered[name]) for name in signature.names()}
+        self.relations = {name: frozenset(ts) for name, ts in self._ordered.items()}
+        self._gaifman, self._supports = None, {}
+        return self
 
     def index(self, v: Vertex) -> int:
         try:
@@ -131,12 +141,17 @@ class RelStructure:
     def __contains__(self, v: Vertex) -> bool:
         return v in self._index
 
-    def tuples(self, name: str) -> frozenset:
-        return self.relations[name]
+    def ordered(self, name: str) -> tuple:
+        """The tuples of `name` in the canonical tuple order, sorted on first use."""
+        if name not in self._ordered:
+            ix = self._index.__getitem__
+            ts = sorted(self.relations[name], key=lambda t: tuple(map(ix, t)))
+            self._ordered[name] = tuple(ts)
+        return self._ordered[name]
 
     def all_tuples(self) -> Iterable[tuple[str, tuple]]:
         for name in self.signature.names():
-            for t in self.relations[name]:
+            for t in self.ordered(name):
                 yield name, t
 
     def __eq__(self, other: object) -> bool:
@@ -159,13 +174,22 @@ class RelStructure:
     def gaifman_adjacency(self) -> dict:
         """Adjacency lists of the Gaifman graph (co-occurrence in a tuple)."""
         if self._gaifman is None:
-            adj: dict = {v: set() for v in self.domain}
-            for _, t in self.all_tuples():
-                for a in t:
-                    for b in t:
-                        if a != b:
-                            adj[a].add(b)
-            self._gaifman = {v: tuple(sorted(ns, key=self.index)) for v, ns in adj.items()}
+            # neighbours as domain indexes, repeats allowed, sorted as ints
+            idx, dom = self._index, self.domain
+            adj: list = [[] for _ in dom]
+            for name, arity in self.signature.symbols:
+                if arity == 2:
+                    for a, b in self.relations[name]:
+                        i, j = idx[a], idx[b]
+                        if i != j:
+                            adj[i].append(j)
+                            adj[j].append(i)
+                    continue
+                for t in self.relations[name]:
+                    its = [idx[v] for v in t]
+                    for i in its:
+                        adj[i].extend(j for j in its if j != i)
+            self._gaifman = {v: tuple([dom[j] for j in sorted(set(a))]) for v, a in zip(dom, adj)}
         return self._gaifman
 
     # -- support index -------------------------------------------------
@@ -179,10 +203,9 @@ class RelStructure:
         """
         index = self._supports.get(name)
         if index is None:
-            idx = self._index
             arity = self.signature.arity(name)
             by_pos: list = [{} for _ in range(arity)]
-            for t in sorted(self.relations[name], key=lambda t: [idx[v] for v in t]):
+            for t in self.ordered(name):
                 for p, v in enumerate(t):
                     by_pos[p].setdefault(v, []).append(t[1 - p] if arity == 2 else t)
             index = tuple({v: tuple(s) for v, s in m.items()} for m in by_pos)
@@ -600,12 +623,7 @@ def digraph(edges: Iterable[tuple], domain: Optional[Iterable[Vertex]] = None) -
     """Convenience constructor for a single-binary-symbol structure."""
     edges = [tuple(e) for e in edges]
     if domain is None:
-        seen: list = []
-        for a, b in edges:
-            for v in (a, b):
-                if v not in seen:
-                    seen.append(v)
-        domain = seen
+        domain = dict.fromkeys(v for e in edges for v in e)
     return RelStructure(GRAPH_SIGNATURE, domain, {"E": edges})
 
 
@@ -614,9 +632,7 @@ def relabel(X: RelStructure, prefix: str = "n") -> tuple[RelStructure, dict]:
     returns the renamed structure and the old-to-new map.  Deeply nested
     vertex names from iterated constructions stay cheap this way."""
     mapping = {v: f"{prefix}{i}" for i, v in enumerate(X.domain)}
-    relations = {
-        name: [tuple(mapping[v] for v in t) for t in X.relations[name]]
-        for name, _ in X.signature.symbols
-    }
-    renamed = RelStructure(X.signature, [mapping[v] for v in X.domain], relations)
-    return renamed, mapping
+    image = mapping.__getitem__
+    # the renaming keeps every domain index, so it keeps the tuple order
+    ordered = {n: [tuple(map(image, t)) for t in X.ordered(n)] for n in X.signature.names()}
+    return RelStructure._trusted(X.signature, tuple(mapping.values()), ordered), mapping

@@ -11,7 +11,9 @@ only the product routine, through `transfer_gamma`, with `gamma_functor`),
 and the reference eta-stage layers (faithful transfer, left functor,
 verifier, eta pair lists) work tag by tag, vertex by vertex and tuple by
 tuple.  The reference graph walks are the per-caller BFS loops that the
-shared Gaifman BFS in `relstruct` replaced.
+shared Gaifman BFS in `relstruct` replaced, and the reference builders
+(line digraph, relabelling, Gaifman adjacency, Gamma products, gadget
+witness) are those from before structures kept a canonical tuple order.
 """
 
 from __future__ import annotations
@@ -1000,3 +1002,104 @@ def random_csp_instance(rng: random.Random, arity: int, max_variables: int = 6) 
         constraints.append((scope, allowed))
     weights = [rng.randint(1, 3) for _ in constraints]
     return CspInstance(variables, alphabet, constraints, weights)
+
+
+# -- reference builders ----------------------------------------------------------
+# The builders as they were before structures kept a canonical tuple order:
+# each validates its output through the public constructor, sorts by domain
+# index on its own, or scans the whole candidate domain.  The gadget witness
+# re-checks the forced map with `check_homomorphism`; it reads the first three
+# parts of the gluing plan, which is all it read then.
+
+
+def reference_line_digraph(X: RelStructure) -> RelStructure:
+    """Vertices are the edges of X; (e, f) is an edge when e ends where f
+    starts."""
+    sym = X.graph_symbol()
+    edges = sorted(X.relations[sym], key=lambda t: (X.index(t[0]), X.index(t[1])))
+    by_tail: dict = {}
+    for e in edges:
+        by_tail.setdefault(e[0], []).append(e)
+    new_edges = []
+    for e in edges:
+        for f in by_tail.get(e[1], ()):
+            new_edges.append((e, f))
+    return RelStructure(GRAPH_SIGNATURE, edges, {sym: new_edges})
+
+
+def reference_relabel(X: RelStructure, prefix: str = "n") -> tuple[RelStructure, dict]:
+    """Rename vertices to compact prefix+index strings (domain order);
+    returns the renamed structure and the old-to-new map.  Deeply nested
+    vertex names from iterated constructions stay cheap this way."""
+    mapping = {v: f"{prefix}{i}" for i, v in enumerate(X.domain)}
+    relations = {
+        name: [tuple(mapping[v] for v in t) for t in X.relations[name]]
+        for name, _ in X.signature.symbols
+    }
+    renamed = RelStructure(X.signature, [mapping[v] for v in X.domain], relations)
+    return renamed, mapping
+
+
+def reference_gaifman_adjacency(X: RelStructure) -> dict:
+    """Adjacency lists of the Gaifman graph (co-occurrence in a tuple)."""
+    adj: dict = {v: set() for v in X.domain}
+    for _, t in X.all_tuples():
+        for a in t:
+            for b in t:
+                if a != b:
+                    adj[a].add(b)
+    return {v: tuple(sorted(ns, key=X.index)) for v, ns in adj.items()}
+
+
+def reference_gamma_products(
+    X: RelStructure, gy: RelStructure, assignment: QuantumAssignment, k: int, copies
+) -> QuantumAssignment:
+    """W[x, h] for x in X and h in gy: the product, in the canonical order
+    of A, of the families of the variables copies(x) at the labels of h."""
+    cache = qop._ProductCache()
+    pvms: dict = {}
+    for x in X.domain:
+        fams = [_present(assignment, v) for v in copies(x)]
+        mats = [m for fam in fams for m in fam.values()]
+        if not all(
+            cache.commute(ma, mb) for ma, mb in itertools.combinations(mats, 2)
+        ):
+            raise pultr.CompatibilityTooLow(
+                f"copy projectors over {x!r} do not commute; "
+                f"declared level {assignment.k} is insufficient"
+            )
+        fam_out: dict = {}
+        for h in gy.domain:
+            prod: Optional[PMatrix] = None
+            ok = True
+            for fam, y in zip(fams, h):
+                if y not in fam:
+                    ok = False
+                    break
+                prod = fam[y] if prod is None else prod @ fam[y]
+            if ok and prod is not None and not prod.is_zero():
+                fam_out[h] = prod
+        pvms[x] = fam_out
+    return QuantumAssignment(assignment.dim, k, pvms)
+
+
+def reference_gadget_witness(template: PultrTemplate, name: str, ht: tuple, X: RelStructure, plan: tuple):
+    """A homomorphism ell: B_T -> X with ell o eps_i equal to the i-th
+    component of the tau-tuple ht of Gamma X; ht is in the relation, so a
+    witness exists.  Vertices covered by eps images are forced; the rest are
+    found by a search with the forced values fixed, so the witness is the
+    canonically-least homomorphism extending them.  `plan` is
+    `_gluing_plan(template, name, a_index)`."""
+    pairs, agree, free = plan[:3]
+    for (i, ai), (j, aj) in agree:
+        if ht[i][ai] != ht[j][aj]:
+            raise pultr.WellDefinednessViolation(f"incompatible eps images while gluing {name!r}")
+    bt = template.B[name]
+    forced = {b: ht[j][ai] for j, ai, b in pairs}
+    if not free:
+        if not relstruct.check_homomorphism(forced, bt, X):
+            raise pultr.WellDefinednessViolation(f"no gadget witness for {name!r} tuple")
+        return forced
+    for h in relstruct._search_homomorphisms(bt, X, fixed=forced, limit=1):
+        return h
+    raise pultr.WellDefinednessViolation(f"no gadget witness for {name!r} tuple")

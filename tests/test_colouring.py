@@ -23,6 +23,8 @@ from chromagap.pultr import left_apply, template_predicates
 from chromagap.qop import PMatrix, QuantumAssignment, lift_classical, mermin_peres, verify_assignment
 from chromagap.relstruct import (
     ABOVE_CAP,
+    GRAPH_SIGNATURE,
+    RelStructure,
     chromatic_number,
     clique,
     digraph,
@@ -34,6 +36,7 @@ from helpers import (
     random_digraph,
     reference_eta_pair_lists,
     reference_left_apply,
+    reference_line_digraph,
     reference_transfer_lambda,
 )
 
@@ -56,6 +59,27 @@ def test_line_digraph_symmetrized_k2():
         (("a", "b"), ("b", "a")),
         (("b", "a"), ("a", "b")),
     }
+
+
+def test_line_digraph_matches_reference():
+    """Same domain, relations and canonical tuple order as the reference
+    built through the public constructor, on digraphs with loops, isolated
+    vertices and a domain order unlike the vertex names' own order, and on
+    iterated line digraphs."""
+    rng = random.Random(41)
+    seen_loop = False
+    for case in range(200):
+        X = random_digraph(rng, 7, 16)
+        names = list(reversed(X.domain)) + ["iso"]
+        X = RelStructure(GRAPH_SIGNATURE, names, X.relations)
+        if case % 10 == 0:
+            X = line_digraph(X)
+        got, expected = line_digraph(X), reference_line_digraph(X)
+        assert got.domain == expected.domain and got.relations == expected.relations
+        index = expected.index
+        assert list(got.ordered("E")) == sorted(expected.relations["E"], key=lambda t: tuple(map(index, t)))
+        seen_loop |= any(a == b for a, b in X.relations["E"])
+    assert seen_loop
 
 
 def test_alpha_beta_values():

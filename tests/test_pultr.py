@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -38,7 +39,10 @@ from helpers import (
     random_digraph,
     random_faithful_template,
     random_template,
+    random_structure,
+    reference_gadget_witness,
     reference_gamma_functor,
+    reference_gamma_products,
     reference_left_apply,
     reference_transfer_lambda,
     structure_with_hom_from,
@@ -551,6 +555,17 @@ def test_gamma_functor_rejects_a_wrong_witness(monkeypatch, vertex):
             functor(linedigraph_template(), X, clique(3), lift, 1)
 
 
+def test_gamma_functor_names_the_first_tuple_in_canonical_order(monkeypatch):
+    """A witness wrong on every tau-tuple of the 80 of Gamma K5: the error
+    names the first one in the canonical tuple order, whatever the hash seed."""
+    X = digraph([(f"v{i}", f"v{j}") for i in range(5) for j in range(5) if i != j])
+    lift = lift_classical(find_homomorphism(X, clique(5)))
+    first = line_digraph(X).ordered("E")[0]
+    monkeypatch.setattr(pultr, "_gadget_witness", _wrong_witness_at("b3"))
+    with pytest.raises(WellDefinednessViolation, match=re.escape(f"tuple {first!r},")):
+        gamma_functor(linedigraph_template(), X, clique(5), lift, 1)
+
+
 def test_gamma_functor_rejects_a_disconnected_template_before_enumerating(monkeypatch):
     rho = GRAPH_SIGNATURE
     line = linedigraph_template()
@@ -657,3 +672,89 @@ def test_left_apply_matches_reference():
         assert got.domain == want.domain
         assert got.relations == want.relations
         assert all(list(got.relations[r]) == list(want.relations[r]) for r in got.relations)
+
+
+def _glued_template(rng) -> PultrTemplate:
+    """Every gadget vertex an eps image: copies of a random A over arity-1, 2
+    and 3 symbols, glued at random vertex pairs."""
+    rho = Signature((("U", 1), ("E", 2), ("R", 3)))
+    A = random_structure(rng, rho, 3)
+    arity = rng.randint(1, 3)
+    copies = [[(i, a) for a in A.domain] for i in range(arity)]
+    merged = {v: v for copy in copies for v in copy}
+    for _ in range(rng.randint(0, 2)):
+        kept, glued = rng.choice(rng.choice(copies)), rng.choice(rng.choice(copies))
+        merged[glued] = merged[kept]
+    maps = tuple({a: merged[(i, a)] for a in A.domain} for i in range(arity))
+    relations = {
+        name: {tuple(m[a] for a in t) for m in maps for t in A.relations[name]}
+        for name, _ in rho.symbols
+    }
+    B = RelStructure(rho, [merged[v] for copy in copies for v in copy], relations)
+    tau = Signature((("S", arity),))
+    return PultrTemplate(rho, tau, A, {"S": B}, {"S": maps})
+
+
+def _witness_outcome(witness, *args):
+    try:
+        return witness(*args)
+    except Exception as exc:  # compared by type and message across the two paths
+        return type(exc), str(exc)
+
+
+def test_gadget_witness_matches_check_homomorphism_reference():
+    """With every gadget vertex forced, the check read through the gluing
+    plan gives the reference's witness or its exception, message and all:
+    tuples that disagree on a glued vertex, unknown vertices, tuples outside
+    X's relations, and a target over another signature."""
+    rng = random.Random(51)
+    kinds = set()
+    for case in range(300):
+        template = linedigraph_template() if case % 5 == 0 else _glued_template(rng)
+        name = template.tau.symbols[0][0]
+        X = random_structure(rng, template.rho, 4)
+        if case % 7 == 0:
+            other = Signature(tuple((n + "'", ar) for n, ar in template.rho.symbols))
+            X = RelStructure(other, X.domain, {n + "'": ts for n, ts in X.relations.items()})
+        plan = pultr._gluing_plan(template, name, {a: i for i, a in enumerate(template.A.domain)})
+        assert not plan[2]
+        bt = template.B[name]
+        for _ in range(8):
+            g = {b: rng.choice(X.domain + ("unknown",) * (rng.random() < 0.2)) for b in bt.domain}
+            ht = [[g[m[a]] for a in template.A.domain] for m in template.eps[name]]
+            if rng.random() < 0.2:
+                row = rng.choice(ht)
+                row[rng.randrange(len(row))] = rng.choice(X.domain)
+            ht = tuple(map(tuple, ht))
+            expected = _witness_outcome(reference_gadget_witness, template, name, ht, X, plan)
+            assert _witness_outcome(pultr._gadget_witness, template, name, ht, X, plan) == expected
+            kinds.add("witness" if isinstance(expected, dict) else expected[1].split(" ")[0])
+    assert kinds == {"witness", "incompatible", "'unknown'", "no", "structures"}
+
+
+def test_gamma_products_matches_reference():
+    """Same products in the same order, as ordered items, or the same
+    exception, as the reference that scans all of gy per vertex: dim-2
+    families that share labels, copies that repeat a variable, and copy
+    projectors in two bases that need not commute."""
+    rng = random.Random(52)
+    kinds = set()
+    for case in range(150):
+        template = linedigraph_template() if case % 2 else random_template(rng)
+        Y = random_digraph(rng, 4, 9)
+        gy = central_apply(template, Y)
+        X = random_digraph(rng, 4, 3)
+        bases = [STANDARD] if rng.random() < 0.6 else [STANDARD, HADAMARD]
+        assignment = _dim2_assignment(rng, X, Y, bases) if len(Y.domain) > 1 else lift_classical(
+            {x: Y.domain[0] for x in X.domain}
+        )
+        copies = {x: [rng.choice(X.domain) for _ in template.A.domain] for x in X.domain}
+        k = rng.randint(0, 2)
+        args = (X, gy, assignment, k, copies.__getitem__)
+        expected = _outcome(reference_gamma_products, *args)
+        assert _outcome(pultr._gamma_products, *args) == expected
+        if isinstance(expected, type):
+            kinds.add(expected)
+        else:  # whether some vertex has two products, whose order then shows
+            kinds.add(max(len(fam) for _, fam in expected[2]) > 1)
+    assert kinds == {True, False, CompatibilityTooLow}

@@ -1,5 +1,8 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -135,12 +138,35 @@ def test_lift_classical_verifies_at_any_level():
         assert verify_assignment(C5, K3, lift, k).passed
 
 
+def test_failing_verification_is_the_same_under_every_hash_seed():
+    """A constant colouring of K12 into K3 violates every edge; the report,
+    witnesses and their order included, must not depend on PYTHONHASHSEED."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = (
+        "from chromagap.qop import lift_classical, verify_assignment\n"
+        "from chromagap.relstruct import clique\n"
+        "X = clique(12)\n"
+        "f = lift_classical(dict.fromkeys(X.domain, 'k0'))\n"
+        "print(repr(verify_assignment(X, clique(3), f, 0)))"
+    )
+    reports = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), PYTHONHASHSEED=seed)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        reports.append(proc.stdout)
+    assert "product('E', ('k0', 'k1'), ('k0', 'k0'))" in reports[0]
+    assert reports[0] == reports[1]
+
+
 def test_sampled_verification_flags_a_short_sample():
     """One forbidden check in a thousand: 10 draws need about 10,000
     attempts, more than the sampler's 400n + 1000 = 5,000, so it falls short
     and says so, as does a sample with no scope tuple to draw from; a sample
-    that reaches its count, one cut by the witness cap and a full sweep do
-    not."""
+    that reaches its count, one cut by the witness cap (on loops, where every
+    draw is forbidden) and a full sweep do not."""
     X = digraph([(i, i + 1) for i in range(999)] + [(0, 0)])
     lift = lift_classical({v: f"k{v % 2}" for v in X.domain})
     K2 = clique(2)
@@ -155,7 +181,9 @@ def test_sampled_verification_flags_a_short_sample():
     reached = verify_assignment(loops, K2, lift_classical({0: "k0", 1: "k1"}), 0, product_samples=5)
     assert reached.products_checked == 5 and reached.sampled_short is None
     assert reached.summary().endswith(" [sampled]")
-    capped = verify_assignment(X, K2, lift, 0, product_samples=10, max_witnesses=1)
+    capped = verify_assignment(
+        loops, K2, lift_classical({0: "k0", 1: "k1"}), 0, product_samples=10, max_witnesses=1
+    )
     assert capped.sampled_short is None and capped.products_checked == 2
     full = verify_assignment(X, K2, lift, 0)
     assert full.sampled_short is None and full.summary().endswith("commutators=0 (viol 0)")

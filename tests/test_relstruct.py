@@ -33,7 +33,9 @@ from helpers import (
     random_digraph,
     random_structure,
     reference_check_homomorphism,
+    reference_gaifman_adjacency,
     reference_gaifman_distance,
+    reference_relabel,
     reference_search_homomorphisms,
 )
 
@@ -416,3 +418,60 @@ def test_check_homomorphism_matches_reference():
         assert outcome == _check_outcome(reference_check_homomorphism, f, X, Y)
         seen.add(outcome if isinstance(outcome, bool) else outcome[0])
     assert seen == {True, False, SignatureMismatch, PartialMap, UnknownVertex}
+
+
+MIXED_SIGNATURE = Signature((("U", 1), ("E", 2), ("R", 3)))
+
+
+def _random_mixed_structures(seed: int, count: int):
+    """Arity-1, 2 and 3 symbols over up to 7 vertices; repeated draws give
+    loops and tuples that repeat a vertex, and vertex names are mixed types
+    whose own order differs from the domain order."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        X = random_structure(rng, MIXED_SIGNATURE, 7)
+        names = rng.sample([9, "a", (1, 0), "z", 3, ("b",), 0], len(X.domain))
+        rename = dict(zip(X.domain, names))
+        yield RelStructure(
+            MIXED_SIGNATURE,
+            names,
+            {name: {tuple(rename[v] for v in t) for t in ts} for name, ts in X.relations.items()},
+        )
+
+
+def _fresh_sort(X: RelStructure, name: str) -> tuple:
+    return tuple(sorted(X.relations[name], key=lambda t: [X.index(v) for v in t]))
+
+
+def test_ordered_is_the_tuples_sorted_by_domain_index():
+    seen_loop = False
+    for X in _random_mixed_structures(31, 200):
+        for name in X.signature.names():
+            assert X.ordered(name) == _fresh_sort(X, name)
+            assert X.ordered(name) is X.ordered(name)
+            seen_loop |= any(len(set(t)) < len(t) for t in X.relations[name])
+        assert list(X.all_tuples()) == [(n, t) for n in X.signature.names() for t in X.ordered(n)]
+    assert seen_loop
+
+
+def test_relabel_matches_reference():
+    """Same domain, relations and map as the public-constructor reference,
+    and the canonical tuple order of a freshly sorted structure."""
+    for X in _random_mixed_structures(32, 200):
+        got, mapping = relabel(X, "r")
+        expected, expected_map = reference_relabel(X, "r")
+        assert mapping == expected_map and list(mapping) == list(expected_map)
+        assert got.domain == expected.domain and got.relations == expected.relations
+        for name in X.signature.names():
+            assert got.ordered(name) == _fresh_sort(expected, name)
+
+
+def test_gaifman_adjacency_matches_reference():
+    rng = random.Random(33)
+    structures = list(_random_mixed_structures(33, 200))
+    # past 8 vertices a set of neighbour indexes no longer iterates sorted
+    structures += [random_digraph(rng, 24, 60) for _ in range(100)]
+    for X in structures:
+        got = X.gaifman_adjacency()
+        expected = reference_gaifman_adjacency(X)
+        assert list(got.items()) == list(expected.items())
