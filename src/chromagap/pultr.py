@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Hashable, Mapping, Optional, Sequence
+from operator import itemgetter, ne
+from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
 from .qop import PMatrix, QuantumAssignment, _ProductCache
 from .relstruct import (
@@ -346,7 +346,7 @@ def _gamma_products(
             prod: Optional[PMatrix] = None
             for fam, y in zip(fams, h):
                 prod = fam[y] if prod is None else prod @ fam[y]
-            if prod is not None and not prod.is_zero():
+            if prod is not None:  # QuantumAssignment drops the zero products
                 fam_out[h] = prod
         pvms[x] = fam_out
     return QuantumAssignment(assignment.dim, k, pvms)
@@ -381,22 +381,17 @@ def transfer_lambda(
         name: {b: (i, a_index[a]) for i, m in enumerate(template.eps[name]) for a, b in m.items()}
         for name, _ in template.tau.symbols
     }
-    places = {
-        (name, rname): [
-            tuple(map(parts[name].__getitem__, bt)) for bt in template.B[name].relations[rname]
-        ]
-        for name, _ in template.tau.symbols
-        for rname, _ in template.rho.symbols
-    }
+    patterns = {name: _part_patterns(template, name, parts[name]) for name in template.tau.names()}
     hom_cache: dict = {}
 
     def glued_is_hom(name: str, labels: tuple) -> bool:
         key = (name, labels)
         if key not in hom_cache:
             hom_cache[key] = all(
-                tuple([labels[i][ai] for i, ai in ref]) in Y.relations[rname]
-                for rname, _ in template.rho.symbols
-                for ref in places[name, rname]
+                Y.relations[rname].issuperset(
+                    zip(*[map(labels[i].__getitem__, col) for i, col in zip(pattern, columns)])
+                )
+                for rname, pattern, columns in patterns[name]
             )
         return hom_cache[key]
 
@@ -450,6 +445,20 @@ def transfer_lambda(
     return QuantumAssignment(dim, k, pvms)
 
 
+def _part_patterns(template: PultrTemplate, name: str, parts: dict) -> list:
+    """The gadget tuples of B_T grouped by symbol and part pattern: for a
+    pattern (the part i of each position), the A-indexes at each position
+    as one column over its tuples, so a tuple's image under glued labels is
+    labels[i][ai] position by position."""
+    part_of = {b: i for b, (i, _) in parts.items()}.__getitem__
+    ai_of = {b: ai for b, (_, ai) in parts.items()}.__getitem__
+    grouped: dict = {}
+    for rname, _ in template.rho.symbols:
+        for bt in template.B[name].relations[rname]:
+            grouped.setdefault((rname, tuple(map(part_of, bt))), []).append(tuple(map(ai_of, bt)))
+    return [(rname, pattern, list(zip(*ais))) for (rname, pattern), ais in grouped.items()]
+
+
 def lambda_functor(
     template: PultrTemplate,
     X: RelStructure,
@@ -501,6 +510,8 @@ def gamma_functor(
     the counit (A, h, a) -> h(a), (B, T, ht, b) -> ell(b) for a gadget
     witness ell of ht is well defined iff ell(eps_j(a)) == ht[j](a) on
     every pair; the class of (A, h, a) then carries the family of h(a).
+    Both sides of every pair are compared as columns over the tuples; the
+    error names the first tuple in canonical order that breaks a pair.
     `gamma_x`, if given, must equal central_apply(template, X).
     """
     if not template_predicates(template).connected:
@@ -509,13 +520,17 @@ def gamma_functor(
     a_index = {a: i for i, a in enumerate(template.A.domain)}
     for name, _ in template.tau.symbols:
         plan = _gluing_plan(template, name, a_index)
-        for ht in gx.ordered(name):
-            ell = _gadget_witness(template, name, ht, X, plan)
-            for j, ai, b in plan[0]:
-                if ell[b] != ht[j][ai]:
-                    raise WellDefinednessViolation(
-                        f"counit ill-defined: symbol {name!r}, tuple {ht!r}, gadget vertex {b!r}"
-                    )
+        hts = gx.ordered(name)
+        ell = dict(zip(template.B[name].domain, _gadget_witnesses(template, name, hts, X, plan)))
+        failures = [
+            (n, WellDefinednessViolation(
+                f"counit ill-defined: symbol {name!r}, tuple {hts[n]!r}, gadget vertex {b!r}"
+            ))
+            for j, ai, b in plan[0]
+            if (n := _first_difference(ell[b], _place_column(hts, j, ai))) is not None
+        ]
+        if failures:
+            raise _first_failure(failures)
     return _gamma_products(gx, central_apply(template, Y), assignment, k, lambda h: h)
 
 
@@ -525,7 +540,7 @@ def _gluing_plan(template: PultrTemplate, name: str, a_index: dict) -> tuple:
     ht; the index pairs ((j, ai), (j', ai')) of a later pair on an already
     forced b and its first pair, where ht must agree; the unforced vertices;
     the place (j, ai) of each forced gadget vertex in domain order (None if
-    free); per symbol, a reader of each gadget tuple's image off those."""
+    free); per symbol, the domain positions of each gadget tuple."""
     pairs = [(j, a_index[a], b) for j, m in enumerate(template.eps[name]) for a, b in m.items()]
     first: dict = {}
     agree = []
@@ -536,43 +551,79 @@ def _gluing_plan(template: PultrTemplate, name: str, a_index: dict) -> tuple:
             first[b] = (j, ai)
     bt = template.B[name]
     free = [b for b in bt.domain if b not in first]
-    readers = [(r, [_reader(bt, t) for t in bt.ordered(r)]) for r in bt.signature.names()]
-    return pairs, agree, free, [first.get(b) for b in bt.domain], readers
+    shapes = [(r, [tuple(map(bt.index, t)) for t in bt.ordered(r)]) for r in bt.signature.names()]
+    return pairs, agree, free, [first.get(b) for b in bt.domain], shapes
 
 
-def _reader(bt: RelStructure, t: tuple):
-    """Reads the image of the tuple t of bt off the images of bt's domain."""
-    ps = tuple(map(bt.index, t))
-    return itemgetter(*ps) if len(ps) > 1 else lambda image: (image[ps[0]],)
+def _place_column(hts: Sequence, j: int, ai: int):
+    """ht[j][ai] over the tau-tuples ht in hts, as an iterator."""
+    return map(itemgetter(ai), map(itemgetter(j), hts))
 
 
-def _gadget_witness(template: PultrTemplate, name: str, ht: tuple, X: RelStructure, plan: tuple):
-    """A homomorphism ell: B_T -> X with ell o eps_i equal to the i-th
-    component of the tau-tuple ht of Gamma X; ht is in the relation, so a
-    witness exists.  Vertices covered by eps images are forced; the rest are
-    found by a search with the forced values fixed, so the witness is the
+def _first_difference(xs: Iterable, ys: Iterable) -> Optional[int]:
+    """The first position where two columns differ, or None."""
+    return next(itertools.compress(itertools.count(), map(ne, xs, ys)), None)
+
+
+def _gadget_witnesses(
+    template: PultrTemplate, name: str, hts: Sequence, X: RelStructure, plan: tuple
+) -> list:
+    """Gadget witnesses for the tau-tuples hts of Gamma X, as one column per
+    gadget vertex in B_T's domain order: entry n of the column of b is
+    ell(b) for the witness ell of hts[n].  A witness is a homomorphism
+    ell: B_T -> X with ell o eps_i equal to the i-th component of its tuple.
+    Vertices covered by eps images are forced; the rest are found by a
+    search per tuple with the forced values fixed, so each witness is the
     canonically-least homomorphism extending them.  `plan` is
-    `_gluing_plan(template, name, a_index)`; with nothing free, the forced
-    map is checked as `check_homomorphism` would, read off ht by place."""
-    pairs, agree, free, places, readers = plan
-    for (i, ai), (j, aj) in agree:
-        if ht[i][ai] != ht[j][aj]:
-            raise WellDefinednessViolation(f"incompatible eps images while gluing {name!r}")
+    `_gluing_plan(template, name, a_index)`.
+
+    The agreements and, with nothing free, the known images and the image
+    of each gadget tuple in X are checked column-wise.  A failure raises
+    what checking the tuples one at a time, in order, raises first: the
+    first failing tuple, and on it the first failing check."""
+    pairs, agree, free, places, shapes = plan
     bt = template.B[name]
-    if not free:
-        if bt.signature is not X.signature and bt.signature != X.signature:
-            raise SignatureMismatch("structures have different signatures")
-        image = [ht[j][ai] for j, ai in places]
-        for y in image:
-            if y not in X._index:
-                raise UnknownVertex(repr(y))
-        for rname, reads in readers:
-            rel = X.relations[rname]
-            for read in reads:
-                if read(image) not in rel:
-                    raise WellDefinednessViolation(f"no gadget witness for {name!r} tuple")
-        return dict(zip(bt.domain, image))
-    forced = {b: ht[j][ai] for j, ai, b in pairs}
-    for h in _search_homomorphisms(bt, X, fixed=forced, limit=1):
-        return h
-    raise WellDefinednessViolation(f"no gadget witness for {name!r} tuple")
+    if not hts:
+        return [[] for _ in bt.domain]
+    at = {(j, ai): list(_place_column(hts, j, ai)) for j, ai, _ in pairs}
+    failures = []  # (first failing tuple, its error), in the order the checks run on a tuple
+    for p, q in agree:
+        n = _first_difference(at[p], at[q])
+        if n is not None:
+            error = WellDefinednessViolation(f"incompatible eps images while gluing {name!r}")
+            failures.append((n, error))
+    if free:
+        witnesses = []
+        for ht in hts[: min(n for n, _ in failures) if failures else len(hts)]:
+            forced = {b: ht[j][ai] for j, ai, b in pairs}
+            h = next(_search_homomorphisms(bt, X, fixed=forced, limit=1), None)
+            if h is None:
+                raise WellDefinednessViolation(f"no gadget witness for {name!r} tuple")
+            witnesses.append(h)
+        if failures:
+            raise _first_failure(failures)
+        return [list(map(itemgetter(b), witnesses)) for b in bt.domain]
+    image = [at[p] for p in places]
+    if bt.signature is not X.signature and bt.signature != X.signature:
+        failures.append((0, SignatureMismatch("structures have different signatures")))
+        raise _first_failure(failures)
+    known = X._index
+    if not all(map(known.__contains__, itertools.chain.from_iterable(image))):
+        n = min(next((n for n, y in enumerate(col) if y not in known), len(hts)) for col in image)
+        y = next(col[n] for col in image if col[n] not in known)
+        failures.append((n, UnknownVertex(repr(y))))
+    for r, positions in shapes:
+        rel = X.relations[r]
+        for ps in positions:
+            if not rel.issuperset(zip(*map(image.__getitem__, ps))):
+                n = next(n for n, t in enumerate(zip(*map(image.__getitem__, ps))) if t not in rel)
+                error = WellDefinednessViolation(f"no gadget witness for {name!r} tuple")
+                failures.append((n, error))
+    if failures:
+        raise _first_failure(failures)
+    return image
+
+
+def _first_failure(failures: list) -> Exception:
+    """The error of the first failing tuple; on a tie, of the check run first."""
+    return min(failures, key=itemgetter(0))[1]

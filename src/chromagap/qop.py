@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
-from .relstruct import RelStructure, gaifman_balls
+from .relstruct import RelStructure, _columns, gaifman_balls
 
 
 class DimMismatch(Exception):
@@ -532,12 +532,11 @@ def verify_assignment(
 
     cache = _ProductCache()
     product_violations: list[Violation] = []
-    labels_of = {x: tuple(assignment.pvms[x].keys()) for x in X.domain}
 
     def full_sweep():
         for name, t in X.all_tuples():
             rel = Y.relations[name]
-            for combo in itertools.product(*(labels_of[v] for v in t)):
+            for combo in itertools.product(*(assignment.pvms[v] for v in t)):
                 if combo not in rel:
                     yield name, t, combo
 
@@ -547,6 +546,7 @@ def verify_assignment(
         import random
 
         rng = random.Random(seed)
+        labels_of = {x: tuple(fam) for x, fam in assignment.pvms.items()}
         tuples_all = list(X.all_tuples())
         produced = 0
         attempts = 0
@@ -578,7 +578,10 @@ def verify_assignment(
             for x, fam in assignment.pvms.items()
         }
         fams = [dict(items) for items in family_id]
-        keys = Counter((s, *map(fid.__getitem__, t)) for s, ts in X.relations.items() for t in ts)
+        keys: Counter = Counter()
+        for s, arity in X.signature.symbols:
+            columns = [map(fid.__getitem__, c) for c in _columns(X.relations[s], arity)]
+            keys.update(zip(itertools.repeat(s), *columns))
         total = 0
         for (name, *ids), n in keys.items():
             fs = [fams[i] for i in ids]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
 Vertex = Hashable
@@ -103,13 +104,13 @@ class RelStructure:
         self._index = index = {v: i for i, v in enumerate(self.domain)}
         rels: dict[str, frozenset] = {}
         for name, arity in signature.symbols:
-            tuples = frozenset(tuple(t) for t in relations.get(name, ()))
-            for t in tuples:
-                if len(t) != arity:
-                    raise ValueError(f"tuple {t!r} has wrong arity for {name!r}")
-                for entry in t:
-                    if entry not in index:
-                        raise ValueError(f"tuple entry {entry!r} not in domain")
+            given = relations.get(name, ())
+            if iter(given) is given:  # a one-pass iterator is read once, kept for the rescan
+                given = tuple(given)
+            tuples = frozenset(map(tuple, given))
+            if _bad_tuple(tuples, name, arity, index):
+                # only on failure: name the first bad tuple in the order given
+                raise ValueError(_bad_tuple(map(tuple, given), name, arity, index))
             rels[name] = tuples
         unknown = set(relations) - set(signature.names())
         if unknown:
@@ -219,6 +220,24 @@ class RelStructure:
         if not self.is_graph():
             raise NotAGraphSignature(str(self.signature))
         return self.signature.symbols[0][0]
+
+
+def _bad_tuple(tuples: Iterable[tuple], name: str, arity: int, index: Mapping) -> Optional[str]:
+    """Why the first of `tuples`, in iteration order, that has the wrong
+    arity or an entry outside the domain is bad; None if all are good."""
+    for t in tuples:
+        if len(t) != arity:
+            return f"tuple {t!r} has wrong arity for {name!r}"
+        for entry in t:
+            if entry not in index:
+                return f"tuple entry {entry!r} not in domain"
+    return None
+
+
+def _columns(tuples: Iterable[tuple], arity: int) -> list:
+    """One iterator per position over the entries of `tuples` there, all
+    in the iteration order of `tuples`; zip(*columns) gives them back."""
+    return [map(itemgetter(p), tuples) for p in range(arity)]
 
 
 def check_homomorphism(f: Mapping, X: RelStructure, Y: RelStructure) -> bool:
@@ -634,5 +653,8 @@ def relabel(X: RelStructure, prefix: str = "n") -> tuple[RelStructure, dict]:
     mapping = {v: f"{prefix}{i}" for i, v in enumerate(X.domain)}
     image = mapping.__getitem__
     # the renaming keeps every domain index, so it keeps the tuple order
-    ordered = {n: [tuple(map(image, t)) for t in X.ordered(n)] for n in X.signature.names()}
+    ordered = {
+        n: list(zip(*(map(image, column) for column in _columns(X.ordered(n), arity))))
+        for n, arity in X.signature.symbols
+    }
     return RelStructure._trusted(X.signature, tuple(mapping.values()), ordered), mapping

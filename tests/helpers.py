@@ -19,7 +19,10 @@ witness) are those from before structures kept a canonical tuple order.
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from collections import deque
 from fractions import Fraction
 
@@ -41,6 +44,21 @@ from chromagap.relstruct import (
     diameter_and_connectivity,
 )
 from chromagap.pultr import LambdaQuotient, PultrTemplate, TemplateReport, _present, lambda_quotient
+
+
+def run_under_hash_seeds(code: str, seeds) -> list[str]:
+    """The standard output of `code` run by a fresh interpreter under each
+    PYTHONHASHSEED in `seeds`, with the package imported from `src/`."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    outputs = []
+    for seed in seeds:
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), PYTHONHASHSEED=str(seed))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    return outputs
 
 
 def brute_force_hom_exists(X: RelStructure, Y: RelStructure) -> bool:
@@ -451,7 +469,8 @@ def reference_check_homomorphism(f: Mapping, X: RelStructure, Y: RelStructure) -
 # -- reference Gamma functor ------------------------------------------------------
 # The functor action as it was before the counit was checked on gluing pairs:
 # it builds Lambda Gamma X, evaluates the counit on every member of every
-# class, and hands the lifted assignment to transfer_gamma.  The witness is
+# class, and hands the lifted assignment to transfer_gamma.  The witness of
+# each tuple is read through `pultr._gadget_witnesses` on a one-tuple list,
 # looked up on the module, so a test that patches it reaches both paths.
 
 
@@ -483,7 +502,8 @@ def reference_gamma_functor(
         ell = witness_cache.get(key)
         if ell is None:
             plan = pultr._gluing_plan(template, name, a_index)
-            ell = pultr._gadget_witness(template, name, ht, X, plan)
+            columns = pultr._gadget_witnesses(template, name, [ht], X, plan)
+            ell = {b: column[0] for b, column in zip(template.B[name].domain, columns)}
             witness_cache[key] = ell
         return ell[b]
 

@@ -197,6 +197,13 @@ def test_left_apply_reuses_a_given_quotient():
         assert given.relations == plain.relations
 
 
+def _witness(template, name, ht, X, plan):
+    """The gadget witness of one tau-tuple, as a map, read off the columns
+    that `_gadget_witnesses` returns for a one-tuple list."""
+    columns = pultr._gadget_witnesses(template, name, [ht], X, plan)
+    return {b: column[0] for b, column in zip(template.B[name].domain, columns)}
+
+
 def _first_filtered_witness(template, name, ht, X, plan):
     """The gadget witness as the first homomorphism B_T -> X, in canonical
     order, that agrees with the eps images forced by ht."""
@@ -208,6 +215,17 @@ def _first_filtered_witness(template, name, ht, X, plan):
         if all(h[b] == y for b, y in forced.items()):
             return h
     return None
+
+
+def _tuple_by_tuple(witness):
+    """The column form of a one-tuple gadget witness routine: it is run on
+    each tuple in order, so the first tuple that fails raises."""
+
+    def witnesses(template, name, hts, X, plan):
+        ells = [witness(template, name, ht, X, plan) for ht in hts]
+        return [[ell[b] for ell in ells] for b in template.B[name].domain]
+
+    return witnesses
 
 
 def test_gadget_witness_with_free_gadget_vertices():
@@ -241,7 +259,7 @@ def test_gadget_witness_with_free_gadget_vertices():
             X = random_digraph(rng, 5, 9)
             gx = central_apply(template, X)
             for ht in gx.relations["S"]:
-                witness = pultr._gadget_witness(template, "S", ht, X, plan)
+                witness = _witness(template, "S", ht, X, plan)
                 assert witness == _first_filtered_witness(template, "S", ht, X, plan)
                 checked += 1
             with pytest.raises(NotConnected):
@@ -255,15 +273,15 @@ def test_gadget_witness_rejects_tuples_that_disagree_on_a_glued_vertex():
     template = linedigraph_template()
     X = digraph([("a", "b"), ("b", "c"), ("c", "d")])
     plan = pultr._gluing_plan(template, "E", {"a1": 0, "a2": 1})
-    assert pultr._gadget_witness(template, "E", (("a", "b"), ("b", "c")), X, plan) == {
+    assert _witness(template, "E", (("a", "b"), ("b", "c")), X, plan) == {
         "b1": "a",
         "b2": "b",
         "b3": "c",
     }
     with pytest.raises(WellDefinednessViolation, match="incompatible eps images while gluing 'E'"):
-        pultr._gadget_witness(template, "E", (("a", "b"), ("c", "d")), X, plan)
+        _witness(template, "E", (("a", "b"), ("c", "d")), X, plan)
     with pytest.raises(WellDefinednessViolation, match="no gadget witness for 'E' tuple"):
-        pultr._gadget_witness(template, "E", (("a", "b"), ("b", "a")), X, plan)
+        _witness(template, "E", (("a", "b"), ("b", "a")), X, plan)
 
 
 def test_gamma_functor_unchanged_with_filtered_witness(monkeypatch):
@@ -275,7 +293,7 @@ def test_gamma_functor_unchanged_with_filtered_witness(monkeypatch):
         if f is not None:
             cases.append((X, lift_classical(f)))
     outputs = [gamma_functor(linedigraph_template(), X, clique(4), q, 1) for X, q in cases]
-    monkeypatch.setattr(pultr, "_gadget_witness", _first_filtered_witness)
+    monkeypatch.setattr(pultr, "_gadget_witnesses", _tuple_by_tuple(_first_filtered_witness))
     for (X, q), out in zip(cases, outputs):
         again = gamma_functor(linedigraph_template(), X, clique(4), q, 1)
         assert again.pvms == out.pvms and again.k == out.k
@@ -489,16 +507,17 @@ def _outcome(functor, *args, **kwargs):
 
 
 def _wrong_witness_at(vertex):
-    """A gadget witness that is right except at one gadget vertex, where
-    it names another vertex of X."""
-    real = pultr._gadget_witness
+    """Gadget witnesses that are right except in the column of one gadget
+    vertex, where each names another vertex of X."""
+    real = pultr._gadget_witnesses
 
-    def witness(template, name, ht, X, plan):
-        ell = dict(real(template, name, ht, X, plan))
-        ell[vertex] = next(v for v in X.domain if v != ell[vertex])
-        return ell
+    def witnesses(template, name, hts, X, plan):
+        columns = list(real(template, name, hts, X, plan))
+        at = template.B[name].index(vertex)
+        columns[at] = [next(v for v in X.domain if v != y) for y in columns[at]]
+        return columns
 
-    return witness
+    return witnesses
 
 
 def test_gamma_functor_matches_reference(monkeypatch):
@@ -532,7 +551,7 @@ def test_gamma_functor_matches_reference(monkeypatch):
         if len(X.domain) > 1 and line_digraph(X).relations["E"]:
             b = rng.choice(template.B["E"].domain)
             with monkeypatch.context() as patch:
-                patch.setattr(pultr, "_gadget_witness", _wrong_witness_at(b))
+                patch.setattr(pultr, "_gadget_witnesses", _wrong_witness_at(b))
                 assert _outcome(reference_gamma_functor, template, X, Y, assignment, k) is (
                     WellDefinednessViolation
                 )
@@ -549,7 +568,7 @@ def test_gamma_functor_rejects_a_wrong_witness(monkeypatch, vertex):
     second; a witness wrong at any of them makes the counit ill-defined."""
     X = digraph([("a", "b"), ("b", "c"), ("c", "a")])
     lift = lift_classical(find_homomorphism(X, clique(3)))
-    monkeypatch.setattr(pultr, "_gadget_witness", _wrong_witness_at(vertex))
+    monkeypatch.setattr(pultr, "_gadget_witnesses", _wrong_witness_at(vertex))
     for functor in (reference_gamma_functor, gamma_functor):
         with pytest.raises(WellDefinednessViolation):
             functor(linedigraph_template(), X, clique(3), lift, 1)
@@ -561,7 +580,7 @@ def test_gamma_functor_names_the_first_tuple_in_canonical_order(monkeypatch):
     X = digraph([(f"v{i}", f"v{j}") for i in range(5) for j in range(5) if i != j])
     lift = lift_classical(find_homomorphism(X, clique(5)))
     first = line_digraph(X).ordered("E")[0]
-    monkeypatch.setattr(pultr, "_gadget_witness", _wrong_witness_at("b3"))
+    monkeypatch.setattr(pultr, "_gadget_witnesses", _wrong_witness_at("b3"))
     with pytest.raises(WellDefinednessViolation, match=re.escape(f"tuple {first!r},")):
         gamma_functor(linedigraph_template(), X, clique(5), lift, 1)
 
@@ -727,9 +746,58 @@ def test_gadget_witness_matches_check_homomorphism_reference():
                 row[rng.randrange(len(row))] = rng.choice(X.domain)
             ht = tuple(map(tuple, ht))
             expected = _witness_outcome(reference_gadget_witness, template, name, ht, X, plan)
-            assert _witness_outcome(pultr._gadget_witness, template, name, ht, X, plan) == expected
+            assert _witness_outcome(_witness, template, name, ht, X, plan) == expected
             kinds.add("witness" if isinstance(expected, dict) else expected[1].split(" ")[0])
     assert kinds == {"witness", "incompatible", "'unknown'", "no", "structures"}
+
+
+def _free_template() -> PultrTemplate:
+    """b3 hangs off the single eps image, so it is found by search."""
+    rho = GRAPH_SIGNATURE
+    A = RelStructure(rho, ["a1", "a2"], {"E": [("a1", "a2")]})
+    B = RelStructure(rho, ["b1", "b2", "b3"], {"E": [("b1", "b2"), ("b2", "b3")]})
+    eps = {"S": ({"a1": "b1", "a2": "b2"},)}
+    return PultrTemplate(rho, Signature((("S", 1),)), A, {"S": B}, eps)
+
+
+def test_gadget_witnesses_match_the_reference_tuple_by_tuple():
+    """Lists of tau-tuples of Gamma X with bad tuples mixed in after the
+    first: the same columns as the reference run tuple by tuple, or its
+    exception and message, which the first failing tuple decides; bad
+    tuples disagree on a glued vertex, name an unknown vertex, or map a
+    gadget tuple outside X, and some targets have another signature."""
+    reference = _tuple_by_tuple(reference_gadget_witness)
+    fixed = [linedigraph_template(), _free_template()]
+    rng = random.Random(57)
+    kinds = set()
+    late = 0
+    for case in range(300):
+        template = fixed[case % 5] if case % 5 < 2 else _glued_template(rng)
+        name = template.tau.symbols[0][0]
+        X = random_structure(rng, template.rho, 4)
+        good = list(central_apply(template, X).ordered(name))
+        plan = pultr._gluing_plan(template, name, {a: i for i, a in enumerate(template.A.domain)})
+        bt = template.B[name]
+        hts = rng.sample(good, min(len(good), rng.randint(1, 6)))
+        for _ in range(rng.randint(0, 2)):
+            g = {b: rng.choice(X.domain + ("unknown",) * (rng.random() < 0.2)) for b in bt.domain}
+            ht = [[g[m[a]] for a in template.A.domain] for m in template.eps[name]]
+            if rng.random() < 0.3:
+                row = rng.choice(ht)
+                row[rng.randrange(len(row))] = rng.choice(X.domain)
+            hts.insert(rng.randint(min(1, len(hts)), len(hts)), tuple(map(tuple, ht)))
+        if case % 7 == 0:
+            other = Signature(tuple((n + "'", ar) for n, ar in template.rho.symbols))
+            X = RelStructure(other, X.domain, {n + "'": ts for n, ts in X.relations.items()})
+        expected = _witness_outcome(reference, template, name, hts, X, plan)
+        assert _witness_outcome(pultr._gadget_witnesses, template, name, hts, X, plan) == expected
+        if isinstance(expected, list):
+            kinds.add("witnesses" if hts else "empty")
+        else:
+            kinds.add(expected[1].split(" ")[0])
+            late += _witness_outcome(reference, template, name, hts[:1], X, plan) != expected
+    assert kinds == {"witnesses", "empty", "incompatible", "'unknown'", "no", "structures"}
+    assert late > 20
 
 
 def test_gamma_products_matches_reference():

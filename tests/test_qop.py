@@ -1,8 +1,5 @@
 import itertools
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
@@ -27,12 +24,19 @@ from chromagap.qop import (
 from chromagap.relstruct import (
     GRAPH_SIGNATURE,
     RelStructure,
+    Signature,
     clique,
     diameter_and_connectivity,
     digraph,
     find_homomorphism,
 )
-from helpers import random_digraph, reference_verify_assignment, structure_with_hom_from
+from helpers import (
+    random_digraph,
+    random_structure,
+    reference_verify_assignment,
+    run_under_hash_seeds,
+    structure_with_hom_from,
+)
 
 
 def diag(*entries):
@@ -141,7 +145,6 @@ def test_lift_classical_verifies_at_any_level():
 def test_failing_verification_is_the_same_under_every_hash_seed():
     """A constant colouring of K12 into K3 violates every edge; the report,
     witnesses and their order included, must not depend on PYTHONHASHSEED."""
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     code = (
         "from chromagap.qop import lift_classical, verify_assignment\n"
         "from chromagap.relstruct import clique\n"
@@ -149,14 +152,7 @@ def test_failing_verification_is_the_same_under_every_hash_seed():
         "f = lift_classical(dict.fromkeys(X.domain, 'k0'))\n"
         "print(repr(verify_assignment(X, clique(3), f, 0)))"
     )
-    reports = []
-    for seed in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), PYTHONHASHSEED=seed)
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
-        )
-        assert proc.returncode == 0, proc.stderr
-        reports.append(proc.stdout)
+    reports = run_under_hash_seeds(code, ("1", "2"))
     assert "product('E', ('k0', 'k1'), ('k0', 'k0'))" in reports[0]
     assert reports[0] == reports[1]
 
@@ -394,6 +390,47 @@ def test_verify_assignment_matches_reference():
         if got.pvm_issues:
             seen.add("pvm issues")
     assert seen >= {"pass", "fail", "capped at 1", "capped at 2", "capped at 25", "pvm issues"}
+
+
+def test_verify_assignment_matches_reference_on_mixed_arities():
+    """Field-for-field equal reports as the per-tuple reference on
+    structures with arity-1, 2 and 3 symbols whose vertices carry at least
+    three distinct families: two homomorphisms f and g split over the
+    standard basis (passing, with forbidden products to check), lifts of
+    random maps, and dim-2 families drawn from a shared pool."""
+    sig = Signature((("U", 1), ("E", 2), ("R", 3)))
+    p, q = _STANDARD
+    rng = random.Random(53)
+    seen = set()
+    for case in range(300):
+        X = random_structure(rng, sig, 8)
+        f, g = ({x: rng.choice("abc") for x in X.domain} for _ in range(2))
+        Y = RelStructure(
+            sig,
+            "abc",
+            {
+                name: {tuple(h[v] for v in t) for h in (f, g) for t in X.relations[name]}
+                | {tuple(rng.choice("abc") for _ in range(arity))}
+                for name, arity in sig.symbols
+            },
+        )
+        if case % 3 == 0:
+            pvms = {x: {f[x]: p, g[x]: q} if f[x] != g[x] else {f[x]: p + q} for x in X.domain}
+            assignment = QuantumAssignment(2, 0, pvms)
+        elif case % 3 == 1:
+            assignment = lift_classical({x: rng.choice(Y.domain) for x in X.domain})
+        else:
+            pool = _family_pool(rng, list(Y.domain))[: rng.randint(3, 10)]
+            assignment = QuantumAssignment(2, 0, {x: rng.choice(pool) for x in X.domain})
+        if len({tuple(fam.items()) for fam in assignment.pvms.values()}) < 3:
+            continue
+        args = (X, Y, assignment, rng.randint(0, 2))
+        kwargs = dict(max_witnesses=rng.choice([1, 3, 25]))
+        got = verify_assignment(*args, **kwargs)
+        assert got == reference_verify_assignment(*args, **kwargs)
+        if got.products_checked:
+            seen.add("pass" if not got.product_violations else "fail")
+    assert seen == {"pass", "fail"}
 
 
 def test_verify_assignment_tells_apart_families_that_differ_in_labels_only():

@@ -37,9 +37,37 @@ from helpers import (
     reference_gaifman_distance,
     reference_relabel,
     reference_search_homomorphisms,
+    run_under_hash_seeds,
 )
 
 C5 = digraph([(f"v{i}", f"v{(i + 1) % 5}") for i in range(5)])
+
+
+def test_constructor_names_the_first_bad_tuple_in_the_order_given():
+    """Several bad tuples: the error names the first in the order given,
+    read from a list or from a one-pass generator; good input passes."""
+    rows = [("a", "a"), ("a", "x3"), ("a",), ("x1", "a")]
+    for given, first in ((rows, "x3"), ((t for t in rows), "x3"), (rows[::-1], "x1")):
+        with pytest.raises(ValueError, match=f"tuple entry '{first}' not in domain"):
+            RelStructure(GRAPH_SIGNATURE, ["a"], {"E": given})
+    with pytest.raises(ValueError, match=r"tuple \('a',\) has wrong arity for 'E'"):
+        RelStructure(GRAPH_SIGNATURE, ["a"], {"E": iter([("a", "a"), ("a",), ("a", "b")])})
+    with pytest.raises(ValueError, match=r"relations for unknown symbols: \['F'\]"):
+        RelStructure(GRAPH_SIGNATURE, ["a"], {"E": [("a", "a")], "F": []})
+    X = RelStructure(GRAPH_SIGNATURE, ["a", "b"], {"E": (t for t in [("a", "b"), ("b", "b")])})
+    assert X.relations["E"] == {("a", "b"), ("b", "b")}
+
+
+def test_constructor_error_is_the_same_under_every_hash_seed():
+    """Ten bad tuples: the one named is the first given, whatever the hash seed."""
+    code = (
+        "from chromagap.relstruct import GRAPH_SIGNATURE, RelStructure\n"
+        "try:\n"
+        "    RelStructure(GRAPH_SIGNATURE, ['a'], {'E': [('a', f'x{i}') for i in range(10)]})\n"
+        "except ValueError as exc:\n"
+        "    print(exc)"
+    )
+    assert run_under_hash_seeds(code, (1, 2, 3)) == ["tuple entry 'x0' not in domain\n"] * 3
 
 
 def test_identity_is_homomorphism():
