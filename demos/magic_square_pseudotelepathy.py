@@ -14,20 +14,13 @@ print("system:")
 print(system.format())
 print("classical value:", system.sat_value(), "(strictly below 1)")
 
-game_check = dkkms.verify_game_assignment(system, 1, assignment)
-print(
-    "game form: PVM per question tuple:", game_check.pvm_ok,
-    "| inconsistent products checked:", game_check.pairs_checked,
-    "| all exactly zero:", not game_check.orthogonality_violations,
-)
+game = dkkms.game_csp(system, 1)
+print("classical value of the repetition game:", csp.sat_value(game), "(again below 1)")
 
-game = csp.sat_value(dkkms.game_csp(system, 1))
-print("classical value of the repetition game:", game, "(again below 1)")
+perfect = dkkms.verify_game_assignment(system, 1, assignment)
+print("game form, no compatibility demands:", perfect.summary())
 
-X, A = csp.to_structures(dkkms.game_csp(system, 1))
-perfect = qop.verify_assignment(X, A, assignment, 0)
-print("projector verification, no compatibility demands:", perfect.summary())
-
+X, A = csp.to_structures(game)
 level1 = qop.verify_assignment(X, A, assignment, 1)
 print("projector verification, level-1 commutators:", level1.summary())
 witness = level1.commutator_violations[0]

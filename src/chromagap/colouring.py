@@ -84,6 +84,7 @@ class TransitionMatrix:
 
 
 _TRANSITION_CACHE: dict[int, TransitionMatrix] = {}
+_SINKHORN_ITERATIONS = 100_000
 
 
 def build_transition_matrix(
@@ -91,7 +92,6 @@ def build_transition_matrix(
     *,
     residual_tol: float = 1e-12,
     spectral_gap: float = 1e-8,
-    max_iterations: int = 100_000,
 ) -> TransitionMatrix:
     """Symmetric Sinkhorn scaling of the disjointness pattern on [2d]^d,
     certified: rows sum to 1 within the residual, the matrix is symmetric by
@@ -118,7 +118,7 @@ def build_transition_matrix(
     scaling = np.ones(n)
     residual = np.inf
     iterations = 0
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, _SINKHORN_ITERATIONS + 1):
         row_action = pattern @ scaling
         if np.any(row_action <= 0):
             raise SinkhornDivergence("zero row action; pattern lacks total support")
@@ -129,7 +129,7 @@ def build_transition_matrix(
             break
     else:
         raise SinkhornDivergence(
-            f"row sums off by {residual:.3e} after {max_iterations} iterations"
+            f"row sums off by {residual:.3e} after {_SINKHORN_ITERATIONS} iterations"
         )
     matrix = (pattern * scaling[:, None]) * scaling[None, :]
     if not np.array_equal(matrix > 0, pattern > 0):

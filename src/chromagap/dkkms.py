@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .csp import CspInstance
+from .csp import CspInstance, to_structures
 from .f2linalg import (
     F2Ambient,
     F2Functional,
@@ -30,7 +30,7 @@ from .f2linalg import (
     extend_functional,
     functional_from_constraints,
 )
-from .qop import QuantumAssignment, VerificationFailure, verify_pvm
+from .qop import QuantumAssignment, VerificationFailure, VerificationReport, verify_assignment
 from .relstruct import SizeBudgetExceeded
 
 
@@ -227,58 +227,20 @@ def game_csp(
     return CspInstance(tuples, alphabet, constraints)
 
 
-@dataclass
-class GameVerification:
-    pvm_ok: bool
-    orthogonality_violations: list
-    pairs_checked: int
-
-    @property
-    def passed(self) -> bool:
-        return self.pvm_ok and not self.orthogonality_violations
-
-
 def verify_game_assignment(
     system: XorSystem,
     n: int,
     assignment: QuantumAssignment,
     *,
     question_set: str = "legitimate",
-) -> GameVerification:
-    """Perfect-strategy check in game form: each question tuple carries a PVM
-    over its satisfying assignments, and answers that disagree on a shared
+) -> VerificationReport:
+    """Perfect-strategy check in game form: `verify_assignment` at level 0
+    on the structures of `game_csp`, so each question tuple carries a PVM
+    over its satisfying assignments and answers that disagree on a shared
     variable have exactly-zero projector product.  Local compatibility is
     deliberately not part of this check."""
-    if question_set == "legitimate":
-        tuples = legitimate_tuples(system, n)
-    else:
-        tuples = list(itertools.product(range(len(system.equations)), repeat=n))
-    pvm_ok = True
-    for t in tuples:
-        if t not in assignment.pvms:
-            raise VerificationFailure(f"missing PVM for question tuple {t}")
-        sats = set(satisfying_assignments(system, t))
-        fam = assignment.pvms[t]
-        if set(fam) - sats:
-            pvm_ok = False
-        if not verify_pvm(list(fam.values())).passed:
-            pvm_ok = False
-    violations = []
-    pairs = 0
-    for a, b in itertools.combinations(range(len(tuples)), 2):
-        ta, tb = tuples[a], tuples[b]
-        va = set(tuple_variables(system, ta))
-        vb = set(tuple_variables(system, tb))
-        if not va & vb:
-            continue
-        for tha, ma in assignment.pvms[ta].items():
-            for thb, mb in assignment.pvms[tb].items():
-                if _consistent(tha, thb):
-                    continue
-                pairs += 1
-                if not (ma @ mb).is_zero():
-                    violations.append((ta, tb, tha, thb))
-    return GameVerification(pvm_ok, violations, pairs)
+    X, A = to_structures(game_csp(system, n, question_set=question_set))
+    return verify_assignment(X, A, assignment, 0)
 
 
 # -- the reduction ----------------------------------------------------------
@@ -450,7 +412,6 @@ def rho_quantum_transfer(
     assignment: QuantumAssignment,
     *,
     rho1: Optional[RhoInstance] = None,
-    check_game: bool = True,
 ) -> tuple[RhoInstance, QuantumAssignment]:
     """Transfer a perfect game strategy to the reduced instance.
 
@@ -460,14 +421,15 @@ def rho_quantum_transfer(
     the fibres partition the satisfying assignments.  The output carries the
     input's declared level: constraints only join vertices whose tuples
     intersect, so vertices within Gaifman distance k sit on tuples within
-    distance k in the game.
+    distance k in the game.  A strategy that fails `verify_game_assignment`
+    raises VerificationFailure.
     """
-    if check_game:
-        report = verify_game_assignment(system, n, assignment)
-        if not report.passed:
-            raise VerificationFailure(
-                f"game-form verification failed: {report.orthogonality_violations[:3]}"
-            )
+    report = verify_game_assignment(system, n, assignment)
+    if not report.passed:
+        raise VerificationFailure(
+            f"game-form verification failed: {report.summary()} "
+            f"{report.product_violations[:3]}"
+        )
     rho = rho1 if rho1 is not None else build_rho1(system, n, ell)
     pvms: dict = {}
     for key, vertex in rho.vertices.items():

@@ -136,10 +136,6 @@ class F2Subspace:
             raise AmbientMismatch("vector in a different ambient space")
         return self.reduce(v.bits) == 0
 
-    def contains_space(self, other: "F2Subspace") -> bool:
-        self._check(other)
-        return all(self.reduce(b) == 0 for b in other.basis)
-
     def coordinates(self, bits: int) -> Optional[tuple[int, ...]]:
         """Coefficients of bits over the basis, or None if outside the span."""
         coeffs = []

@@ -304,7 +304,6 @@ def transfer_gamma(
     k: int,
     *,
     quotient: Optional[LambdaQuotient] = None,
-    gamma_y: Optional[RelStructure] = None,
 ) -> QuantumAssignment:
     """From Lambda X ~> Y at level (k+1)*diam to X ~> Gamma Y at level k.
 
@@ -316,7 +315,7 @@ def transfer_gamma(
     if not report.connected:
         raise NotConnected("transfer towards the central functor needs a connected template")
     q = quotient if quotient is not None else lambda_quotient(template, X)
-    gy = gamma_y if gamma_y is not None else central_apply(template, Y)
+    gy = central_apply(template, Y)
     a_order = template.A.domain
     return _gamma_products(
         X, gy, assignment, k, lambda x: [q.cls(("A", x, a)) for a in a_order]

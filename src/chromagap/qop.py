@@ -67,9 +67,6 @@ class GQ:
     def __neg__(self) -> "GQ":
         return GQ(-self.re, -self.im)
 
-    def conj(self) -> "GQ":
-        return GQ(self.re, -self.im)
-
     def is_zero(self) -> bool:
         return not self.re and not self.im
 
@@ -379,15 +376,6 @@ class QuantumAssignment:
                 if m.dim != dim:
                     raise DimMismatch("projector dimension differs from declared dim")
 
-    def family(self, x: Hashable) -> dict:
-        return self.pvms[x]
-
-    def projector(self, x: Hashable, y: Hashable) -> PMatrix:
-        return self.pvms[x].get(y, PMatrix.zeros(self.dim))
-
-    def variables(self) -> tuple:
-        return tuple(self.pvms)
-
     def all_diagonal(self) -> bool:
         return all(
             m.diag_support() is not None for fam in self.pvms.values() for m in fam.values()
@@ -413,10 +401,7 @@ class VerificationReport:
     commutator_violations: list
     products_checked: int
     commutators_checked: int
-    sampled: bool
     pvm_issues: list = field(default_factory=list)
-    sampled_short: Optional[tuple[int, int]] = None
-    """(drawn, requested) when rejection sampling ran out of draws first."""
 
     @property
     def perfect(self) -> bool:
@@ -432,8 +417,6 @@ class VerificationReport:
             f"{s}: pvm_ok={self.pvm_ok} products={self.products_checked} "
             f"(viol {len(self.product_violations)}) commutators={self.commutators_checked} "
             f"(viol {len(self.commutator_violations)})"
-            + (" [sampled]" if self.sampled else "")
-            + (" [sampled short: %d of %d]" % self.sampled_short if self.sampled_short else "")
         )
 
 
@@ -490,8 +473,6 @@ def verify_assignment(
     assignment: QuantumAssignment,
     k: int,
     *,
-    product_samples: Optional[int] = None,
-    seed: int = 0,
     max_witnesses: int = 25,
 ) -> VerificationReport:
     """Exact verification of a perfect k-compatible quantum assignment.
@@ -502,10 +483,7 @@ def verify_assignment(
     distance k of each other commute.  Absent labels are zero projectors, so
     product checks iterate over present labels only, which is sound and
     complete.  Each distinct family gets one PVM check, and the full sweep
-    decides each distinct (symbol, families) once.  With `product_samples`,
-    that many (constraint, label-tuple) checks are drawn with a fixed seed
-    instead of the full sweep; when the draws run out first (400n + 1000
-    attempts), `sampled_short` says so.
+    decides each distinct (symbol, families) once.
     """
     if set(assignment.pvms) != set(X.domain):
         raise KeyMismatch("assignment keys differ from the variable domain")
@@ -540,59 +518,30 @@ def verify_assignment(
                 if combo not in rel:
                     yield name, t, combo
 
-    def rejection_sample(count: int):
-        # uniform over (tuple, present-label combo) pairs, conditioned on
-        # the combo being forbidden: exactly uniform over forbidden checks
-        import random
-
-        rng = random.Random(seed)
-        labels_of = {x: tuple(fam) for x, fam in assignment.pvms.items()}
-        tuples_all = list(X.all_tuples())
-        produced = 0
-        attempts = 0
-        limit = 400 * count + 1000
-        while tuples_all and produced < count and attempts < limit:
-            attempts += 1
-            name, t = tuples_all[rng.randrange(len(tuples_all))]
-            combo = tuple(
-                labels_of[v][rng.randrange(len(labels_of[v]))] if labels_of[v] else None
-                for v in t
-            )
-            if None in combo:
-                continue
-            if combo not in Y.relations[name]:
-                produced += 1
-                yield name, t, combo
-
-    sampled = product_samples is not None
-    checks = rejection_sample(product_samples) if sampled else full_sweep()
+    # scope tuples of one symbol over the same families, keyed by their
+    # (label, projector) items in order, have the same checks with the same
+    # verdicts, so each distinct one is checked once; the sweep runs tuple
+    # by tuple only when a product is nonzero, to name witnesses
+    family_id: dict = {}
+    fid = {
+        x: family_id.setdefault(tuple(fam.items()), len(family_id))
+        for x, fam in assignment.pvms.items()
+    }
+    fams = [dict(items) for items in family_id]
+    keys: Counter = Counter()
+    for s, arity in X.signature.symbols:
+        columns = [map(fid.__getitem__, c) for c in _columns(X.relations[s], arity)]
+        keys.update(zip(itertools.repeat(s), *columns))
+    checks = ()
     products_checked = 0
-    if not sampled:
-        # scope tuples of one symbol over the same families, keyed by their
-        # (label, projector) items in order, have the same checks with the
-        # same verdicts, so each distinct one is checked once; the sweep runs
-        # tuple by tuple only when a product is nonzero, to name witnesses
-        family_id: dict = {}
-        fid = {
-            x: family_id.setdefault(tuple(fam.items()), len(family_id))
-            for x, fam in assignment.pvms.items()
-        }
-        fams = [dict(items) for items in family_id]
-        keys: Counter = Counter()
-        for s, arity in X.signature.symbols:
-            columns = [map(fid.__getitem__, c) for c in _columns(X.relations[s], arity)]
-            keys.update(zip(itertools.repeat(s), *columns))
-        total = 0
-        for (name, *ids), n in keys.items():
-            fs = [fams[i] for i in ids]
-            forbidden = [c for c in itertools.product(*fs) if c not in Y.relations[name]]
-            products = ([f[y] for f, y in zip(fs, c)] for c in forbidden)
-            if not all(_ordered_product_is_zero(mats, cache) for mats in products):
-                break
-            total += n * len(forbidden)
-        else:
-            checks, products_checked = (), total
-    sampled_short = None
+    for (name, *ids), n in keys.items():
+        fs = [fams[i] for i in ids]
+        forbidden = [c for c in itertools.product(*fs) if c not in Y.relations[name]]
+        products = ([f[y] for f, y in zip(fs, c)] for c in forbidden)
+        if not all(_ordered_product_is_zero(mats, cache) for mats in products):
+            checks, products_checked = full_sweep(), 0
+            break
+        products_checked += n * len(forbidden)
     for name, t, combo in checks:
         products_checked += 1
         mats = [assignment.pvms[v][y] for v, y in zip(t, combo)]
@@ -602,10 +551,6 @@ def verify_assignment(
             else:
                 product_violations.append(Violation("product", ("...",)))
                 break
-    else:
-        # the checks ran out without hitting the witness cap
-        if sampled and products_checked < product_samples:
-            sampled_short = (products_checked, product_samples)
 
     commutator_violations: list[Violation] = []
     commutators_checked = 0
@@ -636,9 +581,7 @@ def verify_assignment(
         commutator_violations,
         products_checked,
         commutators_checked,
-        sampled,
         pvm_issues,
-        sampled_short,
     )
 
 

@@ -693,8 +693,6 @@ def reference_verify_assignment(
     assignment: QuantumAssignment,
     k: int,
     *,
-    product_samples: Optional[int] = None,
-    seed: int = 0,
     max_witnesses: int = 25,
 ) -> qop.VerificationReport:
     """Exact verification of a perfect k-compatible quantum assignment.
@@ -704,9 +702,7 @@ def reference_verify_assignment(
     is the zero matrix; and all projector pairs of variables within Gaifman
     distance k of each other commute.  Absent labels are zero projectors, so
     product checks iterate over present labels only, which is sound and
-    complete.  With `product_samples`, that many (constraint, label-tuple)
-    checks are drawn with a fixed seed instead of the full sweep; when the
-    draws run out first (400n + 1000 attempts), `sampled_short` says so.
+    complete.
     """
     if set(assignment.pvms) != set(X.domain):
         raise qop.KeyMismatch("assignment keys differ from the variable domain")
@@ -740,34 +736,8 @@ def reference_verify_assignment(
                 if combo not in rel:
                     yield name, t, combo
 
-    def rejection_sample(count: int):
-        # uniform over (tuple, present-label combo) pairs, conditioned on
-        # the combo being forbidden: exactly uniform over forbidden checks
-        import random
-
-        rng = random.Random(seed)
-        tuples_all = list(X.all_tuples())
-        produced = 0
-        attempts = 0
-        limit = 400 * count + 1000
-        while produced < count and attempts < limit:
-            attempts += 1
-            name, t = tuples_all[rng.randrange(len(tuples_all))]
-            combo = tuple(
-                labels_of[v][rng.randrange(len(labels_of[v]))] if labels_of[v] else None
-                for v in t
-            )
-            if None in combo:
-                continue
-            if combo not in Y.relations[name]:
-                produced += 1
-                yield name, t, combo
-
-    sampled = product_samples is not None
-    checks = rejection_sample(product_samples) if sampled else full_sweep()
     products_checked = 0
-    sampled_short = None
-    for name, t, combo in checks:
+    for name, t, combo in full_sweep():
         products_checked += 1
         mats = [assignment.pvms[v][y] for v, y in zip(t, combo)]
         if not qop._ordered_product_is_zero(mats, cache):
@@ -776,10 +746,6 @@ def reference_verify_assignment(
             else:
                 product_violations.append(qop.Violation("product", ("...",)))
                 break
-    else:
-        # the checks ran out without hitting the witness cap
-        if sampled and products_checked < product_samples:
-            sampled_short = (products_checked, product_samples)
 
     commutator_violations: list[qop.Violation] = []
     commutators_checked = 0
@@ -810,9 +776,7 @@ def reference_verify_assignment(
         commutator_violations,
         products_checked,
         commutators_checked,
-        sampled,
         pvm_issues,
-        sampled_short,
     )
 
 

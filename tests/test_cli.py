@@ -73,13 +73,13 @@ def test_qverify_command(tmp_path, c5_file, k3_file, capsys):
     qpath = write(str(tmp_path), "q.json", serialize.assignment_to_dict(lift))
     assert run(["qverify", c5_file, k3_file, qpath, "--k", "1"]) == 0
     assert json.loads(capsys.readouterr().out)["passed"]
-    # a structure with no tuples gives a sample nothing to draw from
+    # a structure with no tuples has no forbidden product to check
     lone = RelStructure(GRAPH_SIGNATURE, ["a"], {})
     xpath = write(str(tmp_path), "lone.json", serialize.structure_to_dict(lone))
     qpath = write(str(tmp_path), "q1.json", serialize.assignment_to_dict(lift_classical({"a": "k0"})))
-    assert run(["qverify", xpath, k3_file, qpath, "--samples", "4"]) == 0
+    assert run(["qverify", xpath, k3_file, qpath]) == 0
     summary = json.loads(capsys.readouterr().out)["summary"]
-    assert summary.endswith("products=0 (viol 0) commutators=0 (viol 0) [sampled] [sampled short: 0 of 4]")
+    assert summary == "pass: pvm_ok=True products=0 (viol 0) commutators=0 (viol 0)"
 
 
 def test_chromatic_lower_bound_rejects_loops():
@@ -173,14 +173,16 @@ def test_dmr_command(tmp_path, capsys):
 def test_config_parsing(tmp_path):
     path = os.path.join(str(tmp_path), "conf")
     with open(path, "w") as fh:
-        fh.write("samples = 17\nspectral_gap = 1e-6  # loose\n")
+        fh.write("hom_budget = 17\nspectral_gap = 1e-6  # loose\n")
     config = cli.read_config(path)
-    assert config["samples"] == 17
+    assert config["hom_budget"] == 17
     assert config["spectral_gap"] == 1e-6
+    assert set(config) == {"sinkhorn_residual", "spectral_gap", "hom_budget"}
     rejected = {
         "# budgets\nsampels = 5\n": ("line 2", "sampels"),
-        "samples = 5\nhom_budget\n": ("line 2", "hom_budget"),
-        "samples = 0\n": ("line 1", "samples"),
+        "samples = 5\n": ("line 1", "unknown key 'samples'"),
+        "hom_budget = 5\nhom_budget\n": ("line 2", "hom_budget"),
+        "hom_budget = 0\n": ("line 1", "hom_budget"),
         "hom_budget = -3\n": ("line 1", "hom_budget"),
         "sinkhorn_residual = 0\n": ("line 1", "sinkhorn_residual"),
         "spectral_gap = 1\n": ("line 1", "spectral_gap"),
@@ -214,6 +216,30 @@ def strip_timing(d):
             {k: v for k, v in stage.items() if k != "seconds"} for stage in d["stages"]
         ],
     }
+
+
+def test_magic_square_pipeline_is_exact_and_writes_artifacts(tmp_path):
+    """The thm15 run sweeps every forbidden product of the eta colouring
+    exactly; the flags of the removed sampled mode are rejected."""
+    out = os.path.join(str(tmp_path), "run")
+    assert run(["pipeline", "thm15", "--seed", "0", "--outdir", out]) == 0
+    report = serialize.load(os.path.join(out, "report.json"))
+    stages = {stage["name"]: stage for stage in report["stages"]}
+    assert stages["magic-square"]["game_form"] == "pass"
+    eta = stages["eta-colouring"]
+    assert eta["verification"] == (
+        "pass: pvm_ok=True products=1254528 (viol 0) commutators=0 (viol 0)"
+    )
+    assert eta["edges"] == 1_016_064
+    assert eta["bipartite"] is True and eta["chromatic_lower_bound"] == 2
+    for name in ("rho_assignment.json", "rho2_instance.json"):
+        assert os.path.getsize(os.path.join(out, name)) > 0
+    with pytest.raises(SystemExit) as info:
+        run(["pipeline", "thm15", "--full"])
+    assert info.value.code == 2
+    with pytest.raises(SystemExit) as info:
+        run(["qverify", "x.json", "y.json", "q.json", "--samples", "4"])
+    assert info.value.code == 2
 
 
 def test_machinery_pipeline_reproducible_and_artifacts_reverify(tmp_path):

@@ -20,7 +20,14 @@ from chromagap.dkkms import (
     verify_game_assignment,
 )
 from chromagap.f2linalg import F2Subspace, extend_functional
-from chromagap.qop import matrix_sum, mermin_peres, verify_assignment
+from chromagap.qop import (
+    KeyMismatch,
+    QuantumAssignment,
+    VerificationFailure,
+    matrix_sum,
+    mermin_peres,
+    verify_assignment,
+)
 
 
 @pytest.fixture(scope="module")
@@ -207,6 +214,37 @@ def test_transfer_perfect_on_both_stages(magic):
         X, A = to_structures(inst)
         report = verify_assignment(X, A, transferred, 0)
         assert report.perfect and report.passed
+
+
+def test_unknown_question_set_is_rejected(magic):
+    """Neither the game CSP nor the game-form check reads an unknown
+    question set as "all"."""
+    system, assignment = magic
+    with pytest.raises(ValueError, match="question_set"):
+        game_csp(system, 1, question_set="legit")
+    with pytest.raises(ValueError, match="question_set"):
+        verify_game_assignment(system, 1, assignment, question_set="legit")
+
+
+def test_game_form_rejects_a_corrupted_strategy(magic):
+    """Swapping two answers' projectors in the first row's family leaves a
+    PVM but breaks 8 of the 72 consistency products; the rho transfer
+    refuses that strategy, and one without the first row's question is a
+    key mismatch."""
+    system, assignment = magic
+    pvms = {t: dict(fam) for t, fam in assignment.pvms.items()}
+    row = pvms[(0,)]
+    first, second = list(row)[:2]
+    row[first], row[second] = row[second], row[first]
+    corrupted = QuantumAssignment(4, 0, pvms)
+    report = verify_game_assignment(system, 1, corrupted)
+    assert report.pvm_ok and not report.passed
+    assert report.products_checked == 72 and len(report.product_violations) == 8
+    with pytest.raises(VerificationFailure, match="game-form"):
+        rho_quantum_transfer(system, 1, 2, corrupted)
+    del pvms[(0,)]
+    with pytest.raises(KeyMismatch):
+        verify_game_assignment(system, 1, QuantumAssignment(4, 0, pvms))
 
 
 def test_transfer_of_classical_solution_is_classical():

@@ -22,7 +22,6 @@ from chromagap.qop import (
     verify_pvm,
 )
 from chromagap.relstruct import (
-    GRAPH_SIGNATURE,
     RelStructure,
     Signature,
     clique,
@@ -99,7 +98,7 @@ def test_magic_square_game_form(magic):
     system, assignment = magic
     report = verify_game_assignment(system, 1, assignment)
     assert report.passed
-    assert report.pairs_checked == 72
+    assert report.products_checked == 72
 
 
 def test_magic_square_perfect_on_game_structures(magic):
@@ -155,34 +154,6 @@ def test_failing_verification_is_the_same_under_every_hash_seed():
     reports = run_under_hash_seeds(code, ("1", "2"))
     assert "product('E', ('k0', 'k1'), ('k0', 'k0'))" in reports[0]
     assert reports[0] == reports[1]
-
-
-def test_sampled_verification_flags_a_short_sample():
-    """One forbidden check in a thousand: 10 draws need about 10,000
-    attempts, more than the sampler's 400n + 1000 = 5,000, so it falls short
-    and says so, as does a sample with no scope tuple to draw from; a sample
-    that reaches its count, one cut by the witness cap (on loops, where every
-    draw is forbidden) and a full sweep do not."""
-    X = digraph([(i, i + 1) for i in range(999)] + [(0, 0)])
-    lift = lift_classical({v: f"k{v % 2}" for v in X.domain})
-    K2 = clique(2)
-    short = verify_assignment(X, K2, lift, 0, product_samples=10)
-    m = short.products_checked
-    assert 0 < m < 10 and short.sampled_short == (m, 10)
-    assert short.summary().endswith(f" [sampled] [sampled short: {m} of 10]")
-    lone = RelStructure(GRAPH_SIGNATURE, ["a"], {})
-    empty = verify_assignment(lone, K2, lift_classical({"a": "k0"}), 0, product_samples=3)
-    assert empty.passed and empty.products_checked == 0 and empty.sampled_short == (0, 3)
-    loops = digraph([(0, 0), (1, 1)])
-    reached = verify_assignment(loops, K2, lift_classical({0: "k0", 1: "k1"}), 0, product_samples=5)
-    assert reached.products_checked == 5 and reached.sampled_short is None
-    assert reached.summary().endswith(" [sampled]")
-    capped = verify_assignment(
-        loops, K2, lift_classical({0: "k0", 1: "k1"}), 0, product_samples=10, max_witnesses=1
-    )
-    assert capped.sampled_short is None and capped.products_checked == 2
-    full = verify_assignment(X, K2, lift, 0)
-    assert full.sampled_short is None and full.summary().endswith("commutators=0 (viol 0)")
 
 
 def test_lift_qsat_equals_classical_value_exhaustive():
@@ -360,8 +331,8 @@ def _family_pool(rng, labels) -> list:
 
 
 def test_verify_assignment_matches_reference():
-    """Field-for-field equal reports (PVM issues, witnesses in order, counts,
-    sampled_short) as the per-variable, per-tuple reference, on passing and
+    """Field-for-field equal reports (PVM issues, witnesses in order and
+    counts) as the per-variable, per-tuple reference, on passing and
     failing inputs whose families are shared by many vertices, with witness
     caps of 1, 2 and 25 that the violations exceed."""
     rng = random.Random(47)
@@ -379,13 +350,11 @@ def test_verify_assignment_matches_reference():
             pool = _family_pool(rng, labels)[: rng.randint(2, 10)]
             assignment = QuantumAssignment(2, 0, {x: rng.choice(pool) for x in X.domain})
         k = rng.randint(0, 2)
-        samples = rng.choice([None, None, None, 5, 40]) if X.relations["E"] else None
         args = (X, Y, assignment, k)
-        kwargs = dict(max_witnesses=cap, product_samples=samples, seed=case)
-        got = verify_assignment(*args, **kwargs)
-        assert got == reference_verify_assignment(*args, **kwargs)
+        got = verify_assignment(*args, max_witnesses=cap)
+        assert got == reference_verify_assignment(*args, max_witnesses=cap)
         seen.add("pass" if got.passed else "fail")
-        if samples is None and len(got.product_violations) > cap:
+        if len(got.product_violations) > cap:
             seen.add(f"capped at {cap}")
         if got.pvm_issues:
             seen.add("pvm issues")
