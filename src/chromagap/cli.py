@@ -79,7 +79,8 @@ def read_config(path: Optional[str]) -> dict:
     """key=value lines; '#' starts a comment.  Recognised keys: budgets and
     tolerances (sinkhorn_residual, spectral_gap, hom_budget).
     Raises ValueError naming the line for an unknown key, a line without
-    '=', a count below 1 or a tolerance outside (0, 1)."""
+    '=', a value that does not parse, a count below 1 or a tolerance
+    outside (0, 1)."""
     config: dict = {
         "sinkhorn_residual": 1e-12,
         "spectral_gap": 1e-8,
@@ -99,14 +100,16 @@ def read_config(path: Optional[str]) -> dict:
                 raise ValueError(f"{where}: expected key = value, got {line!r}")
             if key not in config:
                 raise ValueError(f"{where}: unknown key {key!r}")
-            if key == "hom_budget":
-                config[key] = int(value)
+            kind, noun = (int, "an integer") if key == "hom_budget" else (float, "a number")
+            try:
+                config[key] = kind(value)
+            except ValueError:
+                raise ValueError(f"{where}: {key} must be {noun}, got {value.strip()!r}") from None
+            if kind is int:
                 if config[key] < 1:
                     raise ValueError(f"{where}: {key} must be at least 1")
-            else:
-                config[key] = float(value)
-                if not 0 < config[key] < 1:
-                    raise ValueError(f"{where}: {key} must lie in (0, 1)")
+            elif not 0 < config[key] < 1:
+                raise ValueError(f"{where}: {key} must lie in (0, 1)")
     return config
 
 

@@ -79,9 +79,6 @@ class TransitionMatrix:
     second_modulus: float
     iterations: int
 
-    def index(self, state: tuple[int, ...]) -> int:
-        return self.states.index(state)
-
 
 _TRANSITION_CACHE: dict[int, TransitionMatrix] = {}
 _SINKHORN_ITERATIONS = 100_000
@@ -196,13 +193,14 @@ def eta_context(inst: CspInstance, *, budget: Optional[int] = None) -> EtaContex
     and materialise the gadget template for exactly the occurring symbols."""
     cert = _require_certificate(inst)
     d, m = cert.d, cert.m
+    if d < 2:
+        raise ValueError("d must be >= 2")
     n = len(inst.alphabet)
     base = 2 * d
     if budget is not None and len(inst.variables) * base**n > budget:
         raise SizeBudgetExceeded(
             f"{len(inst.variables)} * (2d)^{n} vertices exceed the budget"
         )
-    transition = build_transition_matrix(d)
     block_values = list(itertools.product(range(base), repeat=d))
     partners = {a: [b for b in block_values if not set(a) & set(b)] for a in block_values}
 

@@ -139,10 +139,6 @@ def _is_faithful(template: PultrTemplate) -> bool:
     return True
 
 
-def _hom_key(h: Mapping, domain_order: Sequence) -> tuple:
-    return tuple(h[a] for a in domain_order)
-
-
 def central_apply(
     template: PultrTemplate, X: RelStructure, *, budget: Optional[int] = None
 ) -> RelStructure:
@@ -152,7 +148,7 @@ def central_apply(
         raise ValueError("central functor expects a rho-structure")
     a_order = template.A.domain
     homs = enumerate_homomorphisms(template.A, X, budget=budget)
-    domain = [_hom_key(h, a_order) for h in homs]
+    domain = [tuple(h[a] for a in a_order) for h in homs]
     relations: dict[str, set] = {name: set() for name, _ in template.tau.symbols}
     for name, arity in template.tau.symbols:
         maps = template.eps[name]
@@ -192,8 +188,6 @@ class LambdaQuotient:
     vertices of gadgets; each class is named by its least tag in the
     deterministic tag enumeration order."""
 
-    template: PultrTemplate
-    X: RelStructure
     tags: list
     tag_ids: dict
     class_of_id: list
@@ -245,8 +239,7 @@ def lambda_quotient(template: PultrTemplate, X: RelStructure) -> LambdaQuotient:
         root = class_of_id[i]
         if root not in class_name:
             class_name[root] = tag  # first tag in enumeration order is least
-    quotient = LambdaQuotient(template, X, tags, tag_ids, class_of_id, class_name)
-    return quotient
+    return LambdaQuotient(tags, tag_ids, class_of_id, class_name)
 
 
 def left_apply(

@@ -234,20 +234,6 @@ class PMatrix:
             out.append(x * ci + y * cr)
         return PMatrix._of(self.dim, self.den * cd, out)
 
-    def _permuted(self, conjugate: bool, transpose: bool) -> "PMatrix":
-        n, num = self.dim, self.num
-        sign = -1 if conjugate else 1
-        out = []
-        for i in range(n):
-            for j in range(n):
-                p = 2 * (j * n + i) if transpose else 2 * (i * n + j)
-                out.append(num[p])
-                out.append(sign * num[p + 1])
-        return PMatrix._of(n, self.den, out)
-
-    def conj_transpose(self) -> "PMatrix":
-        return self._permuted(True, True)
-
     def trace(self) -> GQ:
         step = 2 * self.dim + 2
         return GQ(
@@ -561,7 +547,7 @@ def verify_assignment(
         for x in X.domain:
             if done:
                 break
-            for xp in balls[x]:
+            for xp in sorted(balls[x], key=index.__getitem__):
                 if index[xp] <= index[x]:
                     continue
                 for ya, ma in assignment.pvms[x].items():
@@ -703,81 +689,6 @@ def cleanup_bipartite(inst, profile, assignment: QuantumAssignment) -> QuantumAs
         if not rep.passed:
             raise VerificationFailure(f"cleanup broke the PVM at {x!r}")
     return out
-
-
-# -- two-player game view ---------------------------------------------------
-
-
-@dataclass
-class GameStrategy:
-    """Two-family strategy: Alice answers constraints, Bob answers variables;
-    both measure a shared maximally entangled state of the declared
-    dimension (so correlations are traces of products)."""
-
-    dim: int
-    alice: dict
-    bob: dict
-
-
-def _conj(m: PMatrix) -> PMatrix:
-    return m._permuted(True, False)
-
-
-def game_strategy_from_assignment(inst, assignment: QuantumAssignment) -> GameStrategy:
-    """Derive the standard two-player strategy from a variable assignment:
-    Alice's constraint PVMs are scope-ordered products of the variable PVMs
-    (meaningful only when the factors commute, which is checked), and Bob's
-    operators are the entrywise conjugates of the variable projectors."""
-    cache = _ProductCache()
-    alice: dict = {}
-    for idx, c in enumerate(inst.constraints):
-        fams = [assignment.pvms[v] for v in c.scope]
-        for fa, fb in itertools.combinations(range(len(c.scope)), 2):
-            for ma in fams[fa].values():
-                for mb in fams[fb].values():
-                    if not cache.commute(ma, mb):
-                        raise VerificationFailure(
-                            "constraint PVMs need commuting variable factors"
-                        )
-        fam_out: dict = {}
-        for combo in itertools.product(*[list(f.keys()) for f in fams]):
-            mats = [f[y] for f, y in zip(fams, combo)]
-            prod = mats[0]
-            for m in mats[1:]:
-                prod = prod @ m
-            if not prod.is_zero():
-                fam_out[combo] = prod
-        alice[(idx, c.scope)] = fam_out
-    bob = {
-        x: {a: _conj(m) for a, m in assignment.pvms[x].items()}
-        for x in inst.variables
-    }
-    return GameStrategy(assignment.dim, alice, bob)
-
-
-def verify_game_strategy(inst, strategy: GameStrategy) -> list:
-    """Check the two perfect-strategy conditions on the maximally entangled
-    state of dim^2: no support on non-allowed answer tuples, and Alice/Bob
-    answers agreeing on shared variables.  On that state the correlation of
-    (E, F) is tr(E . F^T)/dim, so both conditions are exact trace tests."""
-    issues = []
-    for (idx, scope), fam in strategy.alice.items():
-        c = inst.constraints[idx]
-        for combo, mat in fam.items():
-            if combo not in c.allowed and not mat.trace().is_zero():
-                issues.append(("forbidden-support", idx, combo))
-            for i, x in enumerate(scope):
-                for a, bmat in strategy.bob[x].items():
-                    if a == combo[i]:
-                        continue
-                    corr = (mat @ _transpose(bmat)).trace()
-                    if not corr.is_zero():
-                        issues.append(("inconsistent", idx, combo, x, a))
-    return issues
-
-
-def _transpose(m: PMatrix) -> PMatrix:
-    return m._permuted(False, True)
 
 
 # -- the magic square -------------------------------------------------------

@@ -9,7 +9,6 @@ return deterministic results.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Hashable, Iterable, Mapping, Optional, Sequence
@@ -470,32 +469,24 @@ def enumerate_homomorphisms(
 def gaifman_balls(X: RelStructure, radius: int) -> dict:
     """For each vertex, the set of vertices within `radius` Gaifman steps."""
     adj = X.gaifman_adjacency()
-    balls = {}
-    for v in X.domain:
-        seen = {v}
-        frontier = [v]
-        for _ in range(radius):
-            nxt = []
-            for w in frontier:
-                for x in adj[w]:
-                    if x not in seen:
-                        seen.add(x)
-                        nxt.append(x)
-            frontier = nxt
-        balls[v] = seen
-    return balls
+    return {v: set(_bfs_distances(adj, v, radius)) for v in X.domain}
 
 
-def _bfs_distances(adj: Mapping, source: Vertex) -> dict:
-    """Gaifman distances from `source` to every vertex it reaches."""
+def _bfs_distances(adj: Mapping, source: Vertex, radius: float = INFINITY) -> dict:
+    """Gaifman distances from `source` to every vertex it reaches within
+    `radius` steps (all of them by default), in BFS order."""
     dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        w = queue.popleft()
-        for x in adj[w]:
-            if x not in dist:
-                dist[x] = dist[w] + 1
-                queue.append(x)
+    frontier = [source]
+    depth = 0
+    while frontier and depth < radius:
+        depth += 1
+        nxt = []
+        for w in frontier:
+            for x in adj[w]:
+                if x not in dist:
+                    dist[x] = depth
+                    nxt.append(x)
+        frontier = nxt
     return dist
 
 

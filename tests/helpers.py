@@ -750,14 +750,13 @@ def reference_verify_assignment(
     commutator_violations: list[qop.Violation] = []
     commutators_checked = 0
     if k >= 1 and not assignment.all_diagonal():
-        balls = relstruct.gaifman_balls(X, k)
-        index = {v: i for i, v in enumerate(X.domain)}
+        balls = reference_gaifman_balls(X, k)
         done = False
-        for x in X.domain:
+        for i, x in enumerate(X.domain):
             if done:
                 break
-            for xp in balls[x]:
-                if index[xp] <= index[x]:
+            for xp in X.domain[i + 1:]:
+                if xp not in balls[x]:
                     continue
                 for ya, ma in assignment.pvms[x].items():
                     for yb, mb in assignment.pvms[xp].items():
@@ -830,6 +829,25 @@ def reference_gaifman_distance(X: RelStructure, u: Vertex, v: Vertex):
                     return dist[x]
                 queue.append(x)
     return INFINITY
+
+
+def reference_gaifman_balls(X: RelStructure, radius: int) -> dict:
+    """For each vertex, the set of vertices within `radius` Gaifman steps."""
+    adj = X.gaifman_adjacency()
+    balls = {}
+    for v in X.domain:
+        seen = {v}
+        frontier = [v]
+        for _ in range(radius):
+            nxt = []
+            for w in frontier:
+                for x in adj[w]:
+                    if x not in seen:
+                        seen.add(x)
+                        nxt.append(x)
+            frontier = nxt
+        balls[v] = seen
+    return balls
 
 
 def reference_chromatic_lower_bound(X: RelStructure, clique_tries: int = 64) -> tuple[bool, int]:

@@ -187,6 +187,8 @@ def test_config_parsing(tmp_path):
         "sinkhorn_residual = 0\n": ("line 1", "sinkhorn_residual"),
         "spectral_gap = 1\n": ("line 1", "spectral_gap"),
         "spectral_gap = -1e-8\n": ("line 1", "spectral_gap"),
+        "hom_budget = 1.5\n": ("line 1", "hom_budget must be an integer, got '1.5'"),
+        "# tolerances\nspectral_gap = abc\n": ("line 2", "spectral_gap must be a number"),
     }
     for text, (line, key) in rejected.items():
         with open(path, "w") as fh:
@@ -194,6 +196,7 @@ def test_config_parsing(tmp_path):
         with pytest.raises(ValueError) as info:
             cli.read_config(path)
         assert line in str(info.value) and key in str(info.value), text
+        assert path in str(info.value), text
 
 
 def test_serialize_round_trips(tmp_path):

@@ -5,6 +5,7 @@ import sys
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from chromagap import colouring, pultr
 from chromagap.colouring import (
@@ -275,6 +276,13 @@ def test_linedigraph_quantum_transfer_levels():
     assert out.dim == 1
 
 
+def test_eta_context_rejects_one_to_one_instances():
+    """A permutation constraint is 1-to-1; the reduction needs d >= 2."""
+    inst = CspInstance(["x", "y"], [0, 1], [(("x", "y"), {(0, 1), (1, 0)})])
+    with pytest.raises(ValueError, match="d must be >= 2"):
+        eta_context(inst)
+
+
 def test_eta_pair_lists_match_all_pairs_reference_on_rho2():
     system, _ = mermin_peres()
     ctx = eta_context(build_rho2(build_rho1(system, 1, 2)).instance)
@@ -332,12 +340,22 @@ def test_eta_transfer_matches_reference_layers(monkeypatch):
 
 
 def test_import_leaves_numpy_unloaded():
-    """numpy is imported only where the transition matrix is built."""
+    """numpy is imported only where the transition matrix is built: neither
+    the import nor an eta context (on the rho2 instance) loads it."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-    code = "import sys, chromagap; print('numpy' in sys.modules)"
+    code = (
+        "import sys, chromagap\n"
+        "print('numpy' in sys.modules)\n"
+        "from chromagap.colouring import eta_context\n"
+        "from chromagap.dkkms import build_rho1, build_rho2\n"
+        "from chromagap.qop import mermin_peres\n"
+        "system, _ = mermin_peres()\n"
+        "eta_context(build_rho2(build_rho1(system, 1, 2)).instance)\n"
+        "print('numpy' in sys.modules)"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split() == ["False", "False"]

@@ -4,21 +4,18 @@ from fractions import Fraction
 
 import pytest
 
-from chromagap.csp import CspInstance, classify_label_cover, from_structures, sat_value, to_structures
+from chromagap.csp import CspInstance, classify_label_cover, to_structures
 from chromagap.dkkms import game_csp, verify_game_assignment
 from chromagap.qop import (
     GQ,
     PMatrix,
     QuantumAssignment,
-    VerificationFailure,
     cleanup_bipartite,
     compose_sandwich,
-    game_strategy_from_assignment,
     lift_classical,
     mermin_peres,
     qsat,
     verify_assignment,
-    verify_game_strategy,
     verify_pvm,
 )
 from chromagap.relstruct import (
@@ -156,6 +153,32 @@ def test_failing_verification_is_the_same_under_every_hash_seed():
     assert reports[0] == reports[1]
 
 
+def test_commutator_witnesses_come_in_domain_order_under_every_hash_seed():
+    """A star c -> l0..l19 with c in the standard basis and every leaf in the
+    Hadamard basis: at level 1 each (c, leaf) pair fails to commute, and the
+    witnesses, and the count checked before the cap, follow domain order."""
+    code = (
+        "from fractions import Fraction as F\n"
+        "from chromagap.qop import PMatrix, QuantumAssignment, verify_assignment\n"
+        "from chromagap.relstruct import digraph\n"
+        "X = digraph([('c', f'l{i}') for i in range(20)])\n"
+        "Y = digraph([(a, b) for a in (0, 1) for b in (0, 1)])\n"
+        "h = F(1, 2)\n"
+        "std = {0: PMatrix.from_rows([[1, 0], [0, 0]]), 1: PMatrix.from_rows([[0, 0], [0, 1]])}\n"
+        "had = {0: PMatrix.from_rows([[h, h], [h, h]]), 1: PMatrix.from_rows([[h, -h], [-h, h]])}\n"
+        "pvms = {x: std if x == 'c' else had for x in X.domain}\n"
+        "r = verify_assignment(X, Y, QuantumAssignment(2, 1, pvms), 1, max_witnesses=6)\n"
+        "print(r.commutators_checked, [v.witness[:2] for v in r.commutator_violations])"
+    )
+    reports = run_under_hash_seeds(code, ("1", "2", "3"))
+    assert reports[0].split(" ", 1) == [
+        "8",
+        "[('c', 'l0'), ('c', 'l0'), ('c', 'l0'), ('c', 'l0'), "
+        "('c', 'l1'), ('c', 'l1'), ('c', 'l1'), ('c', 'l1')]\n",
+    ]
+    assert reports[0] == reports[1] == reports[2]
+
+
 def test_lift_qsat_equals_classical_value_exhaustive():
     rng = random.Random(4)
     for _ in range(12):
@@ -288,22 +311,6 @@ def test_qsat_flags_nonreal_trace():
     result = qsat(inst, QuantumAssignment(2, 0, pvms))
     assert not result.real
     assert result.imag != 0
-
-
-def test_game_strategy_view_from_commuting_assignment():
-    C5 = digraph([(f"v{i}", f"v{(i + 1) % 5}") for i in range(5)])
-    K3 = clique(3)
-    inst = from_structures(C5, K3)
-    lift = lift_classical(find_homomorphism(C5, K3))
-    strategy = game_strategy_from_assignment(inst, lift)
-    assert verify_game_strategy(inst, strategy) == []
-
-
-def test_game_strategy_view_rejects_noncommuting(magic):
-    system, assignment = magic
-    game = game_csp(system, 1)
-    with pytest.raises(VerificationFailure):
-        game_strategy_from_assignment(game, assignment)
 
 
 HALF = Fraction(1, 2)

@@ -21,6 +21,7 @@ from chromagap.relstruct import (
     digraph,
     enumerate_homomorphisms,
     find_homomorphism,
+    gaifman_balls,
     gaifman_distance,
     independence_number,
     is_bipartite,
@@ -34,6 +35,7 @@ from helpers import (
     random_structure,
     reference_check_homomorphism,
     reference_gaifman_adjacency,
+    reference_gaifman_balls,
     reference_gaifman_distance,
     reference_relabel,
     reference_search_homomorphisms,
@@ -217,6 +219,27 @@ def test_gaifman_distance_matches_reference():
         for u in X.domain:
             for v in X.domain:
                 assert gaifman_distance(X, u, v) == reference_gaifman_distance(X, u, v)
+
+
+def test_gaifman_balls_match_reference():
+    """Random structures over arity-1, 2 and 3 symbols, and sparse digraphs
+    with long paths, with loops, isolated vertices and several components,
+    at radii 0 to 4."""
+    rng = random.Random(9)
+    sig = Signature((("U", 1), ("E", 2), ("T", 3)))
+    kinds = {"loop": 0, "isolated": 0, "components": 0, "grows at 4": 0}
+    for trial in range(300):
+        X = random_structure(rng, sig, max_vertices=9) if trial % 3 else random_digraph(rng, 14, 14)
+        adj = X.gaifman_adjacency()
+        kinds["loop"] += any(len(set(t)) < len(t) for _, t in X.all_tuples())
+        kinds["isolated"] += any(not adj[v] for v in X.domain)
+        kinds["components"] += not diameter_and_connectivity(X)[0]
+        balls = [gaifman_balls(X, radius) for radius in range(5)]
+        for radius, got in enumerate(balls):
+            assert got == reference_gaifman_balls(X, radius)
+            assert list(got) == list(X.domain)
+        kinds["grows at 4"] += balls[4] != balls[3]
+    assert min(kinds.values()) >= 20, kinds
 
 
 def test_is_bipartite_matches_k2_search():
