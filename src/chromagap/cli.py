@@ -219,9 +219,9 @@ _CLIQUE_TRIES = 64
 def _chromatic_lower_bound(X: relstruct.RelStructure) -> tuple[bool, int]:
     """(bipartite, lower bound): a BFS 2-colouring, and for a graph that is
     not bipartite a greedy clique probe from the highest-degree vertices."""
+    if relstruct.is_bipartite(X):  # so loop-free: any edge needs two colours
+        return True, 2 if X.relations[X.graph_symbol()] else 1
     adj = X.gaifman_adjacency()
-    if relstruct.is_bipartite(X):
-        return True, 2 if any(adj.values()) else 1
     best_clique = 3
     by_degree = sorted(X.domain, key=lambda v: -len(adj[v]))[:_CLIQUE_TRIES]
     neighbour_sets: dict = {}
@@ -299,11 +299,7 @@ def pipeline_machinery(
     t0 = time.perf_counter()
     eta, eta_assignment, ctx = colouring.eta_quantum_transfer(final, tracked, k_ladder[0])
     eta, mapping = relabel(eta, "g")
-    eta_assignment = qop.QuantumAssignment(
-        eta_assignment.dim,
-        eta_assignment.k,
-        {mapping[v]: fam for v, fam in eta_assignment.pvms.items()},
-    )
+    eta_assignment = eta_assignment.renamed(mapping)
     k4 = clique(4)
     check0 = qop.verify_assignment(eta, k4, eta_assignment, k_ladder[0])
     report.add(
@@ -329,11 +325,7 @@ def pipeline_machinery(
         current_x = line_x
         current_y = colouring.line_digraph(current_y)
         current_x, mapping = relabel(current_x, f"d{step}_")
-        transferred = qop.QuantumAssignment(
-            transferred.dim,
-            transferred.k,
-            {mapping[v]: fam for v, fam in transferred.pvms.items()},
-        )
+        transferred = transferred.renamed(mapping)
         check = qop.verify_assignment(current_x, current_y, transferred, k_next)
         ledger.append(k_next)
         report.add(

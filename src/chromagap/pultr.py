@@ -321,23 +321,24 @@ def _gamma_products(
     """W[x, h] for x in X and h in gy: the product, in the canonical order
     of A, of the families of the variables copies(x) at the labels of h."""
     cache = _ProductCache()
+    commuting: set = set()  # the sets of copy projectors already checked
+    index = gy._index  # label tuples over present labels, in gy's order
     pvms: dict = {}
     for x in X.domain:
         fams = [_present(assignment, v) for v in copies(x)]
-        mats = [m for fam in fams for m in fam.values()]
-        if not all(
-            cache.commute(ma, mb) for ma, mb in itertools.combinations(mats, 2)
-        ):
-            raise CompatibilityTooLow(
-                f"copy projectors over {x!r} do not commute; "
-                f"declared level {assignment.k} is insufficient"
-            )
-        index = gy._index  # label tuples over present labels, in gy's order
+        mats = frozenset(m for fam in fams for m in fam.values())
+        if mats not in commuting:
+            if not all(cache.commute(ma, mb) for ma, mb in itertools.combinations(mats, 2)):
+                raise CompatibilityTooLow(
+                    f"copy projectors over {x!r} do not commute; "
+                    f"declared level {assignment.k} is insufficient"
+                )
+            commuting.add(mats)
         fam_out: dict = {}
         for _, h in sorted((index[h], h) for h in itertools.product(*fams) if h in index):
             prod: Optional[PMatrix] = None
             for fam, y in zip(fams, h):
-                prod = fam[y] if prod is None else prod @ fam[y]
+                prod = fam[y] if prod is None else cache.product(prod, fam[y])
             if prod is not None:  # QuantumAssignment drops the zero products
                 fam_out[h] = prod
         pvms[x] = fam_out

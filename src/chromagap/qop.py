@@ -362,6 +362,12 @@ class QuantumAssignment:
                 if m.dim != dim:
                     raise DimMismatch("projector dimension differs from declared dim")
 
+    def renamed(self, mapping: Mapping) -> "QuantumAssignment":
+        """The same family objects under the keys mapping[x], not filtered or checked again."""
+        out = QuantumAssignment.__new__(QuantumAssignment)
+        out.dim, out.k, out.pvms = self.dim, self.k, {mapping[x]: f for x, f in self.pvms.items()}
+        return out
+
     def all_diagonal(self) -> bool:
         return all(
             m.diag_support() is not None for fam in self.pvms.values() for m in fam.values()
@@ -407,12 +413,19 @@ class VerificationReport:
 
 
 class _ProductCache:
-    """Memoised zero-tests for pairwise products and commutators; content-
-    hashed, so structurally shared projectors are checked once."""
+    """Memoised pairwise products, zero-tests of products, and commutators;
+    content-hashed, so structurally shared projectors are handled once."""
 
     def __init__(self) -> None:
         self.prod: dict = {}
         self.comm: dict = {}
+        self.mul: dict = {}
+
+    def product(self, a: PMatrix, b: PMatrix) -> PMatrix:
+        hit = self.mul.get((a, b))
+        if hit is None:
+            hit = self.mul[a, b] = a @ b
+        return hit
 
     def product_is_zero(self, a: PMatrix, b: PMatrix) -> bool:
         sa, sb = a.diag_support(), b.diag_support()
@@ -516,7 +529,7 @@ def verify_assignment(
     fams = [dict(items) for items in family_id]
     keys: Counter = Counter()
     for s, arity in X.signature.symbols:
-        columns = [map(fid.__getitem__, c) for c in _columns(X.relations[s], arity)]
+        columns = [map(fid.__getitem__, c) for c in _columns(X.scan(s), arity)]
         keys.update(zip(itertools.repeat(s), *columns))
     checks = ()
     products_checked = 0

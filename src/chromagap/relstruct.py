@@ -149,6 +149,10 @@ class RelStructure:
             self._ordered[name] = tuple(ts)
         return self._ordered[name]
 
+    def scan(self, name: str) -> Iterable[tuple]:
+        """Tuples of `name` in any order; the sorted list if built, as it reads faster."""
+        return self._ordered.get(name, self.relations[name])
+
     def all_tuples(self) -> Iterable[tuple[str, tuple]]:
         for name in self.signature.names():
             for t in self.ordered(name):
@@ -472,7 +476,7 @@ def gaifman_balls(X: RelStructure, radius: int) -> dict:
     return {v: set(_bfs_distances(adj, v, radius)) for v in X.domain}
 
 
-def _bfs_distances(adj: Mapping, source: Vertex, radius: float = INFINITY) -> dict:
+def _bfs_distances(adj: Mapping | Sequence, source: Vertex, radius: float = INFINITY) -> dict:
     """Gaifman distances from `source` to every vertex it reaches within
     `radius` steps (all of them by default), in BFS order."""
     dist = {source: 0}
@@ -536,16 +540,21 @@ def symmetrize(D: RelStructure) -> RelStructure:
 
 
 def is_bipartite(G: RelStructure) -> bool:
-    """Whether the graph G has a homomorphism to K2: BFS depths, taken from
-    each unvisited vertex in domain order, must differ in parity across
-    every edge (so a loop rules it out)."""
-    edges = G.relations[G.graph_symbol()]
-    adj = G.gaifman_adjacency()
+    """Whether the graph G has a homomorphism to K2: BFS depths over lists
+    of neighbour indexes, taken from each unvisited vertex in domain order,
+    must differ in parity across every edge (so a loop rules it out)."""
+    edges = G.scan(G.graph_symbol())
+    heads, tails = (list(map(G._index.__getitem__, c)) for c in _columns(edges, 2))
+    adj: list = [[] for _ in G.domain]
+    for i, j in zip(heads, tails):
+        adj[i].append(j)
+        adj[j].append(i)
     depth: dict = {}
-    for v in G.domain:
-        if v not in depth:
-            depth.update(_bfs_distances(adj, v))
-    return all((depth[a] - depth[b]) % 2 for a, b in edges)
+    for i in range(len(adj)):
+        if i not in depth:
+            depth.update(_bfs_distances(adj, i))
+    at = depth.__getitem__
+    return all((a - b) % 2 for a, b in zip(map(at, heads), map(at, tails)))
 
 
 def chromatic_number(G: RelStructure, cap: int, *, budget: Optional[int] = None):

@@ -804,7 +804,11 @@ def test_gamma_products_matches_reference():
     """Same products in the same order, as ordered items, or the same
     exception, as the reference that scans all of gy per vertex: dim-2
     families that share labels, copies that repeat a variable, and copy
-    projectors in two bases that need not commute."""
+    projectors in two bases that need not commute.  Then families whose
+    projectors are equal but distinct objects, and label triples whose
+    prefix products agree but whose last factors differ: each product is
+    taken once per content of its two factors, so copies with equal factor
+    sequences share their product objects."""
     rng = random.Random(52)
     kinds = set()
     for case in range(150):
@@ -826,3 +830,24 @@ def test_gamma_products_matches_reference():
         else:  # whether some vertex has two products, whose order then shows
             kinds.add(max(len(fam) for _, fam in expected[2]) > 1)
     assert kinds == {True, False, CompatibilityTooLow}
+
+    def fresh(basis: str) -> dict:  # new PMatrix objects on every call
+        if basis == "I":
+            return {"c": PMatrix.identity(2)}
+        return {y: PMatrix(m.entries) for y, m in zip("ab", STANDARD if basis == "S" else HADAMARD)}
+
+    assignment = QuantumAssignment(2, 4, {v: fresh(b) for v, b in enumerate("SSSSSSHHHII")})
+    labels = list(itertools.product("abc", repeat=3))
+    rng.shuffle(labels)
+    gy = RelStructure(GRAPH_SIGNATURE, labels, {"E": []})
+    copies = {"s": (0, 1, 2), "s'": (3, 4, 5), "h": (6, 7, 9), "h'": (8, 6, 10), "mixed": (0, 6, 2)}
+    outcomes = []
+    for xs in (["s", "mixed"], ["s", "s'", "h", "h'"]):
+        args = (RelStructure(GRAPH_SIGNATURE, xs, {"E": []}), gy, assignment, 1, copies.__getitem__)
+        outcomes.append(_outcome(pultr._gamma_products, *args))
+        assert outcomes[-1] == _outcome(reference_gamma_products, *args)
+    assert outcomes[0] is CompatibilityTooLow
+    out = pultr._gamma_products(*args)
+    assert [len(out.pvms[x]) for x in xs] == [2, 2, 2, 2]
+    for x, twin in (("s", "s'"), ("h", "h'")):
+        assert all(out.pvms[twin][h] is m for h, m in out.pvms[x].items())

@@ -126,6 +126,19 @@ def test_magic_square_qsat_is_one(magic):
     assert result.real and result.value == 1
 
 
+def test_renamed_keeps_the_family_objects(magic, monkeypatch):
+    """Renaming the keys trusts the families as built: the same dict objects
+    under the mapped keys, in the same order, with the same dim and k, and
+    no projector is tested for zero again."""
+    _, assignment = magic
+    mapping = {x: ("renamed", i) for i, x in enumerate(reversed(list(assignment.pvms)))}
+    monkeypatch.setattr(PMatrix, "is_zero", lambda self: pytest.fail("is_zero called"))
+    out = assignment.renamed(mapping)
+    assert (out.dim, out.k) == (assignment.dim, assignment.k)
+    assert list(out.pvms) == [mapping[x] for x in assignment.pvms]
+    assert all(out.pvms[mapping[x]] is fam for x, fam in assignment.pvms.items())
+
+
 # -- classical lifts --------------------------------------------------------
 
 

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from chromagap.colouring import line_digraph
 from chromagap.relstruct import (
     ABOVE_CAP,
     GRAPH_SIGNATURE,
@@ -242,9 +243,48 @@ def test_gaifman_balls_match_reference():
     assert min(kinds.values()) >= 20, kinds
 
 
+def _two_sided_digraph(rng: random.Random, n: int, inside: int) -> RelStructure:
+    """2n tuple-named vertices in shuffled domain order, 2n to 3n random
+    arcs across the two sides in either orientation, and `inside` arcs
+    within a side."""
+    dom = [(side, (i, "v")) for i in range(n) for side in (0, 1)]
+    rng.shuffle(dom)
+    edges = []
+    for _ in range(rng.randint(2 * n, 3 * n)):
+        a, b = (0, (rng.randrange(n), "v")), (1, (rng.randrange(n), "v"))
+        edges.append((a, b) if rng.random() < 0.5 else (b, a))
+    for _ in range(inside):
+        side = rng.randrange(2)
+        edges.append(((side, (rng.randrange(n), "v")), (side, (rng.randrange(n), "v"))))
+    return RelStructure(GRAPH_SIGNATURE, dom, {"E": edges})
+
+
+def _k2_search(G: RelStructure) -> bool:
+    """Whether symmetrize(G) -> K2 exists, by the homomorphism search with
+    vertices in BFS order and the first vertex of each component fixed (K2
+    swaps its two colours), so that large graphs need no backtracking."""
+    adj = reference_gaifman_adjacency(G)
+    order: dict = {}
+    roots = {}
+    for v in G.domain:
+        if v not in order:
+            roots[v] = "k0"
+            queue = [v]
+            order[v] = None
+            for w in queue:
+                fresh = [u for u in adj[w] if u not in order]
+                order.update(dict.fromkeys(fresh))
+                queue.extend(fresh)
+    search = _search_homomorphisms(symmetrize(G), clique(2), order=list(order), fixed=roots, limit=1)
+    return next(search, None) is not None
+
+
 def test_is_bipartite_matches_k2_search():
     """Random digraphs with loops, isolated vertices and several components
-    against the homomorphism search to K2 of their symmetrisation."""
+    against the homomorphism search to K2 of their symmetrisation; then
+    graphs of 200 or more tuple-named vertices, built by the constructor
+    and through `_trusted` (line digraphs, relabelled copies), in both
+    verdicts, with the Gaifman adjacency left unbuilt and nothing sorted."""
     rng = random.Random(8)
     K2 = clique(2)
     kinds = {"loop": 0, "isolated": 0, "components": 0, "bipartite": 0, "odd": 0}
@@ -252,12 +292,32 @@ def test_is_bipartite_matches_k2_search():
         G = random_digraph(rng, 8, 9) if trial % 4 else random_digraph(rng, 16, 16)
         expected = find_homomorphism(symmetrize(G), K2) is not None
         assert is_bipartite(G) == expected
+        assert G._gaifman is None
         adj = G.gaifman_adjacency()
         kinds["loop"] += any(a == b for a, b in G.relations["E"])
         kinds["isolated"] += any(not adj[v] for v in G.domain)
         kinds["components"] += not diameter_and_connectivity(G)[0]
         kinds["bipartite" if expected else "odd"] += 1
     assert min(kinds.values()) >= 20, kinds
+    large: dict = {}
+
+    def check(built: str, H: RelStructure) -> None:
+        ordered = dict(H._ordered)
+        got = is_bipartite(H)
+        assert H._gaifman is None and H._ordered == ordered
+        assert got == _k2_search(H)
+        assert len(H.domain) >= 200
+        large[built, got] = large.get((built, got), 0) + 1
+
+    rng = random.Random(81)
+    for trial in range(24):
+        G = _two_sided_digraph(rng, rng.randint(100, 130), trial % 3)
+        check("public", G)  # before line_digraph(G) sorts its tuples
+        n = rng.choice([201, 202])  # a directed cycle, odd or even
+        cycle = digraph([((i, "c"), ((i + 1) % n, "c")) for i in range(n)])
+        for H in (line_digraph(G), relabel(G)[0], line_digraph(cycle)):
+            check("trusted", H)
+    assert len(large) == 4 and min(large.values()) >= 10, large
 
 
 def test_diameter_and_connectivity():
