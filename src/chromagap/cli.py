@@ -25,6 +25,8 @@ bit.
 from __future__ import annotations
 
 import argparse
+import functools
+import gc
 import json
 import os
 import sys
@@ -113,6 +115,29 @@ def read_config(path: Optional[str]) -> dict:
     return config
 
 
+def _collector_paused(pipeline):
+    """Run `pipeline` with the cyclic garbage collector off, and put the
+    collector back as it was on return or on a raise.  The pipelines build
+    hundreds of thousands of acyclic tuples, dicts and projector families
+    and no reference cycles, so collections there walk live objects and
+    free nothing; reference counting frees everything the run drops.  (The
+    standard JSON writer behind `outdir` leaves a few dozen cyclic objects
+    per file, which the next collection after the run frees.)"""
+
+    @functools.wraps(pipeline)
+    def paused(*args, **kwargs):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return pipeline(*args, **kwargs)
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    return paused
+
+
+@_collector_paused
 def pipeline_magic_square(
     seed: int = 0,
     *,
@@ -261,6 +286,7 @@ def machinery_seed_instance(seed: int) -> tuple[csp.CspInstance, dict]:
     return inst, assignment
 
 
+@_collector_paused
 def pipeline_machinery(
     i: int = 2,
     seed: int = 0,

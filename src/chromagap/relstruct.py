@@ -594,7 +594,12 @@ def chromatic_number(G: RelStructure, cap: int, *, budget: Optional[int] = None)
                 del colour[v]
             return False
 
-        return bt(0, 0)
+        try:
+            return bt(0, 0)
+        finally:
+            # bt reaches itself through its own closure cell; emptying the
+            # cell lets reference counting free it without the cyclic collector
+            del bt
 
     for k in range(1, cap + 1):
         if colourable(k):

@@ -18,6 +18,7 @@ witness) are those from before structures kept a canonical tuple order.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import os
 import random
@@ -44,6 +45,19 @@ from chromagap.relstruct import (
     diameter_and_connectivity,
 )
 from chromagap.pultr import LambdaQuotient, PultrTemplate, TemplateReport, _present, lambda_quotient
+
+
+def cyclic_garbage_of(call):
+    """`call()`'s result and the number of unreachable objects it left for
+    the cyclic collector: collected first, the collector is off during the
+    call and is on again after it, also when the call raises."""
+    gc.collect()
+    gc.disable()
+    try:
+        result = call()
+        return result, gc.collect()
+    finally:
+        gc.enable()
 
 
 def run_under_hash_seeds(code: str, seeds) -> list[str]:

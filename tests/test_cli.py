@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import random
@@ -5,11 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from chromagap import cli, serialize
+from chromagap import cli, dmr, qop, serialize
 from chromagap.csp import CspInstance
 from chromagap.qop import lift_classical, mermin_peres
 from chromagap.relstruct import GRAPH_SIGNATURE, RelStructure, clique, digraph, find_homomorphism
-from helpers import reference_chromatic_lower_bound
+from helpers import cyclic_garbage_of, reference_chromatic_lower_bound
 
 
 def write(tmp_path, name, payload):
@@ -221,11 +222,29 @@ def strip_timing(d):
     }
 
 
-def test_magic_square_pipeline_is_exact_and_writes_artifacts(tmp_path):
+def test_magic_square_pipeline_is_exact_and_writes_artifacts(tmp_path, monkeypatch):
     """The thm15 run sweeps every forbidden product of the eta colouring
-    exactly; the flags of the removed sampled mode are rejected."""
+    exactly; the flags of the removed sampled mode are rejected.  The
+    pipeline call leaves no cyclic garbage but that of the standard JSON
+    writer, whose indenting encoder is a set of mutually recursive closures:
+    writing the same two artifacts again leaves the same count.  (The CLI's
+    argument parser leaves cycles too, so only the pipeline call counts.)"""
+    pipeline, garbage = cli.pipeline_magic_square, []
+
+    def counted(*args, **kwargs):
+        report, left = cyclic_garbage_of(lambda: pipeline(*args, **kwargs))
+        garbage.append(left)
+        return report
+
+    monkeypatch.setattr(cli, "pipeline_magic_square", counted)
     out = os.path.join(str(tmp_path), "run")
     assert run(["pipeline", "thm15", "--seed", "0", "--outdir", out]) == 0
+    artifacts = [
+        serialize.load(os.path.join(out, name)) for name in ("rho_assignment.json", "rho2_instance.json")
+    ]
+    again = os.path.join(str(tmp_path), "again.json")
+    _, writer = cyclic_garbage_of(lambda: [serialize.dump(doc, again) for doc in artifacts])
+    assert garbage == [writer]
     report = serialize.load(os.path.join(out, "report.json"))
     stages = {stage["name"]: stage for stage in report["stages"]}
     assert stages["magic-square"]["game_form"] == "pass"
@@ -247,10 +266,12 @@ def test_magic_square_pipeline_is_exact_and_writes_artifacts(tmp_path):
 
 def test_machinery_pipeline_reproducible_and_artifacts_reverify(tmp_path):
     """Same seed, same report (timings aside); the emitted witness re-verifies
-    standalone from its files."""
+    standalone from its files; a run that writes no files leaves no cyclic
+    garbage."""
     out = os.path.join(str(tmp_path), "run")
     first = cli.pipeline_machinery(2, seed=1, outdir=out)
-    second = cli.pipeline_machinery(2, seed=1)
+    second, garbage = cyclic_garbage_of(lambda: cli.pipeline_machinery(2, seed=1))
+    assert garbage == 0
     assert strip_timing(first.to_dict()) == strip_timing(second.to_dict())
     assert first.stages[-1].details["ledger"] == [10, 4, 1]
     assert first.stages[-1].details["final_bipartite"] is False
@@ -265,6 +286,32 @@ def test_machinery_pipeline_reproducible_and_artifacts_reverify(tmp_path):
     )
     report = verify_assignment(final_digraph, clique(3), witness, 0)
     assert report.passed
+
+
+def test_pipelines_pause_the_collector_and_restore_it(monkeypatch):
+    """Both pipelines run with the cyclic collector off and leave it as they
+    found it, on or off, also when they raise."""
+    seen = []
+
+    def record_and_raise(*args, **kwargs):
+        seen.append(gc.isenabled())
+        raise RuntimeError("stage failed")
+
+    monkeypatch.setattr(dmr, "dmr_pipeline", record_and_raise)
+    monkeypatch.setattr(qop, "mermin_peres", record_and_raise)
+    try:
+        for enabled in (True, False):
+            gc.enable() if enabled else gc.disable()
+            for pipeline in (cli.pipeline_machinery, cli.pipeline_magic_square):
+                with pytest.raises(RuntimeError, match="stage failed"):
+                    pipeline()
+                assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert seen == [False] * 4
+    with pytest.raises(dmr.SizeBudgetExceeded):
+        cli.pipeline_machinery(3)
+    assert gc.isenabled()
 
 
 def test_pultr_check_command(tmp_path, capsys):

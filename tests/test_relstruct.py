@@ -32,6 +32,7 @@ from chromagap.relstruct import (
 from helpers import (
     brute_force_all_homs,
     brute_force_hom_exists,
+    cyclic_garbage_of,
     random_digraph,
     random_structure,
     reference_check_homomorphism,
@@ -340,6 +341,11 @@ def test_chromatic_number_cliques():
 
 def test_chromatic_number_c5():
     assert chromatic_number(C5, 5) == 3
+
+
+def test_chromatic_number_leaves_no_cyclic_garbage():
+    chi, garbage = cyclic_garbage_of(lambda: chromatic_number(line_digraph(line_digraph(clique(4))), 4))
+    assert (chi, garbage) == (3, 0)
 
 
 def test_chromatic_above_cap():
