@@ -77,52 +77,12 @@ class PipelineReport:
         return "\n".join(lines)
 
 
-def read_config(path: Optional[str]) -> dict:
-    """key=value lines; '#' starts a comment.  Recognised keys: budgets and
-    tolerances (sinkhorn_residual, spectral_gap, hom_budget).
-    Raises ValueError naming the line for an unknown key, a line without
-    '=', a value that does not parse, a count below 1 or a tolerance
-    outside (0, 1)."""
-    config: dict = {
-        "sinkhorn_residual": 1e-12,
-        "spectral_gap": 1e-8,
-        "hom_budget": 10_000_000,
-    }
-    if path is None:
-        return config
-    with open(path) as fh:
-        for number, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, eq, value = line.partition("=")
-            key = key.strip()
-            where = f"{path}, line {number}"
-            if not eq:
-                raise ValueError(f"{where}: expected key = value, got {line!r}")
-            if key not in config:
-                raise ValueError(f"{where}: unknown key {key!r}")
-            kind, noun = (int, "an integer") if key == "hom_budget" else (float, "a number")
-            try:
-                config[key] = kind(value)
-            except ValueError:
-                raise ValueError(f"{where}: {key} must be {noun}, got {value.strip()!r}") from None
-            if kind is int:
-                if config[key] < 1:
-                    raise ValueError(f"{where}: {key} must be at least 1")
-            elif not 0 < config[key] < 1:
-                raise ValueError(f"{where}: {key} must lie in (0, 1)")
-    return config
-
-
 def _collector_paused(pipeline):
     """Run `pipeline` with the cyclic garbage collector off, and put the
     collector back as it was on return or on a raise.  The pipelines build
     hundreds of thousands of acyclic tuples, dicts and projector families
     and no reference cycles, so collections there walk live objects and
-    free nothing; reference counting frees everything the run drops.  (The
-    standard JSON writer behind `outdir` leaves a few dozen cyclic objects
-    per file, which the next collection after the run frees.)"""
+    free nothing; reference counting frees everything the run drops."""
 
     @functools.wraps(pipeline)
     def paused(*args, **kwargs):
@@ -412,6 +372,10 @@ def pipeline_machinery(
 # -- command-line interface --------------------------------------------------
 
 
+# search nodes allowed to `pultr gamma` and `pultr check`
+_PULTR_BUDGET = 10_000_000
+
+
 def _load_structure(path: str) -> relstruct.RelStructure:
     return serialize.structure_from_dict(serialize.load(path))
 
@@ -430,7 +394,6 @@ def main(argv: Optional[list] = None) -> int:
         prog="chromagap",
         description="exact CSP reductions and quantum-assignment verification",
     )
-    parser.add_argument("--config", help="key=value config file", default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("hom", help="find a homomorphism between structures")
@@ -527,7 +490,6 @@ def main(argv: Optional[list] = None) -> int:
     p.add_argument("--outdir", default=None)
 
     args = parser.parse_args(argv)
-    config = read_config(args.config)
 
     if args.command == "hom":
         f = relstruct.find_homomorphism(
@@ -603,12 +565,12 @@ def main(argv: Optional[list] = None) -> int:
         template = serialize.template_from_dict(serialize.load(args.template))
         X = _load_structure(args.structure)
         if args.action == "gamma":
-            out = pultr.central_apply(template, X, budget=config["hom_budget"])
+            out = pultr.central_apply(template, X, budget=_PULTR_BUDGET)
         elif args.action == "lambda":
             out = pultr.left_apply(template, X)
         else:
             Y = _load_structure(args.target)
-            lam, gam = pultr.adjunction_oracle(template, X, Y, budget=config["hom_budget"])
+            lam, gam = pultr.adjunction_oracle(template, X, Y, budget=_PULTR_BUDGET)
             _print({"lambda_side": lam, "gamma_side": gam, "agree": lam == gam})
             return 0 if lam == gam else 1
         if args.out:
@@ -628,7 +590,7 @@ def main(argv: Optional[list] = None) -> int:
     if args.command == "eta":
         inst = _load_instance(args.instance)
         ctx = colouring.eta_context(inst, budget=args.budget)
-        eta = colouring.eta_apply(inst, context=ctx)
+        eta = colouring.eta_apply(ctx)
         if args.out:
             serialize.dump(serialize.structure_to_dict(eta), args.out)
         payload = {"vertices": len(eta.domain), "edges": len(eta.relations["E"])}
@@ -638,11 +600,7 @@ def main(argv: Optional[list] = None) -> int:
         return 0
 
     if args.command == "transition":
-        tm = colouring.build_transition_matrix(
-            args.d,
-            residual_tol=config["sinkhorn_residual"],
-            spectral_gap=config["spectral_gap"],
-        )
+        tm = colouring.build_transition_matrix(args.d)
         payload = {
             "states": len(tm.states),
             "iterations": tm.iterations,

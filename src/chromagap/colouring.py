@@ -80,26 +80,20 @@ class TransitionMatrix:
     iterations: int
 
 
-_TRANSITION_CACHE: dict[int, TransitionMatrix] = {}
 _SINKHORN_ITERATIONS = 100_000
+_RESIDUAL_TOL = 1e-12
+_SPECTRAL_GAP = 1e-8
 
 
-def build_transition_matrix(
-    d: int,
-    *,
-    residual_tol: float = 1e-12,
-    spectral_gap: float = 1e-8,
-) -> TransitionMatrix:
+def build_transition_matrix(d: int) -> TransitionMatrix:
     """Symmetric Sinkhorn scaling of the disjointness pattern on [2d]^d,
-    certified: rows sum to 1 within the residual, the matrix is symmetric by
+    certified: rows sum to 1 within 1e-12, the matrix is symmetric by
     construction, eigenvalue 1 is simple with all other moduli below
-    1 - spectral_gap, and the support is exactly the disjoint-state pairs.
+    1 - 1e-8, and the support is exactly the disjoint-state pairs.
     Certification failure raises instead of returning a matrix.
     """
     if d < 2:
         raise ValueError("d must be >= 2")
-    if d in _TRANSITION_CACHE:
-        return _TRANSITION_CACHE[d]
     import numpy as np
 
     states = tuple(itertools.product(range(2 * d), repeat=d))
@@ -122,7 +116,7 @@ def build_transition_matrix(
         scaling = np.sqrt(scaling / row_action)
         matrix = (pattern * scaling[:, None]) * scaling[None, :]
         residual = float(np.abs(matrix.sum(axis=1) - 1.0).max())
-        if residual < residual_tol:
+        if residual < _RESIDUAL_TOL:
             break
     else:
         raise SinkhornDivergence(
@@ -137,15 +131,11 @@ def build_transition_matrix(
     second = float(others.max())
     if abs(top - 1.0) > 1e-9:
         raise SpectralCertificationFailure(f"top eigenvalue {top} is not 1")
-    if second >= 1.0 - spectral_gap:
+    if second >= 1.0 - _SPECTRAL_GAP:
         raise SpectralCertificationFailure(
-            f"second modulus {second} too close to 1 (gap < {spectral_gap})"
+            f"second modulus {second} too close to 1 (gap < {_SPECTRAL_GAP})"
         )
-    result = TransitionMatrix(
-        d, states, matrix, frozenset(support), residual, second, iterations
-    )
-    _TRANSITION_CACHE[d] = result
-    return result
+    return TransitionMatrix(d, states, matrix, frozenset(support), residual, second, iterations)
 
 
 # -- the reduction ----------------------------------------------------------
@@ -266,19 +256,18 @@ def eta_context(inst: CspInstance, *, budget: Optional[int] = None) -> EtaContex
     )
 
 
-def eta_apply(
-    inst: CspInstance, *, budget: Optional[int] = None, context: Optional[EtaContext] = None
-) -> RelStructure:
-    """The reduced digraph: vertices (x, z) for z in [2d]^n, an edge per
-    constraint and per pair of z-strings whose permuted d-blocks are
-    entrywise disjoint (the support of the certified transition matrix)."""
-    ctx = context if context is not None else eta_context(inst, budget=budget)
+def eta_apply(ctx: EtaContext) -> RelStructure:
+    """The reduced digraph of the context's instance: vertices (x, z) for z
+    in [2d]^n, an edge per constraint and per pair of z-strings whose
+    permuted d-blocks are entrywise disjoint (the support of the certified
+    transition matrix)."""
     base = 2 * ctx.d
     z_count = base**ctx.n
+    variables = ctx.instance.variables
     # vertex tuples are shared between the domain and every edge that uses
     # them, which keeps the edge set light at full scale
-    by_x = {x: [(x, z) for z in range(z_count)] for x in inst.variables}
-    vertices = [v for x in inst.variables for v in by_x[x]]
+    by_x = {x: [(x, z) for z in range(z_count)] for x in variables}
+    vertices = [v for x in variables for v in by_x[x]]
     edges = []
     for name in ctx.symbols:
         for x, xp in ctx.variable_structure.ordered(name):
@@ -324,9 +313,7 @@ def eta_quantum_transfer(
     assignment: QuantumAssignment,
     k: int,
     *,
-    budget: Optional[int] = None,
     check_input: bool = True,
-    context: Optional[EtaContext] = None,
 ) -> tuple[RelStructure, QuantumAssignment, EtaContext]:
     """Push a perfect assignment of a d-to-d instance to a quantum
     2d-colouring of the reduced digraph, preserving the Hilbert space.
@@ -335,7 +322,7 @@ def eta_quantum_transfer(
     composition with the canonical colouring of the glued target.  The output
     is keyed by the (x, z) vertices of `eta_apply`.
     """
-    ctx = context if context is not None else eta_context(inst, budget=budget)
+    ctx = eta_context(inst)
     if check_input:
         report = verify_assignment(ctx.variable_structure, ctx.target, assignment, k)
         if not report.passed:
@@ -368,7 +355,7 @@ def eta_quantum_transfer(
             )
         _, x, z = a_tags[0]
         rename[class_name] = (x, z)
-    eta = eta_apply(inst, context=ctx)
+    eta = eta_apply(ctx)
     renamed = {rename[v]: fam for v, fam in coloured.pvms.items()}
     if set(renamed) != set(eta.domain):
         raise VerificationFailure("transfer domain differs from the reduced digraph")
@@ -395,11 +382,9 @@ def linedigraph_quantum_transfer(
     assignment: QuantumAssignment,
     k: int,
     *,
-    budget: Optional[int] = None,
     gamma_x: Optional[RelStructure] = None,
 ) -> QuantumAssignment:
     """From X ~> Y at level 2k+2 to line digraphs at level k; the gadget has
     diameter 2, so 2k+2 is exactly the contracted input level.  `gamma_x`,
     when given, must be line_digraph(X)."""
-    template = linedigraph_template()
-    return gamma_functor(template, X, Y, assignment, k, budget=budget, gamma_x=gamma_x)
+    return gamma_functor(linedigraph_template(), X, Y, assignment, k, gamma_x=gamma_x)

@@ -148,7 +148,10 @@ def sat_value(inst: CspInstance, budget: Optional[int] = None) -> Fraction:
 
     if not inst.variables:
         return Fraction(1) if not inst.constraints else Fraction(0)
-    bt(0, Fraction(0))
+    try:
+        bt(0, Fraction(0))
+    finally:
+        del bt  # frees the self-referencing closure without the cyclic collector
     return best
 
 
@@ -222,7 +225,10 @@ def isat_value(inst: CspInstance, t: int, budget: Optional[int] = None) -> Fract
                     del chosen[v]
             return False
 
-        return bt(0)
+        try:
+            return bt(0)
+        finally:
+            del bt  # frees the self-referencing closure without the cyclic collector
 
     for size in range(n, -1, -1):
         for S in itertools.combinations(variables, size):

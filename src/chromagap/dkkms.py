@@ -228,18 +228,15 @@ def game_csp(
 
 
 def verify_game_assignment(
-    system: XorSystem,
-    n: int,
-    assignment: QuantumAssignment,
-    *,
-    question_set: str = "legitimate",
+    system: XorSystem, n: int, assignment: QuantumAssignment
 ) -> VerificationReport:
     """Perfect-strategy check in game form: `verify_assignment` at level 0
-    on the structures of `game_csp`, so each question tuple carries a PVM
+    on the structures of `game_csp` over the legitimate question tuples
+    (those feeding the reduction), so each question tuple carries a PVM
     over its satisfying assignments and answers that disagree on a shared
     variable have exactly-zero projector product.  Local compatibility is
     deliberately not part of this check."""
-    X, A = to_structures(game_csp(system, n, question_set=question_set))
+    X, A = to_structures(game_csp(system, n))
     return verify_assignment(X, A, assignment, 0)
 
 
@@ -423,7 +420,14 @@ def rho_quantum_transfer(
     intersect, so vertices within Gaifman distance k sit on tuples within
     distance k in the game.  A strategy that fails `verify_game_assignment`
     raises VerificationFailure.
+
+    `rho1`, when given, is used in place of `build_rho1(system, n, ell)`:
+    the rho1 or the rho2 of the same (system, n, ell) both serve, because
+    they share vertices and labels.  One built from another triple raises
+    ValueError.
     """
+    if rho1 is not None and (rho1.system, rho1.n, rho1.ell) != (system, n, ell):
+        raise ValueError("rho1 was built from another (system, n, ell)")
     report = verify_game_assignment(system, n, assignment)
     if not report.passed:
         raise VerificationFailure(

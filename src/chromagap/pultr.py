@@ -285,18 +285,12 @@ def adjunction_oracle(
 # -- quantum transfers ------------------------------------------------------
 
 
-def _present(assignment: QuantumAssignment, var) -> dict:
-    return assignment.pvms[var]
-
-
 def transfer_gamma(
     template: PultrTemplate,
     X: RelStructure,
     Y: RelStructure,
     assignment: QuantumAssignment,
     k: int,
-    *,
-    quotient: Optional[LambdaQuotient] = None,
 ) -> QuantumAssignment:
     """From Lambda X ~> Y at level (k+1)*diam to X ~> Gamma Y at level k.
 
@@ -307,7 +301,7 @@ def transfer_gamma(
     report = template_predicates(template)
     if not report.connected:
         raise NotConnected("transfer towards the central functor needs a connected template")
-    q = quotient if quotient is not None else lambda_quotient(template, X)
+    q = lambda_quotient(template, X)
     gy = central_apply(template, Y)
     a_order = template.A.domain
     return _gamma_products(
@@ -325,7 +319,7 @@ def _gamma_products(
     index = gy._index  # label tuples over present labels, in gy's order
     pvms: dict = {}
     for x in X.domain:
-        fams = [_present(assignment, v) for v in copies(x)]
+        fams = [assignment.pvms[v] for v in copies(x)]
         mats = frozenset(m for fam in fams for m in fam.values())
         if mats not in commuting:
             if not all(cache.commute(ma, mb) for ma, mb in itertools.combinations(mats, 2)):
@@ -397,7 +391,7 @@ def transfer_lambda(
         glued label tuples are checked and multiplied once per tau-tuple."""
         found = scope_sums.get((name, xt))
         if found is None:
-            fams = [_present(assignment, xj) for xj in xt]
+            fams = [assignment.pvms[xj] for xj in xt]
             found = [{} for _ in xt]
             for labels in itertools.product(*fams):
                 if not glued_is_hom(name, labels):
@@ -415,7 +409,7 @@ def transfer_lambda(
         # grouped by the value h(a) of each label h
         if tag[0] == "A":
             _, x, a = tag
-            source, ai = _present(assignment, x), a_index[a]
+            source, ai = assignment.pvms[x], a_index[a]
         else:
             _, name, xt, b = tag
             i_b, ai = parts[name][b]
@@ -491,7 +485,6 @@ def gamma_functor(
     assignment: QuantumAssignment,
     k: int,
     *,
-    budget: Optional[int] = None,
     gamma_x: Optional[RelStructure] = None,
 ) -> QuantumAssignment:
     """Functorial action towards the central functor: X ~> Y at level
@@ -505,11 +498,12 @@ def gamma_functor(
     every pair; the class of (A, h, a) then carries the family of h(a).
     Both sides of every pair are compared as columns over the tuples; the
     error names the first tuple in canonical order that breaks a pair.
-    `gamma_x`, if given, must equal central_apply(template, X).
+    `gamma_x`, if given, must equal central_apply(template, X); otherwise
+    Gamma X is built by an unbounded homomorphism enumeration.
     """
     if not template_predicates(template).connected:
         raise NotConnected("transfer towards the central functor needs a connected template")
-    gx = gamma_x if gamma_x is not None else central_apply(template, X, budget=budget)
+    gx = gamma_x if gamma_x is not None else central_apply(template, X)
     a_index = {a: i for i, a in enumerate(template.A.domain)}
     for name, _ in template.tau.symbols:
         plan = _gluing_plan(template, name, a_index)

@@ -639,7 +639,10 @@ def independence_number(G: RelStructure, cap: Optional[int] = None, *, budget: O
             chosen.remove(v)
         bt(i + 1, chosen)
 
-    bt(0, set())
+    try:
+        bt(0, set())
+    finally:
+        del bt  # frees the self-referencing closure, as in chromatic_number
     return min(best, target)
 
 

@@ -173,7 +173,8 @@ def template_from_dict(d: dict) -> PultrTemplate:
 
 def dump(obj: dict, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
+        # json.dump never uses the C encoder; json.dumps without indent does
+        fh.write(json.dumps(obj, sort_keys=True))
         fh.write("\n")
 
 

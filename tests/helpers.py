@@ -44,7 +44,7 @@ from chromagap.relstruct import (
     Vertex,
     diameter_and_connectivity,
 )
-from chromagap.pultr import LambdaQuotient, PultrTemplate, TemplateReport, _present, lambda_quotient
+from chromagap.pultr import LambdaQuotient, PultrTemplate, TemplateReport, lambda_quotient
 
 
 def cyclic_garbage_of(call):
@@ -534,7 +534,7 @@ def reference_gamma_functor(
         z: dict(assignment.pvms[xv]) for z, xv in counit.items()
     }
     lifted = QuantumAssignment(assignment.dim, assignment.k, composed)
-    return pultr.transfer_gamma(template, gx, Y, lifted, k, quotient=q)
+    return pultr.transfer_gamma(template, gx, Y, lifted, k)
 
 
 # -- copy-product test helper ----------------------------------------------------
@@ -554,7 +554,7 @@ def gamma_product_for_map(
     q = quotient if quotient is not None else lambda_quotient(template, X)
     prod: Optional[PMatrix] = None
     for a in template.A.domain:
-        fam = _present(assignment, q.cls(("A", x, a)))
+        fam = assignment.pvms[q.cls(("A", x, a))]
         m = fam.get(h[a])
         if m is None:
             return PMatrix.zeros(assignment.dim)
@@ -634,9 +634,9 @@ def reference_transfer_lambda(
         key = (xt, labels)
         prod = product_cache.get(key)
         if prod is None:
-            prod = pultr._present(assignment, xt[0])[labels[0]]
+            prod = assignment.pvms[xt[0]][labels[0]]
             for xj, h in zip(xt[1:], labels[1:]):
-                prod = prod @ pultr._present(assignment, xj)[h]
+                prod = prod @ assignment.pvms[xj][h]
             product_cache[key] = prod
         return prod
 
@@ -645,14 +645,14 @@ def reference_transfer_lambda(
         if tag[0] == "A":
             _, x, a = tag
             ai = a_index[a]
-            for h, m in pultr._present(assignment, x).items():
+            for h, m in assignment.pvms[x].items():
                 y = h[ai]
                 fam[y] = fam[y] + m if y in fam else m
         else:
             _, name, xt, b = tag
             part = parts[name]
             i_b, a_b = part[b]
-            label_lists = [list(pultr._present(assignment, xj).keys()) for xj in xt]
+            label_lists = [list(assignment.pvms[xj].keys()) for xj in xt]
             for labels in itertools.product(*label_lists):
                 if not glued_is_hom(name, labels):
                     continue
@@ -1075,7 +1075,7 @@ def reference_gamma_products(
     cache = qop._ProductCache()
     pvms: dict = {}
     for x in X.domain:
-        fams = [_present(assignment, v) for v in copies(x)]
+        fams = [assignment.pvms[v] for v in copies(x)]
         mats = [m for fam in fams for m in fam.values()]
         if not all(
             cache.commute(ma, mb) for ma, mb in itertools.combinations(mats, 2)

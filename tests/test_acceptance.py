@@ -302,12 +302,11 @@ def test_criterion_05_quantum_adjunction_transfers(rho, eta_bundle):
                 for name, arity in template.tau.symbols
             },
         )
-        quotient = pultr.lambda_quotient(template, X)
         lam = pultr.left_apply(template, X)
         Y, f = structure_with_hom_from(rng, lam, 3)
         lift = qop.lift_classical(f)
         k = rng.choice([0, 1, 2])
-        out = pultr.transfer_gamma(template, X, Y, lift, k, quotient=quotient)
+        out = pultr.transfer_gamma(template, X, Y, lift, k)
         gy = pultr.central_apply(template, Y)
         assert qop.verify_assignment(X, gy, out, k).passed
         assert out.dim == lift.dim

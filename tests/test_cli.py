@@ -171,35 +171,6 @@ def test_dmr_command(tmp_path, capsys):
     assert out["parameters"]["ell"] == "1"
 
 
-def test_config_parsing(tmp_path):
-    path = os.path.join(str(tmp_path), "conf")
-    with open(path, "w") as fh:
-        fh.write("hom_budget = 17\nspectral_gap = 1e-6  # loose\n")
-    config = cli.read_config(path)
-    assert config["hom_budget"] == 17
-    assert config["spectral_gap"] == 1e-6
-    assert set(config) == {"sinkhorn_residual", "spectral_gap", "hom_budget"}
-    rejected = {
-        "# budgets\nsampels = 5\n": ("line 2", "sampels"),
-        "samples = 5\n": ("line 1", "unknown key 'samples'"),
-        "hom_budget = 5\nhom_budget\n": ("line 2", "hom_budget"),
-        "hom_budget = 0\n": ("line 1", "hom_budget"),
-        "hom_budget = -3\n": ("line 1", "hom_budget"),
-        "sinkhorn_residual = 0\n": ("line 1", "sinkhorn_residual"),
-        "spectral_gap = 1\n": ("line 1", "spectral_gap"),
-        "spectral_gap = -1e-8\n": ("line 1", "spectral_gap"),
-        "hom_budget = 1.5\n": ("line 1", "hom_budget must be an integer, got '1.5'"),
-        "# tolerances\nspectral_gap = abc\n": ("line 2", "spectral_gap must be a number"),
-    }
-    for text, (line, key) in rejected.items():
-        with open(path, "w") as fh:
-            fh.write(text)
-        with pytest.raises(ValueError) as info:
-            cli.read_config(path)
-        assert line in str(info.value) and key in str(info.value), text
-        assert path in str(info.value), text
-
-
 def test_serialize_round_trips(tmp_path):
     system, assignment = mermin_peres()
     d = serialize.assignment_to_dict(assignment)
@@ -225,10 +196,9 @@ def strip_timing(d):
 def test_magic_square_pipeline_is_exact_and_writes_artifacts(tmp_path, monkeypatch):
     """The thm15 run sweeps every forbidden product of the eta colouring
     exactly; the flags of the removed sampled mode are rejected.  The
-    pipeline call leaves no cyclic garbage but that of the standard JSON
-    writer, whose indenting encoder is a set of mutually recursive closures:
-    writing the same two artifacts again leaves the same count.  (The CLI's
-    argument parser leaves cycles too, so only the pipeline call counts.)"""
+    pipeline call, artifacts included, leaves no cyclic garbage, and nor
+    does writing the same two artifacts again.  (The CLI's argument parser
+    leaves cycles, so only the pipeline call counts.)"""
     pipeline, garbage = cli.pipeline_magic_square, []
 
     def counted(*args, **kwargs):
@@ -244,7 +214,7 @@ def test_magic_square_pipeline_is_exact_and_writes_artifacts(tmp_path, monkeypat
     ]
     again = os.path.join(str(tmp_path), "again.json")
     _, writer = cyclic_garbage_of(lambda: [serialize.dump(doc, again) for doc in artifacts])
-    assert garbage == [writer]
+    assert garbage == [0] and writer == 0
     report = serialize.load(os.path.join(out, "report.json"))
     stages = {stage["name"]: stage for stage in report["stages"]}
     assert stages["magic-square"]["game_form"] == "pass"

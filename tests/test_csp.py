@@ -18,6 +18,7 @@ from chromagap.csp import (
 from chromagap.relstruct import clique, digraph, find_homomorphism
 from helpers import (
     brute_force_hom_exists,
+    cyclic_garbage_of,
     random_csp_instance,
     reference_augment_k,
     reference_bipartite_split,
@@ -104,6 +105,15 @@ def test_isat_monotone_in_t():
         inst = CspInstance(variables, range(3), constraints)
         values = [isat_value(inst, t) for t in (1, 2, 3)]
         assert values == sorted(values)
+
+
+def test_sat_and_isat_leave_no_cyclic_garbage():
+    differ = {(0, 1), (1, 0)}
+    triangle = CspInstance(
+        ["x", "y", "z"], [0, 1], [(("x", "y"), differ), (("y", "z"), differ), (("x", "z"), differ)]
+    )
+    assert cyclic_garbage_of(lambda: sat_value(triangle)) == (Fraction(2, 3), 0)
+    assert cyclic_garbage_of(lambda: isat_value(triangle, 1)) == (Fraction(2, 3), 0)
 
 
 def test_isat_requires_binary():

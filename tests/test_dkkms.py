@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -205,6 +206,18 @@ def test_transfer_completeness_per_vertex(magic):
         assert total.is_identity()
 
 
+def test_transfer_rejects_a_rho_of_another_triple(magic):
+    """A rho built from another ell or another system is refused instead of
+    being trusted for its vertices and labels."""
+    system, assignment = magic
+    rho2 = build_rho2(build_rho1(system, 1, 2))
+    (scope, rhs), *rest = system.equations
+    flipped = XorSystem(system.variables, ((scope, 1 - rhs), *rest))
+    for other in (replace(rho2, ell=3), replace(rho2, system=flipped)):
+        with pytest.raises(ValueError, match="another"):
+            rho_quantum_transfer(system, 1, 2, assignment, rho1=other)
+
+
 def test_transfer_perfect_on_both_stages(magic):
     system, assignment = magic
     rho1 = build_rho1(system, 1, 2)
@@ -217,13 +230,10 @@ def test_transfer_perfect_on_both_stages(magic):
 
 
 def test_unknown_question_set_is_rejected(magic):
-    """Neither the game CSP nor the game-form check reads an unknown
-    question set as "all"."""
-    system, assignment = magic
+    """The game CSP does not read an unknown question set as "all"."""
+    system, _ = magic
     with pytest.raises(ValueError, match="question_set"):
         game_csp(system, 1, question_set="legit")
-    with pytest.raises(ValueError, match="question_set"):
-        verify_game_assignment(system, 1, assignment, question_set="legit")
 
 
 def test_game_form_rejects_a_corrupted_strategy(magic):

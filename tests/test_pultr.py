@@ -354,7 +354,7 @@ def test_transfer_gamma_matches_classical_adjoint():
         lam = left_apply(template, X)
         Y, f = structure_with_hom_from(rng, lam, 3)
         lift = lift_classical(f)
-        out = transfer_gamma(template, X, Y, lift, 1, quotient=quotient)
+        out = transfer_gamma(template, X, Y, lift, 1)
         gy = central_apply(template, Y)
         report = verify_assignment(X, gy, out, 1)
         assert report.passed
@@ -397,7 +397,7 @@ def test_transfer_gamma_rejects_noncommuting_factors():
     pvms = {cls: dict(assignment.pvms[t]) for cls, t in keys.items()}
     noncommuting = QuantumAssignment(4, 4, pvms)
     with pytest.raises(CompatibilityTooLow):
-        transfer_gamma(template, X, clique(4), noncommuting, 1, quotient=quotient)
+        transfer_gamma(template, X, clique(4), noncommuting, 1)
 
 
 def test_transfer_lambda_matches_classical_adjoint():

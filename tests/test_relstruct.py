@@ -368,6 +368,10 @@ def test_independence_number():
     assert independence_number(C5) == 2
 
 
+def test_independence_number_leaves_no_cyclic_garbage():
+    assert cyclic_garbage_of(lambda: independence_number(clique(5))) == (1, 0)
+
+
 def test_symmetrize():
     one = digraph([("a", "b")])
     assert symmetrize(one).relations["E"] == {("a", "b"), ("b", "a")}
