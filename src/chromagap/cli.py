@@ -128,7 +128,8 @@ def pipeline_magic_square(
     t0 = time.perf_counter()
     rho1 = dkkms.build_rho1(system, 1, 2)
     rho2 = dkkms.build_rho2(rho1)
-    _, transferred = dkkms.rho_quantum_transfer(system, 1, 2, game_assignment, rho1=rho2)
+    # the strategy passed the game-form check of the magic-square stage
+    transferred = dkkms.transfer_checked_strategy(rho2, game_assignment)
     x1, a1 = csp.to_structures(rho1.instance)
     x2, a2 = csp.to_structures(rho2.instance)
     perfect_rho1 = qop.verify_assignment(x1, a1, transferred, 0)
@@ -389,7 +390,9 @@ def _print(obj) -> None:
     sys.stdout.write("\n")
 
 
-def main(argv: Optional[list] = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (its tree is cyclic)."""
     parser = argparse.ArgumentParser(
         prog="chromagap",
         description="exact CSP reductions and quantum-assignment verification",
@@ -488,8 +491,11 @@ def main(argv: Optional[list] = None) -> int:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=5_000_000)
     p.add_argument("--outdir", default=None)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: Optional[list] = None) -> int:
+    args = _parser().parse_args(argv)
 
     if args.command == "hom":
         f = relstruct.find_homomorphism(

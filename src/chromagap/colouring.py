@@ -4,9 +4,10 @@ reduction from d-to-d label cover to 2d-colouring.
 The reduction's gadget is a Markov chain on [2d]^d whose transition matrix
 is symmetric, has a simple top eigenvalue, and vanishes exactly on pairs of
 states with intersecting entry sets.  Only the zero/nonzero support of the
-matrix feeds the combinatorics, so the floating-point entries never touch the
-exact layer; the spectral facts are certified numerically at build time and
-a failed certificate aborts the build.
+matrix feeds the combinatorics, and the eta build computes that support
+directly, so the floating-point entries never touch the exact layer; the
+spectral facts are certified numerically only by `build_transition_matrix`
+(`chromagap transition`), where a failed certificate raises.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .relstruct import (
     RelStructure,
     Signature,
     SizeBudgetExceeded,
+    _columns,
     check_homomorphism,
     clique,
 )
@@ -207,7 +209,7 @@ def eta_context(inst: CspInstance, *, budget: Optional[int] = None) -> EtaContex
     rho = GRAPH_SIGNATURE
 
     z_all = range(base**n)
-    A = RelStructure(rho, z_all, {"E": []})
+    A = RelStructure._trusted(rho, tuple(z_all), {"E": []})
     gadgets: dict = {}
     eps: dict = {}
     pair_lists: dict = {}
@@ -223,9 +225,9 @@ def eta_context(inst: CspInstance, *, budget: Optional[int] = None) -> EtaContex
             zps = [zp for bs in itertools.product(*choices) for zp in by_blocks.get(bs, ())]
             pairs += [(z, zp) for zp in sorted(zps)]
         pair_lists[name] = pairs
-        dom = [(1, z) for z in z_all] + [(2, z) for z in z_all]
-        edges = [((1, z), (2, zp)) for z, zp in pairs]
-        gadgets[name] = RelStructure(rho, dom, {"E": edges})
+        dom = tuple((1, z) for z in z_all) + tuple((2, z) for z in z_all)
+        edges = [((1, z), (2, zp)) for z, zp in pairs]  # in canonical order
+        gadgets[name] = RelStructure._trusted(rho, dom, {"E": edges})
         eps[name] = ({z: (1, z) for z in z_all}, {z: (2, z) for z in z_all})
     template = PultrTemplate(rho, tau, A, gadgets, eps)
 
@@ -267,14 +269,14 @@ def eta_apply(ctx: EtaContext) -> RelStructure:
     # vertex tuples are shared between the domain and every edge that uses
     # them, which keeps the edge set light at full scale
     by_x = {x: [(x, z) for z in range(z_count)] for x in variables}
-    vertices = [v for x in variables for v in by_x[x]]
+    vertices = tuple(v for x in variables for v in by_x[x])
     edges = []
     for name in ctx.symbols:
+        zs, zps = map(list, _columns(ctx.pair_lists[name], 2))
         for x, xp in ctx.variable_structure.ordered(name):
-            left, right = by_x[x], by_x[xp]
-            for z, zp in ctx.pair_lists[name]:
-                edges.append((left[z], right[zp]))
-    return RelStructure(GRAPH_SIGNATURE, vertices, {"E": edges})
+            edges += zip(map(by_x[x].__getitem__, zs), map(by_x[xp].__getitem__, zps))
+    # a scope under two symbols can repeat an edge; the frozenset drops it
+    return RelStructure._trusted(GRAPH_SIGNATURE, vertices, {"E": frozenset(edges)})
 
 
 def xi_colouring(ctx: EtaContext) -> tuple[dict, RelStructure, LambdaQuotient]:

@@ -435,6 +435,12 @@ def rho_quantum_transfer(
             f"{report.product_violations[:3]}"
         )
     rho = rho1 if rho1 is not None else build_rho1(system, n, ell)
+    return rho, transfer_checked_strategy(rho, assignment)
+
+
+def transfer_checked_strategy(rho: RhoInstance, assignment: QuantumAssignment) -> QuantumAssignment:
+    """The transfer of `rho_quantum_transfer` for a strategy that has
+    already passed `verify_game_assignment` on rho's (system, n)."""
     pvms: dict = {}
     for key, vertex in rho.vertices.items():
         fam: dict = {}
@@ -456,7 +462,7 @@ def rho_quantum_transfer(
                 )
             fam[target] = fam[target] + mat if target in fam else mat
         pvms[key] = fam
-    return rho, QuantumAssignment(assignment.dim, assignment.k, pvms)
+    return QuantumAssignment(assignment.dim, assignment.k, pvms)
 
 
 def _parity_on(values: dict, ambient: F2Ambient, bits: int) -> int:

@@ -28,6 +28,7 @@ from .relstruct import (
     Signature,
     SignatureMismatch,
     UnknownVertex,
+    _columns,
     _search_homomorphisms,
     check_homomorphism,
     diameter_and_connectivity,
@@ -92,21 +93,12 @@ def template_predicates(template: PultrTemplate) -> TemplateReport:
     faithfulness (gadgets are disjoint isomorphic eps-copies of A), and the
     diameter (max gadget Gaifman diameter, defined when connected)."""
     structures = [template.A] + [template.B[name] for name, _ in template.tau.symbols]
-    connected = all(is_connected(s) for s in structures)
-    if connected:
-        for name, arity in template.tau.symbols:
-            bt = template.B[name]
-            maps = template.eps[name]
-            for rname, _ in template.rho.symbols:
-                images = set()
-                for i in range(arity):
-                    for at in template.A.relations[rname]:
-                        images.add(tuple(maps[i][a] for a in at))
-                if not bt.relations[rname] <= images:
-                    connected = False
-                    break
-            if not connected:
-                break
+    connected = all(is_connected(s) for s in structures) and all(
+        template.B[name].relations[rname]
+        <= {tuple(map(m.__getitem__, at)) for m in template.eps[name] for at in template.A.relations[rname]}
+        for name, _ in template.tau.symbols
+        for rname, _ in template.rho.symbols
+    )
     # the all-pairs sweep runs only once every structure is known connected
     diameter = (
         max(diameter_and_connectivity(s)[1] for s in structures) if connected else None
@@ -116,25 +108,20 @@ def template_predicates(template: PultrTemplate) -> TemplateReport:
 
 def _is_faithful(template: PultrTemplate) -> bool:
     """The gadgets are disjoint isomorphic eps-copies of A."""
-    for name, arity in template.tau.symbols:
+    for name, _ in template.tau.symbols:
         bt = template.B[name]
         maps = template.eps[name]
-        images = [frozenset(maps[i].values()) for i in range(arity)]
+        images = [frozenset(m.values()) for m in maps]
         if any(len(img) != len(template.A.domain) for img in images):
             return False
-        union: set = set()
-        total = 0
-        for img in images:
-            union |= img
-            total += len(img)
-        if union != set(bt.domain) or total != len(bt.domain):
+        if set().union(*images) != set(bt.domain) or sum(map(len, images)) != len(bt.domain):
             return False
-        for i in range(arity):
-            img = images[i]
-            for rname, _ in template.rho.symbols:
-                mapped = {tuple(maps[i][a] for a in at) for at in template.A.relations[rname]}
-                induced = {t for t in bt.relations[rname] if set(t) <= img}
-                if mapped != induced:
+        for m, img in zip(maps, images):
+            for rname, r_arity in template.rho.symbols:
+                at = _columns(template.A.relations[rname], r_arity)
+                mapped = set(zip(*[map(m.__getitem__, c) for c in at]))
+                ts = bt.relations[rname]
+                if mapped != set(itertools.compress(ts, map(img.issuperset, ts))):
                     return False
     return True
 
@@ -250,20 +237,20 @@ def left_apply(
     q = quotient if quotient is not None else lambda_quotient(template, X)
     names = [q.class_name[root] for root in q.class_of_id]
     relations: dict[str, set] = {name: set() for name, _ in template.rho.symbols}
-    for rname, _ in template.rho.symbols:
+    for rname, arity in template.rho.symbols:
         for at in template.A.relations[rname]:
             for x in X.domain:
                 relations[rname].add(tuple(q.cls(("A", x, a)) for a in at))
         for tname, _ in template.tau.symbols:
             bt = template.B[tname]
-            # the tags of the copy of B_T over xt are consecutive in q.tags, in
-            # bt's domain order, so its class names are one slice of `names`
-            places = [tuple(map(bt.index, btuple)) for btuple in bt.relations[rname]]
-            for xt in X.relations[tname] if places else ():
+            # the tags of the copy of B_T over xt are consecutive in q.tags, in bt's
+            # domain order: the flat places of its tuples read a slice of `names`
+            flat = [bt.index(b) for btuple in bt.relations[rname] for b in btuple]
+            for xt in X.relations[tname] if flat else ():
                 start = q.tag_ids[("B", tname, xt, bt.domain[0])]
-                block = names[start : start + len(bt.domain)].__getitem__
-                relations[rname].update(tuple(map(block, ps)) for ps in places)
-    return RelStructure(template.rho, list(dict.fromkeys(names)), relations)
+                images = map(names[start : start + len(bt.domain)].__getitem__, flat)
+                relations[rname].update(zip(*[images] * arity))
+    return RelStructure._trusted(template.rho, tuple(dict.fromkeys(names)), relations)
 
 
 def adjunction_oracle(
@@ -439,11 +426,15 @@ def _part_patterns(template: PultrTemplate, name: str, parts: dict) -> list:
     labels[i][ai] position by position."""
     part_of = {b: i for b, (i, _) in parts.items()}.__getitem__
     ai_of = {b: ai for b, (_, ai) in parts.items()}.__getitem__
-    grouped: dict = {}
-    for rname, _ in template.rho.symbols:
-        for bt in template.B[name].relations[rname]:
-            grouped.setdefault((rname, tuple(map(part_of, bt))), []).append(tuple(map(ai_of, bt)))
-    return [(rname, pattern, list(zip(*ais))) for (rname, pattern), ais in grouped.items()]
+    out = []
+    for rname, arity in template.rho.symbols:
+        ts = template.B[name].relations[rname]
+        keys = list(zip(*[map(part_of, c) for c in _columns(ts, arity)]))
+        ais = [list(map(ai_of, c)) for c in _columns(ts, arity)]
+        for pattern in dict.fromkeys(keys):  # in order of first occurrence
+            mask = list(map(pattern.__eq__, keys))
+            out.append((rname, pattern, [tuple(itertools.compress(c, mask)) for c in ais]))
+    return out
 
 
 def lambda_functor(

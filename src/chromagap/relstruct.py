@@ -120,15 +120,20 @@ class RelStructure:
         self._supports: dict = {}
 
     @classmethod
-    def _trusted(cls, signature: Signature, domain: tuple, ordered: Mapping) -> "RelStructure":
-        """A structure from checked parts: `domain` duplicate-free, and per
-        symbol a duplicate-free list of tuples over it, of the symbol's arity,
-        already in the canonical tuple order.  Nothing is checked again."""
+    def _trusted(cls, signature: Signature, domain: tuple, tuples: Mapping) -> "RelStructure":
+        """A structure from checked parts, not checked again: `domain` without
+        repeats; per symbol, tuples over it of its arity, as a list in canonical
+        tuple order without repeats, or as a set in any order (frozen by insertion,
+        so it iterates as the public constructor's would; `ordered` sorts it)."""
         self = cls.__new__(cls)
         self.signature, self.domain = signature, domain
         self._index = {v: i for i, v in enumerate(domain)}
-        self._ordered = {name: tuple(ordered[name]) for name in signature.names()}
-        self.relations = {name: frozenset(ts) for name, ts in self._ordered.items()}
+        self._ordered, self.relations = {}, {}
+        for name in signature.names():
+            ts = tuples[name]
+            if not isinstance(ts, (set, frozenset)):
+                ts = self._ordered[name] = tuple(ts)
+            self.relations[name] = ts if type(ts) is frozenset else frozenset(iter(ts))
         self._gaifman, self._supports = None, {}
         return self
 
@@ -258,12 +263,10 @@ def check_homomorphism(f: Mapping, X: RelStructure, Y: RelStructure) -> bool:
         if f[v] not in known:
             raise UnknownVertex(repr(f[v]))
     image = f.__getitem__
-    for name, tuples in X.relations.items():
-        rel = Y.relations[name]
-        for t in tuples:
-            if tuple(map(image, t)) not in rel:
-                return False
-    return True
+    return all(
+        Y.relations[name].issuperset(zip(*[map(image, c) for c in _columns(X.scan(name), arity)]))
+        for name, arity in X.signature.symbols
+    )
 
 
 def _search_homomorphisms(

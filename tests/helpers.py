@@ -10,10 +10,13 @@ reference Gamma functor builds the whole quotient Lambda Gamma X (it shares
 only the product routine, through `transfer_gamma`, with `gamma_functor`),
 and the reference eta-stage layers (faithful transfer, left functor,
 verifier, eta pair lists) work tag by tag, vertex by vertex and tuple by
-tuple.  The reference graph walks are the per-caller BFS loops that the
-shared Gaifman BFS in `relstruct` replaced, and the reference builders
-(line digraph, relabelling, Gaifman adjacency, Gamma products, gadget
-witness) are those from before structures kept a canonical tuple order.
+tuple.  The per-tuple references (homomorphism check, faithfulness test,
+part patterns, eta digraph) are those from before the column passes and
+the unvalidated builds.  The reference graph walks are the per-caller BFS
+loops that the shared Gaifman BFS in `relstruct` replaced, and the
+reference builders (line digraph, relabelling, Gaifman adjacency, Gamma
+products, gadget witness) are those from before structures kept a
+canonical tuple order.
 """
 
 from __future__ import annotations
@@ -478,6 +481,96 @@ def reference_check_homomorphism(f: Mapping, X: RelStructure, Y: RelStructure) -
         if tuple(f[v] for v in t) not in Y.relations[name]:
             return False
     return True
+
+
+# -- per-tuple references of the column passes -----------------------------------
+# The homomorphism check, the faithfulness test and the part patterns of the
+# faithful transfer as they were before they ran over columns of the tuples,
+# and the eta digraph as it was built before it skipped the public
+# constructor's validation.
+
+
+def reference_tuple_check_homomorphism(f: Mapping, X: RelStructure, Y: RelStructure) -> bool:
+    """Return True iff f maps every tuple of X into the matching relation of Y.
+
+    Raises PartialMap if f misses a vertex of X and SignatureMismatch if the
+    two structures disagree on the signature.
+    """
+    if X.signature != Y.signature:
+        raise SignatureMismatch("structures have different signatures")
+    known = Y._index
+    for v in X.domain:
+        if v not in f:
+            raise PartialMap(repr(v))
+        if f[v] not in known:
+            raise UnknownVertex(repr(f[v]))
+    image = f.__getitem__
+    for name, tuples in X.relations.items():
+        rel = Y.relations[name]
+        for t in tuples:
+            if tuple(map(image, t)) not in rel:
+                return False
+    return True
+
+
+def reference_is_faithful(template: PultrTemplate) -> bool:
+    """The gadgets are disjoint isomorphic eps-copies of A."""
+    for name, arity in template.tau.symbols:
+        bt = template.B[name]
+        maps = template.eps[name]
+        images = [frozenset(maps[i].values()) for i in range(arity)]
+        if any(len(img) != len(template.A.domain) for img in images):
+            return False
+        union: set = set()
+        total = 0
+        for img in images:
+            union |= img
+            total += len(img)
+        if union != set(bt.domain) or total != len(bt.domain):
+            return False
+        for i in range(arity):
+            img = images[i]
+            for rname, _ in template.rho.symbols:
+                mapped = {tuple(maps[i][a] for a in at) for at in template.A.relations[rname]}
+                induced = {t for t in bt.relations[rname] if set(t) <= img}
+                if mapped != induced:
+                    return False
+    return True
+
+
+def reference_part_patterns(template: PultrTemplate, name: str, parts: dict) -> list:
+    """The gadget tuples of B_T grouped by symbol and part pattern: for a
+    pattern (the part i of each position), the A-indexes at each position
+    as one column over its tuples, so a tuple's image under glued labels is
+    labels[i][ai] position by position."""
+    part_of = {b: i for b, (i, _) in parts.items()}.__getitem__
+    ai_of = {b: ai for b, (_, ai) in parts.items()}.__getitem__
+    grouped: dict = {}
+    for rname, _ in template.rho.symbols:
+        for bt in template.B[name].relations[rname]:
+            grouped.setdefault((rname, tuple(map(part_of, bt))), []).append(tuple(map(ai_of, bt)))
+    return [(rname, pattern, list(zip(*ais))) for (rname, pattern), ais in grouped.items()]
+
+
+def reference_eta_apply(ctx) -> RelStructure:
+    """The reduced digraph of the context's instance: vertices (x, z) for z
+    in [2d]^n, an edge per constraint and per pair of z-strings whose
+    permuted d-blocks are entrywise disjoint (the support of the certified
+    transition matrix)."""
+    base = 2 * ctx.d
+    z_count = base**ctx.n
+    variables = ctx.instance.variables
+    # vertex tuples are shared between the domain and every edge that uses
+    # them, which keeps the edge set light at full scale
+    by_x = {x: [(x, z) for z in range(z_count)] for x in variables}
+    vertices = [v for x in variables for v in by_x[x]]
+    edges = []
+    for name in ctx.symbols:
+        for x, xp in ctx.variable_structure.ordered(name):
+            left, right = by_x[x], by_x[xp]
+            for z, zp in ctx.pair_lists[name]:
+                edges.append((left[z], right[zp]))
+    return RelStructure(GRAPH_SIGNATURE, vertices, {"E": edges})
 
 
 # -- reference Gamma functor ------------------------------------------------------

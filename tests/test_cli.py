@@ -50,6 +50,24 @@ def test_indep_command(c5_file, capsys):
     assert json.loads(capsys.readouterr().out)["independence"] == 2
 
 
+def test_parser_is_built_once_and_repeated_calls_leave_little_garbage(c5_file, capsys):
+    """`cli.main` builds its argument parser, a cyclic tree, once per
+    process: a repeated `chromatic` call leaves the collector fewer than 100
+    objects, and no call changes what a later parse gets by default."""
+    parser = cli._parser()
+    argvs = [["chromatic", c5_file, "--cap", "4"], ["indep", c5_file], ["pipeline", "thm15"]]
+    before = [vars(parser.parse_args(argv)) for argv in argvs]
+    assert run(["indep", c5_file, "--cap", "1"]) == 0
+    assert run(["chromatic", c5_file, "--cap", "4"]) == 0
+    code, left = cyclic_garbage_of(lambda: run(["chromatic", c5_file, "--cap", "4"]))
+    assert code == 0 and left < 100
+    assert cli._parser() is parser
+    assert [vars(parser.parse_args(argv)) for argv in argvs] == before
+    capsys.readouterr()
+    assert run(["indep", c5_file]) == 0  # no cap left over from the call with --cap 1
+    assert json.loads(capsys.readouterr().out)["independence"] == 2
+
+
 def test_sat_isat_classify_augment(tmp_path, capsys):
     pred = {("a0", "b0"), ("a1", "b0")}
     inst = CspInstance(["x", "y"], ["a0", "a1", "b0"], [(("x", "y"), pred)])
@@ -197,8 +215,7 @@ def test_magic_square_pipeline_is_exact_and_writes_artifacts(tmp_path, monkeypat
     """The thm15 run sweeps every forbidden product of the eta colouring
     exactly; the flags of the removed sampled mode are rejected.  The
     pipeline call, artifacts included, leaves no cyclic garbage, and nor
-    does writing the same two artifacts again.  (The CLI's argument parser
-    leaves cycles, so only the pipeline call counts.)"""
+    does writing the same two artifacts again."""
     pipeline, garbage = cli.pipeline_magic_square, []
 
     def counted(*args, **kwargs):

@@ -35,6 +35,7 @@ from chromagap.relstruct import (
 from helpers import (
     all_pairs_template_predicates,
     random_digraph,
+    reference_eta_apply,
     reference_eta_pair_lists,
     reference_left_apply,
     reference_line_digraph,
@@ -358,3 +359,54 @@ def test_import_leaves_numpy_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "False"]
+
+
+def _random_two_to_two_instance(rng):
+    """Constraints on four labels, each predicate matching the halves of two
+    random label orders; the first scope also carries a second predicate,
+    so one scope lies in two symbols whenever the two orders differ."""
+    variables = ["x", "y", "z", "w"][: rng.randint(2, 4)]
+
+    def predicate():
+        mu, nu = rng.sample(range(4), 4), rng.sample(range(4), 4)
+        return {(a, b) for a in range(4) for b in range(4) if mu.index(a) // 2 == nu.index(b) // 2}
+
+    scopes = [tuple(rng.sample(variables, 2)) for _ in range(rng.randint(1, 3))]
+    constraints = [(scopes[0], predicate())] + [(s, predicate()) for s in scopes]
+    return CspInstance(variables, range(4), constraints)
+
+
+def _assert_same_structure(got, want):
+    """Equal domains in order, relations, relation iteration order and
+    canonical tuple lists."""
+    assert got.signature == want.signature and got.domain == want.domain
+    for name in want.signature.names():
+        assert got.relations[name] == want.relations[name]
+        assert list(got.relations[name]) == list(want.relations[name])
+        assert got.ordered(name) == want.ordered(name)
+
+
+def test_eta_stage_trusted_builds_match_the_public_constructor():
+    """The gadgets of `eta_context`, `left_apply` on the variable structure
+    and on the target, and `eta_apply` equal what the validating public
+    constructor builds from the same tuples, on random 2-to-2 instances,
+    some with a scope shared by two symbols, whose repeated edges the
+    eta digraph drops."""
+    rng = random.Random(67)
+    shared = 0
+    for case in range(6):
+        ctx = eta_context(_random_two_to_two_instance(rng))
+        template = ctx.template
+        _assert_same_structure(template.A, RelStructure(GRAPH_SIGNATURE, template.A.domain, {}))
+        for name, pairs in ctx.pair_lists.items():
+            edges = [((1, z), (2, zp)) for z, zp in pairs]
+            want = RelStructure(GRAPH_SIGNATURE, template.B[name].domain, {"E": edges})
+            _assert_same_structure(template.B[name], want)
+        for X in (ctx.variable_structure, ctx.target) if case < 2 else (ctx.variable_structure,):
+            _assert_same_structure(left_apply(template, X), reference_left_apply(template, X))
+        eta = eta_apply(ctx)
+        _assert_same_structure(eta, reference_eta_apply(ctx))
+        scopes = ctx.variable_structure.relations
+        emitted = sum(len(ctx.pair_lists[n]) * len(scopes[n]) for n in ctx.symbols)
+        shared += len(eta.relations["E"]) < emitted
+    assert shared

@@ -43,7 +43,9 @@ from helpers import (
     reference_gadget_witness,
     reference_gamma_functor,
     reference_gamma_products,
+    reference_is_faithful,
     reference_left_apply,
+    reference_part_patterns,
     reference_transfer_lambda,
     structure_with_hom_from,
 )
@@ -851,3 +853,58 @@ def test_gamma_products_matches_reference():
     assert [len(out.pvms[x]) for x in xs] == [2, 2, 2, 2]
     for x, twin in (("s", "s'"), ("h", "h'")):
         assert all(out.pvms[twin][h] is m for h, m in out.pvms[x].items())
+
+
+def _copies_template(rng) -> PultrTemplate:
+    """Disjoint eps-copies of a random A over arity-1, 2 and 3 symbols, one
+    per position of a tau symbol of arity 1 to 3, plus random gadget tuples
+    inside one copy (not faithful) or across copies (still faithful, with
+    a second part pattern)."""
+    rho = Signature((("U", 1), ("E", 2), ("R", 3)))
+    A = random_structure(rng, rho, 3)
+    maps = tuple({a: (i, a) for a in A.domain} for i in range(rng.randint(1, 3)))
+    dom = [m[a] for m in maps for a in A.domain]
+    relations = {
+        name: {tuple(map(m.__getitem__, t)) for m in maps for t in A.relations[name]}
+        for name in rho.names()
+    }
+    for _ in range(rng.randint(0, 3)):
+        name, arity = rng.choice(rho.symbols)
+        relations[name].add(tuple(rng.choice(dom) for _ in range(arity)))
+    tau = Signature((("S", len(maps)),))
+    return PultrTemplate(rho, tau, A, {"S": RelStructure(rho, dom, relations)}, {"S": maps})
+
+
+def test_faithfulness_and_part_patterns_match_per_tuple_references():
+    """The column passes of the faithful transfer agree with the per-tuple
+    ones: the same faithfulness verdict, the same part patterns in the same
+    order with the same A-index columns, or the same KeyError, on templates
+    with symbols of arity 1, 2 and 3 holding no, one or several tuples, on
+    eps maps that miss an A-vertex and on part maps that miss a gadget
+    vertex."""
+    rng = random.Random(61)
+    makers = [_copies_template, _glued_template, random_template, random_faithful_template]
+    verdicts, pattern_counts, errors = set(), set(), set()
+    for case in range(400):
+        template = makers[case % 4](rng)
+        if case % 10 == 9 and template.A.domain:
+            # a foreign key in place of an A-vertex keeps the image size
+            m = rng.choice(template.eps["S"])
+            m["foreign"] = m.pop(rng.choice(template.A.domain))
+        faithful = _witness_outcome(pultr._is_faithful, template)
+        assert faithful == _witness_outcome(reference_is_faithful, template)
+        verdicts.add(faithful if isinstance(faithful, bool) else faithful[0])
+        a_index = {a: i for i, a in enumerate(template.A.domain)}
+        for name, _ in template.tau.symbols:
+            maps = template.eps[name]
+            parts = {b: (i, a_index.get(a, -1)) for i, m in enumerate(maps) for a, b in m.items()}
+            if case % 7 == 6 and parts:
+                del parts[rng.choice(sorted(parts, key=repr))]
+            got = _witness_outcome(pultr._part_patterns, template, name, parts)
+            assert got == _witness_outcome(reference_part_patterns, template, name, parts)
+            if isinstance(got, list):
+                pattern_counts.add(min(len(got), 3))
+            else:
+                errors.add(got[0])
+    assert verdicts == {True, False, KeyError}
+    assert pattern_counts == {0, 1, 2, 3} and errors == {KeyError}

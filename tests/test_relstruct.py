@@ -36,6 +36,7 @@ from helpers import (
     random_digraph,
     random_structure,
     reference_check_homomorphism,
+    reference_tuple_check_homomorphism,
     reference_gaifman_adjacency,
     reference_gaifman_balls,
     reference_gaifman_distance,
@@ -596,3 +597,43 @@ def test_gaifman_adjacency_matches_reference():
         got = X.gaifman_adjacency()
         expected = reference_gaifman_adjacency(X)
         assert list(got.items()) == list(expected.items())
+
+
+def test_column_check_homomorphism_matches_per_tuple_reference():
+    """The column check gives the per-tuple check's verdict, or raises the
+    same exception with the same message: arities 1, 2 and 3, all relations
+    empty or all holding one tuple, tuples scanned from the frozenset or
+    from the sorted list, and maps that miss a vertex, leave the target or
+    cross signatures."""
+    rng = random.Random(59)
+    seen = set()
+    shapes = set()
+    for case in range(600):
+        X = random_structure(rng, MIXED_SIGNATURE, 5)
+        Y = random_structure(rng, MIXED_SIGNATURE, 3)
+        if case % 3 == 1:
+            X = RelStructure(MIXED_SIGNATURE, X.domain, {})
+        elif case % 3 == 2:  # one tuple per symbol: a one-entry column per position
+            one = {
+                name: [tuple(rng.choice(X.domain) for _ in range(arity))]
+                for name, arity in MIXED_SIGNATURE.symbols
+            }
+            X = RelStructure(MIXED_SIGNATURE, X.domain, one)
+        shapes.add(frozenset(map(len, X.relations.values())))
+        if rng.random() < 0.5:
+            for name in MIXED_SIGNATURE.names():
+                X.ordered(name)
+        kind = rng.choice(["hom", "any", "partial", "unknown", "signature"])
+        homs = brute_force_all_homs(X, Y) if kind == "hom" else []
+        f = dict(rng.choice(homs)) if homs else {x: rng.choice(Y.domain) for x in X.domain}
+        if kind == "partial":
+            del f[rng.choice(X.domain)]
+        elif kind == "unknown":
+            f[rng.choice(X.domain)] = "outside"
+        elif kind == "signature":
+            Y = random_structure(rng, GRAPH_SIGNATURE, 3)
+        outcome = _check_outcome(check_homomorphism, f, X, Y)
+        assert outcome == _check_outcome(reference_tuple_check_homomorphism, f, X, Y)
+        seen.add(outcome if isinstance(outcome, bool) else outcome[0])
+    assert seen == {True, False, SignatureMismatch, PartialMap, UnknownVertex}
+    assert {frozenset({0}), frozenset({1})} <= shapes
