@@ -386,8 +386,7 @@ def _load_instance(path: str) -> csp.CspInstance:
 
 
 def _print(obj) -> None:
-    json.dump(obj, sys.stdout, indent=1, sort_keys=True, default=str)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(obj, sort_keys=True, default=str) + "\n")
 
 
 @functools.cache

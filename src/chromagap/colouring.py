@@ -271,12 +271,15 @@ def eta_apply(ctx: EtaContext) -> RelStructure:
     by_x = {x: [(x, z) for z in range(z_count)] for x in variables}
     vertices = tuple(v for x in variables for v in by_x[x])
     edges = []
+    blocks = []  # per symbol, its gadget with one copy per scope (x, x')
     for name in ctx.symbols:
         zs, zps = map(list, _columns(ctx.pair_lists[name], 2))
-        for x, xp in ctx.variable_structure.ordered(name):
+        scopes = ctx.variable_structure.ordered(name)
+        for x, xp in scopes:
             edges += zip(map(by_x[x].__getitem__, zs), map(by_x[xp].__getitem__, zps))
+        blocks.append((ctx.template.B[name], [tuple(by_x[x] + by_x[xp]) for x, xp in scopes]))
     # a scope under two symbols can repeat an edge; the frozenset drops it
-    return RelStructure._trusted(GRAPH_SIGNATURE, vertices, {"E": frozenset(edges)})
+    return RelStructure._trusted(GRAPH_SIGNATURE, vertices, {"E": frozenset(edges)}, {"E": blocks})
 
 
 def xi_colouring(ctx: EtaContext) -> tuple[dict, RelStructure, LambdaQuotient]:
@@ -333,7 +336,7 @@ def eta_quantum_transfer(
             )
     xi, lam_target, quotient_y = xi_colouring(ctx)
     quotient_x = lambda_quotient(ctx.template, ctx.variable_structure)
-    transferred, _ = lambda_functor(
+    transferred = lambda_functor(
         ctx.template,
         ctx.variable_structure,
         ctx.target,
@@ -342,7 +345,8 @@ def eta_quantum_transfer(
         quotient_x=quotient_x,
         quotient_y=quotient_y,
         lambda_y=lam_target,
-    )
+    )[0]
+    del lam_target, quotient_y  # the stage's largest structure, freed before the eta digraph
     identity = {v: v for v in transferred.pvms}
     coloured = compose_sandwich(identity, transferred, xi, k=k)
 
@@ -358,10 +362,10 @@ def eta_quantum_transfer(
         _, x, z = a_tags[0]
         rename[class_name] = (x, z)
     eta = eta_apply(ctx)
-    renamed = {rename[v]: fam for v, fam in coloured.pvms.items()}
-    if set(renamed) != set(eta.domain):
+    renamed = coloured.renamed(rename)
+    if set(renamed.pvms) != set(eta.domain):
         raise VerificationFailure("transfer domain differs from the reduced digraph")
-    return eta, QuantumAssignment(coloured.dim, k, renamed), ctx
+    return eta, renamed, ctx
 
 
 # -- line-digraph transfer ---------------------------------------------------

@@ -18,7 +18,7 @@ instead of producing garbage.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter, ne
 from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
@@ -179,15 +179,19 @@ class LambdaQuotient:
     tag_ids: dict
     class_of_id: list
     class_name: dict
+    _classes: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
 
     def cls(self, tag) -> Hashable:
         return self.class_name[self.class_of_id[self.tag_ids[tag]]]
 
     def classes(self) -> dict:
-        members: dict = {}
-        for tag, i in self.tag_ids.items():
-            members.setdefault(self.class_name[self.class_of_id[i]], []).append(tag)
-        return members
+        """Each class name with its member tags in tag order; built once."""
+        if self._classes is None:
+            members: dict = {}
+            for tag, i in self.tag_ids.items():
+                members.setdefault(self.class_name[self.class_of_id[i]], []).append(tag)
+            self._classes = members
+        return self._classes
 
 
 def lambda_quotient(template: PultrTemplate, X: RelStructure) -> LambdaQuotient:
@@ -233,24 +237,32 @@ def left_apply(
     template: PultrTemplate, X: RelStructure, *, quotient: Optional[LambdaQuotient] = None
 ) -> RelStructure:
     """Glue a copy of A per vertex and a copy of B_T per tau-tuple along the
-    eps maps, and push all gadget relations to the quotient."""
+    eps maps, and push all gadget relations to the quotient.  The copies,
+    as class names over their gadget's domain, are the result's block view."""
     q = quotient if quotient is not None else lambda_quotient(template, X)
     names = [q.class_name[root] for root in q.class_of_id]
+
+    def copies(gadget: RelStructure, prefixes: list) -> list:
+        # a copy's tags are consecutive in q.tags, in its gadget's domain order
+        n = len(gadget.domain)
+        starts = [q.tag_ids[(*p, gadget.domain[0])] for p in prefixes] if n else [0] * len(prefixes)
+        return [names[s : s + n] for s in starts]
+
+    A = template.A
+    groups = [(A, copies(A, [("A", x) for x in X.domain]))]
+    for t in template.tau.names():
+        groups.append((template.B[t], copies(template.B[t], [("B", t, xt) for xt in X.relations[t]])))
     relations: dict[str, set] = {name: set() for name, _ in template.rho.symbols}
     for rname, arity in template.rho.symbols:
-        for at in template.A.relations[rname]:
-            for x in X.domain:
-                relations[rname].add(tuple(q.cls(("A", x, a)) for a in at))
-        for tname, _ in template.tau.symbols:
-            bt = template.B[tname]
-            # the tags of the copy of B_T over xt are consecutive in q.tags, in bt's
-            # domain order: the flat places of its tuples read a slice of `names`
+        for at in A.relations[rname]:
+            relations[rname].update(zip(*[map(itemgetter(A.index(a)), groups[0][1]) for a in at]))
+        for bt, maps in groups[1:]:
             flat = [bt.index(b) for btuple in bt.relations[rname] for b in btuple]
-            for xt in X.relations[tname] if flat else ():
-                start = q.tag_ids[("B", tname, xt, bt.domain[0])]
-                images = map(names[start : start + len(bt.domain)].__getitem__, flat)
-                relations[rname].update(zip(*[images] * arity))
-    return RelStructure._trusted(template.rho, tuple(dict.fromkeys(names)), relations)
+            for m in maps if flat else ():
+                relations[rname].update(zip(*[map(m.__getitem__, flat)] * arity))
+    # lists index faster; the view keeps its maps as tuples
+    blocks = dict.fromkeys(template.rho.names(), [(g, list(map(tuple, maps))) for g, maps in groups])
+    return RelStructure._trusted(template.rho, tuple(dict.fromkeys(names)), relations, blocks)
 
 
 def adjunction_oracle(
@@ -357,15 +369,26 @@ def transfer_lambda(
     }
     patterns = {name: _part_patterns(template, name, parts[name]) for name in template.tau.names()}
     hom_cache: dict = {}
+    # per symbol and relation, the copies of B_T in Y's block view: glued labels
+    # that form one map B_T into Y by construction, so that relation is not probed
+    copies = {
+        name: {r: {m for g, maps in Y._blocks[r] if g is template.B[name] for m in maps} for r in Y._blocks}
+        for name in template.tau.names()
+    } if Y._blocks else {}
 
     def glued_is_hom(name: str, labels: tuple) -> bool:
         key = (name, labels)
         if key not in hom_cache:
+            known = ()
+            if copies:
+                glued = tuple(labels[i][ai] for i, ai in map(parts[name].__getitem__, template.B[name].domain))
+                known = {r for r, maps in copies[name].items() if glued in maps}
             hom_cache[key] = all(
                 Y.relations[rname].issuperset(
                     zip(*[map(labels[i].__getitem__, col) for i, col in zip(pattern, columns)])
                 )
                 for rname, pattern, columns in patterns[name]
+                if rname not in known
             )
         return hom_cache[key]
 

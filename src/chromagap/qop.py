@@ -22,6 +22,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
+from operator import getitem
 from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
 from .relstruct import RelStructure, _columns, gaifman_balls
@@ -526,21 +527,46 @@ def verify_assignment(
         x: family_id.setdefault(tuple(fam.items()), len(family_id))
         for x, fam in assignment.pvms.items()
     }
-    fams = [dict(items) for items in family_id]
+    pid: dict = {}  # one int per distinct projector
+    fam_labels = [tuple(y for y, _ in items) for items in family_id]
+    fam_pids = [tuple(pid.setdefault(m, len(pid)) for _, m in items) for items in family_id]
+    projectors = list(pid)
     keys: Counter = Counter()
     for s, arity in X.signature.symbols:
+        groups = (X._blocks or {}).get(s)
+        # copies whose sizes add up to the relation's are disjoint, as they union to it
+        if groups and sum(len(g.relations[s]) * len(ms) for g, ms in groups) == len(X.relations[s]):
+            for gadget, maps in groups:
+                places = [list(map(gadget._index.__getitem__, c)) for c in _columns(gadget.scan(s), arity)]
+                for m in maps:
+                    ids = list(map(fid.__getitem__, m))
+                    keys.update(zip(itertools.repeat(s), *[map(ids.__getitem__, p) for p in places]))
+            continue
         columns = [map(fid.__getitem__, c) for c in _columns(X.scan(s), arity)]
         keys.update(zip(itertools.repeat(s), *columns))
     checks = ()
     products_checked = 0
+    forbidden: dict = {}  # (symbol, label lists) -> label positions outside Y
+    zero: dict = {}  # projector ids in scope order -> whether their product is 0
+
+    def is_zero(key: tuple) -> bool:
+        if key not in zero:
+            zero[key] = _ordered_product_is_zero([projectors[p] for p in key], cache)
+        return zero[key]
+
     for (name, *ids), n in keys.items():
-        fs = [fams[i] for i in ids]
-        forbidden = [c for c in itertools.product(*fs) if c not in Y.relations[name]]
-        products = ([f[y] for f, y in zip(fs, c)] for c in forbidden)
-        if not all(_ordered_product_is_zero(mats, cache) for mats in products):
+        labels = tuple(map(fam_labels.__getitem__, ids))
+        outside = forbidden.get((name, labels))
+        if outside is None:
+            outside = forbidden[name, labels] = [
+                ps for ps in itertools.product(*map(range, map(len, labels)))
+                if tuple(map(getitem, labels, ps)) not in Y.relations[name]
+            ]
+        pids = list(map(fam_pids.__getitem__, ids))
+        if not all(is_zero(tuple(map(getitem, pids, ps))) for ps in outside):
             checks, products_checked = full_sweep(), 0
             break
-        products_checked += n * len(forbidden)
+        products_checked += n * len(outside)
     for name, t, combo in checks:
         products_checked += 1
         mats = [assignment.pvms[v][y] for v, y in zip(t, combo)]

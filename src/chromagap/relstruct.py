@@ -88,9 +88,13 @@ class RelStructure:
     instances, not to structures.  `relations` holds frozensets for
     membership; `ordered` lists the same tuples in the canonical tuple order
     (lexicographic by domain index), and order-sensitive walks read it.
+    A structure glued from gadget copies may keep them as `_blocks`: per
+    symbol, groups (gadget, maps), each map one copy's vertices in the gadget's
+    domain order; the images of the gadget's tuples union, overlapping or not,
+    to the relation.
     """
 
-    __slots__ = ("signature", "domain", "relations", "_index", "_ordered", "_gaifman", "_supports")
+    __slots__ = ("signature", "domain", "relations", "_index", "_ordered", "_gaifman", "_supports", "_blocks")
 
     def __init__(
         self,
@@ -118,13 +122,17 @@ class RelStructure:
         self._ordered: dict = {}
         self._gaifman: Optional[dict] = None
         self._supports: dict = {}
+        self._blocks: Optional[dict] = None
 
     @classmethod
-    def _trusted(cls, signature: Signature, domain: tuple, tuples: Mapping) -> "RelStructure":
+    def _trusted(
+        cls, signature: Signature, domain: tuple, tuples: Mapping, blocks: Optional[dict] = None
+    ) -> "RelStructure":
         """A structure from checked parts, not checked again: `domain` without
         repeats; per symbol, tuples over it of its arity, as a list in canonical
         tuple order without repeats, or as a set in any order (frozen by insertion,
-        so it iterates as the public constructor's would; `ordered` sorts it)."""
+        so it iterates as the public constructor's would; `ordered` sorts it);
+        `blocks`, if given, the gadget copies the relations are made of."""
         self = cls.__new__(cls)
         self.signature, self.domain = signature, domain
         self._index = {v: i for i, v in enumerate(domain)}
@@ -134,7 +142,7 @@ class RelStructure:
             if not isinstance(ts, (set, frozenset)):
                 ts = self._ordered[name] = tuple(ts)
             self.relations[name] = ts if type(ts) is frozenset else frozenset(iter(ts))
-        self._gaifman, self._supports = None, {}
+        self._gaifman, self._supports, self._blocks = None, {}, blocks
         return self
 
     def index(self, v: Vertex) -> int:

@@ -573,6 +573,26 @@ def reference_eta_apply(ctx) -> RelStructure:
     return RelStructure(GRAPH_SIGNATURE, vertices, {"E": edges})
 
 
+# -- block views -------------------------------------------------------------------
+
+
+def block_images(X: RelStructure, name: str) -> list:
+    """The images of the gadget tuples of `name` under every map of X's block
+    view, repeats kept, group by group and map by map."""
+    out = []
+    for gadget, maps in X._blocks[name]:
+        for m in maps:
+            out += [tuple(m[gadget.index(v)] for v in t) for t in gadget.relations[name]]
+    return out
+
+
+def without_view(X: RelStructure) -> RelStructure:
+    """X rebuilt through the public constructor, which sets no block view."""
+    rebuilt = RelStructure(X.signature, X.domain, X.relations)
+    assert rebuilt._blocks is None
+    return rebuilt
+
+
 # -- reference Gamma functor ------------------------------------------------------
 # The functor action as it was before the counit was checked on gluing pairs:
 # it builds Lambda Gamma X, evaluates the counit on every member of every

@@ -50,6 +50,15 @@ def test_indep_command(c5_file, capsys):
     assert json.loads(capsys.readouterr().out)["independence"] == 2
 
 
+def test_print_writes_one_json_line_and_leaves_no_cyclic_garbage(capsys):
+    """CLI payloads go out through the C encoder: one sorted line, with
+    non-JSON values as strings, and nothing left for the collector."""
+    payload = {"b": [1, {"c": Fraction(1, 3)}], "a": None}
+    _, left = cyclic_garbage_of(lambda: cli._print(payload))
+    assert left == 0
+    assert capsys.readouterr().out == '{"a": null, "b": [1, {"c": "1/3"}]}\n'
+
+
 def test_parser_is_built_once_and_repeated_calls_leave_little_garbage(c5_file, capsys):
     """`cli.main` builds its argument parser, a cyclic tree, once per
     process: a repeated `chromatic` call leaves the collector fewer than 100

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -34,12 +35,14 @@ from chromagap.relstruct import (
 )
 from helpers import (
     all_pairs_template_predicates,
+    block_images,
     random_digraph,
     reference_eta_apply,
     reference_eta_pair_lists,
     reference_left_apply,
     reference_line_digraph,
     reference_transfer_lambda,
+    without_view,
 )
 
 
@@ -410,3 +413,77 @@ def test_eta_stage_trusted_builds_match_the_public_constructor():
         emitted = sum(len(ctx.pair_lists[n]) * len(scopes[n]) for n in ctx.symbols)
         shared += len(eta.relations["E"]) < emitted
     assert shared
+
+
+# -- the block view of the eta digraph ---------------------------------------------
+
+
+def _block_view_instances(rng) -> list:
+    """Random instances with a scope under two symbols, each also without
+    its first constraint, which may leave no scope shared."""
+    out = []
+    for _ in range(4):
+        inst = _random_two_to_two_instance(rng)
+        rest = [(c.scope, c.allowed) for c in inst.constraints[1:]]
+        out += [inst, CspInstance(inst.variables, inst.alphabet, rest)]
+    return out
+
+
+def test_eta_block_view_is_the_gadget_copies_and_unions_to_the_edges():
+    """One group per symbol, holding the context's gadget itself and one map
+    per scope; the images union to the edges, and overlap exactly when a
+    scope under two symbols repeats an edge."""
+    overlaps = set()
+    for inst in _block_view_instances(random.Random(97)):
+        ctx = eta_context(inst)
+        eta = eta_apply(ctx)
+        groups = eta._blocks["E"]
+        assert len(groups) == len(ctx.symbols)
+        assert all(g is ctx.template.B[name] for (g, _), name in zip(groups, ctx.symbols))
+        assert [len(maps) for _, maps in groups] == [
+            len(ctx.variable_structure.relations[name]) for name in ctx.symbols
+        ]
+        images = block_images(eta, "E")
+        assert set(images) == eta.relations["E"]
+        overlaps.add(len(images) > len(eta.relations["E"]))
+    assert overlaps == {True, False}
+
+
+def _split_colouring(rng, inst, eta, p, q) -> QuantumAssignment:
+    """(x, z) splits the plane over the colours z(s(x)) and z(s'(x)) for two
+    solutions s, s' of the instance (random maps when it has fewer), which
+    is perfect when both are solutions: an edge joins disjoint blocks."""
+    maps = [dict(zip(inst.variables, labels)) for labels in itertools.product(inst.alphabet, repeat=len(inst.variables))]
+    solutions = [s for s in maps if all((s[c.scope[0]], s[c.scope[1]]) in c.allowed for c in inst.constraints)]
+    s1, s2 = rng.sample(solutions, 2) if len(solutions) > 1 else rng.sample(maps, 2)
+    pvms = {}
+    for x, z in eta.domain:
+        c1, c2 = (f"k{colouring._digit(z, s[x], 4)}" for s in (s1, s2))
+        pvms[(x, z)] = {c1: p, c2: q} if c1 != c2 else {c1: p + q}
+    return QuantumAssignment(2, 0, pvms)
+
+
+def test_verify_assignment_same_with_and_without_the_eta_view():
+    """Equal reports, witnesses and counts included, on the eta digraph with
+    its block view and rebuilt without one: split colourings in the standard
+    and the Hadamard basis, and the same with one projector of one vertex
+    replaced by one of the other basis, at witness caps 1 and 25, with and
+    without overlapping copies."""
+    rng = random.Random(101)
+    seen = set()
+    for inst in _block_view_instances(rng):
+        eta = eta_apply(eta_context(inst))
+        for (p, q), other in ((STANDARD, HADAMARD[0]), (HADAMARD, STANDARD[0])):
+            split = _split_colouring(rng, inst, eta, p, q)
+            corrupted = dict(split.pvms)
+            v = rng.choice(eta.domain)
+            first = next(iter(corrupted[v]))
+            corrupted[v] = {**corrupted[v], first: other}
+            for assignment in (split, QuantumAssignment(2, 0, corrupted)):
+                cap = rng.choice([1, 25])
+                got = verify_assignment(eta, clique(4), assignment, 0, max_witnesses=cap)
+                assert got == verify_assignment(without_view(eta), clique(4), assignment, 0, max_witnesses=cap)
+                overlapping = len(block_images(eta, "E")) > len(eta.relations["E"])
+                if got.products_checked:
+                    seen.add((overlapping, got.perfect))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}

@@ -35,6 +35,7 @@ from chromagap.relstruct import (
 )
 from helpers import (
     all_pairs_template_predicates,
+    block_images,
     gamma_product_for_map,
     random_digraph,
     random_faithful_template,
@@ -48,6 +49,7 @@ from helpers import (
     reference_part_patterns,
     reference_transfer_lambda,
     structure_with_hom_from,
+    without_view,
 )
 
 
@@ -908,3 +910,143 @@ def test_faithfulness_and_part_patterns_match_per_tuple_references():
                 errors.add(got[0])
     assert verdicts == {True, False, KeyError}
     assert pattern_counts == {0, 1, 2, 3} and errors == {KeyError}
+
+
+# -- the block view of the left functor ------------------------------------------
+
+
+def _edged_template(rng) -> PultrTemplate:
+    """Disjoint copies of an edgeless A, one per place of one or two tau
+    symbols, with random gadget edges inside and across the copies: the
+    copies of B_T are the only edges of Lambda X, disjoint or not."""
+    rho = GRAPH_SIGNATURE
+    A = RelStructure(rho, [f"a{i}" for i in range(rng.randint(1, 3))], {})
+    tau = Signature(tuple((name, rng.randint(1, 2)) for name in ["S", "T"][: rng.randint(1, 2)]))
+    gadgets, eps = {}, {}
+    for name, arity in tau.symbols:
+        dom = [(i, a) for i in range(arity) for a in A.domain]
+        edges = {(rng.choice(dom), rng.choice(dom)) for _ in range(rng.randint(1, 4))}
+        gadgets[name] = RelStructure(rho, dom, {"E": edges})
+        eps[name] = tuple({a: (i, a) for a in A.domain} for i in range(arity))
+    return PultrTemplate(rho, tau, A, gadgets, eps)
+
+
+def test_left_apply_block_view_is_its_copies_and_unions_to_the_relations():
+    """Per symbol, a group for A and one per tau symbol, holding the gadgets
+    themselves and one map per vertex or tau-tuple; their images union to
+    the relation, and they overlap where a copy of B_T repeats a copy of A
+    or two copies meet."""
+    rng = random.Random(71)
+    makers = [random_template, random_faithful_template, _edged_template]
+    overlaps = set()
+    for case in range(240):
+        template = makers[case % 3](rng)
+        X = _random_tau_structure(rng, template, 4)
+        lam = left_apply(template, X)
+        gadgets = [template.A] + [template.B[t] for t in template.tau.names()]
+        for rname in template.rho.names():
+            groups = lam._blocks[rname]
+            assert all(g is want for (g, _), want in zip(groups, gadgets)) and len(groups) == len(gadgets)
+            assert [len(maps) for _, maps in groups] == [len(X.domain)] + [
+                len(X.relations[t]) for t in template.tau.names()
+            ]
+            images = block_images(lam, rname)
+            assert set(images) == lam.relations[rname]
+            overlaps.add(len(images) > len(lam.relations[rname]))
+    assert overlaps == {True, False}
+
+
+def _unit_labelled_assignment(rng, template, X, Z, lam, bases) -> QuantumAssignment:
+    """Labels are mostly the copies of A over the vertices of Z in
+    lam = Lambda Z, whose glued maps are copies of B_T in lam's view, and
+    sometimes arbitrary maps A -> lam; families as in _labelled_assignment."""
+    q = lambda_quotient(template, Z)
+    units = [tuple(q.cls(("A", z, a)) for a in template.A.domain) for z in Z.domain]
+    others = [tuple(rng.choice(lam.domain) for _ in template.A.domain) for _ in range(2)]
+    pool = units * 3 + others
+    pvms = {}
+    for x in X.domain:
+        roll = rng.random()
+        if roll < 0.2 or len(set(pool)) < 2:
+            pvms[x] = {rng.choice(pool): PMatrix.identity(2)}
+        else:
+            p, q_ = rng.choice(bases)
+            h0, h1 = rng.sample(sorted(set(pool)), 2)
+            pvms[x] = {h0: p} if roll < 0.3 else {h0: p, h1: q_}
+    return QuantumAssignment(2, 2, pvms)
+
+
+def test_transfer_lambda_same_on_a_viewed_and_a_rebuilt_target():
+    """The same ordered PVMs or the same error on Lambda Z with its block
+    view and on Lambda Z rebuilt without one.  The transfer's gadget may
+    carry an edge across its copies that the gadget Lambda Z was glued from
+    lacks: the view's copies are then of another gadget under the same
+    symbol name and vertex names, and must not be taken as copies of it."""
+    rng = random.Random(73)
+    kinds = set()
+    for case in range(240):
+        base = random_faithful_template(rng)
+        name, arity = base.tau.symbols[0]
+        template = base
+        if arity == 2 and case % 2:
+            bt = base.B[name]
+            edge = (
+                rng.choice([b for b in bt.domain if b[0] == 0]),
+                rng.choice([b for b in bt.domain if b[0] == 1]),
+            )
+            bt = RelStructure(bt.signature, bt.domain, {"E": set(bt.relations["E"]) | {edge}})
+            template = PultrTemplate(base.rho, base.tau, base.A, {name: bt}, base.eps)
+        glued_from = base if case % 4 < 2 else template
+        Z = _random_tau_structure(rng, base, 3)
+        lam = left_apply(glued_from, Z)
+        X = _random_tau_structure(rng, template, 3)
+        bases = [STANDARD] if case % 3 == 0 else [STANDARD, HADAMARD]
+        assignment = _unit_labelled_assignment(rng, glued_from, X, Z, lam, bases)
+        got = _lambda_outcome(transfer_lambda, template, X, lam, assignment, 1)
+        assert got == _lambda_outcome(transfer_lambda, template, X, without_view(lam), assignment, 1)
+        if isinstance(got[0], type):
+            kinds.add(got[0].__name__)
+        else:
+            kinds.add("other gadget" if glued_from is not template else "same gadget")
+    assert kinds == {"WellDefinednessViolation", "other gadget", "same gadget"}
+
+
+def test_verify_assignment_same_with_and_without_the_left_functor_view():
+    """Equal reports, witnesses and counts included, on Lambda Z with its
+    block view and rebuilt without one: perfect dim-2 assignments split over
+    two homomorphisms into a 3-vertex target, and the same with one
+    projector turned into a non-diagonal one, at witness caps 1 and 25."""
+    rng = random.Random(79)
+    seen = set()
+    for case in range(240):
+        template = [random_template, _edged_template][case % 2](rng)
+        Z = _random_tau_structure(rng, template, 4)
+        lam = left_apply(template, Z)
+        f, g = ({v: rng.choice("abc") for v in lam.domain} for _ in range(2))
+        edges = {(h[u], h[v]) for h in (f, g) for u, v in lam.relations["E"]}
+        Y = RelStructure(GRAPH_SIGNATURE, "abc", {"E": edges})
+        p, q = rng.choice([STANDARD, HADAMARD])
+        pvms = {x: {f[x]: p, g[x]: q} if f[x] != g[x] else {f[x]: p + q} for x in lam.domain}
+        if case % 3:
+            x = rng.choice(lam.domain)
+            pvms[x] = dict(pvms[x])
+            pvms[x][rng.choice(sorted(pvms[x]))] = HADAMARD[rng.randint(0, 1)]
+        assignment = QuantumAssignment(2, 0, pvms)
+        cap, k = rng.choice([1, 25]), rng.randint(0, 1)
+        got = verify_assignment(lam, Y, assignment, k, max_witnesses=cap)
+        assert got == verify_assignment(without_view(lam), Y, assignment, k, max_witnesses=cap)
+        disjoint = len(block_images(lam, "E")) == len(lam.relations["E"])
+        seen.add(("disjoint" if disjoint else "overlapping", "perfect" if got.perfect else "not perfect"))
+    assert seen == {(a, b) for a in ("disjoint", "overlapping") for b in ("perfect", "not perfect")}
+
+
+def test_quotient_classes_are_built_once_in_tag_order():
+    template = random_faithful_template(random.Random(83))
+    X = _random_tau_structure(random.Random(89), template, 4)
+    q = lambda_quotient(template, X)
+    classes = q.classes()
+    assert q.classes() is classes
+    fresh: dict = {}
+    for tag in q.tags:
+        fresh.setdefault(q.cls(tag), []).append(tag)
+    assert list(classes.items()) == list(fresh.items())
