@@ -252,7 +252,6 @@ def pipeline_machinery(
     i: int = 2,
     seed: int = 0,
     *,
-    budget: int = 5_000_000,
     outdir: Optional[str] = None,
 ) -> PipelineReport:
     """Classically-lifted end-to-end run of the full reduction machinery,
@@ -270,7 +269,7 @@ def pipeline_machinery(
     inst, classical = machinery_seed_instance(seed)
     lift = qop.lift_classical(classical)
     final, dmr_report, tracked = dmr.dmr_pipeline(
-        inst, Fraction(12), k_ladder[0], 1, lift, budget=budget
+        inst, Fraction(12), k_ladder[0], 1, lift, budget=_MACHINERY_BUDGET
     )
     report.add(
         "dmr-chain",
@@ -373,8 +372,13 @@ def pipeline_machinery(
 # -- command-line interface --------------------------------------------------
 
 
-# search nodes allowed to `pultr gamma` and `pultr check`
+# fixed limits: search nodes of `pultr gamma` and `pultr check`, vertices of
+# the `eta` digraph, and left vertices of the left-regular stage of `dmr` and
+# of the thm14 chain
 _PULTR_BUDGET = 10_000_000
+_ETA_BUDGET = 10_000_000
+_DMR_BUDGET = 1_000_000
+_MACHINERY_BUDGET = 5_000_000
 
 
 def _load_structure(path: str) -> relstruct.RelStructure:
@@ -385,314 +389,317 @@ def _load_instance(path: str) -> csp.CspInstance:
     return serialize.instance_from_dict(serialize.load(path))
 
 
+def _load_assignment(path: str) -> qop.QuantumAssignment:
+    return serialize.assignment_from_dict(serialize.load(path))
+
+
+def _load_system(path: str) -> dkkms.XorSystem:
+    with open(path) as fh:
+        return dkkms.XorSystem.parse(fh.read())
+
+
 def _print(obj) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True, default=str) + "\n")
 
 
+def _hom(args) -> int:
+    f = relstruct.find_homomorphism(_load_structure(args.source), _load_structure(args.target))
+    _print({"exists": f is not None, "witness": None if f is None else
+            {str(serialize.encode_id(k)): serialize.encode_id(v) for k, v in f.items()}})
+    return 0 if f is not None else 1
+
+
+def _chromatic(args) -> int:
+    result = relstruct.chromatic_number(_load_structure(args.graph), args.cap)
+    _print({"chromatic": "above cap" if result is ABOVE_CAP else result})
+    return 0
+
+
+def _indep(args) -> int:
+    _print({"independence": relstruct.independence_number(_load_structure(args.graph), args.cap)})
+    return 0
+
+
+def _sat(args) -> int:
+    _print({"sat": str(csp.sat_value(_load_instance(args.instance)))})
+    return 0
+
+
+def _isat(args) -> int:
+    _print({"isat": str(csp.isat_value(_load_instance(args.instance), args.t))})
+    return 0
+
+
+def _classify(args) -> int:
+    profile = csp.classify_label_cover(_load_instance(args.instance))
+    _print(
+        {
+            "bipartite": profile.bipartite is not None,
+            "projective": profile.projective is not None,
+            "d_to_1": profile.d_to_1,
+            "d_to_d": None
+            if profile.d_to_d is None
+            else {"m": profile.d_to_d.m, "d": profile.d_to_d.d},
+        }
+    )
+    return 0
+
+
+def _augment(args) -> int:
+    out = csp.augment_k(_load_instance(args.instance), args.k)
+    serialize.dump(serialize.instance_to_dict(out), args.out)
+    return 0
+
+
+def _qverify(args) -> int:
+    report = qop.verify_assignment(
+        _load_structure(args.source),
+        _load_structure(args.target),
+        _load_assignment(args.assignment),
+        args.k,
+    )
+    _print(
+        {
+            "passed": report.passed,
+            "perfect": report.perfect,
+            "summary": report.summary(),
+            "product_violations": [repr(v) for v in report.product_violations[:10]],
+            "commutator_violations": [repr(v) for v in report.commutator_violations[:10]],
+        }
+    )
+    return 0 if report.passed else 1
+
+
+def _qsat(args) -> int:
+    result = qop.qsat(_load_instance(args.instance), _load_assignment(args.assignment))
+    _print({"qsat": str(result.value), "imag": str(result.imag), "real": result.real})
+    return 0
+
+
+def _pultr(args) -> int:
+    if args.action == "check" and args.target is None:
+        _parser().error("pultr check needs --target")
+    template = serialize.template_from_dict(serialize.load(args.template))
+    X = _load_structure(args.structure)
+    if args.action == "gamma":
+        out = pultr.central_apply(template, X, budget=_PULTR_BUDGET)
+    elif args.action == "lambda":
+        out = pultr.left_apply(template, X)
+    else:
+        Y = _load_structure(args.target)
+        lam, gam = pultr.adjunction_oracle(template, X, Y, budget=_PULTR_BUDGET)
+        _print({"lambda_side": lam, "gamma_side": gam, "agree": lam == gam})
+        return 0 if lam == gam else 1
+    if args.out:
+        serialize.dump(serialize.structure_to_dict(out), args.out)
+    _print({"vertices": len(out.domain)})
+    return 0
+
+
+def _linedigraph(args) -> int:
+    X = _load_structure(args.graph)
+    for _ in range(args.iterate):
+        X = colouring.line_digraph(X)
+    if args.out:
+        serialize.dump(serialize.structure_to_dict(X), args.out)
+    _print({"vertices": len(X.domain), "edges": len(X.relations[X.graph_symbol()])})
+    return 0
+
+
+def _eta(args) -> int:
+    ctx = colouring.eta_context(_load_instance(args.instance), budget=_ETA_BUDGET)
+    eta = colouring.eta_apply(ctx)
+    if args.out:
+        serialize.dump(serialize.structure_to_dict(eta), args.out)
+    _print({"vertices": len(eta.domain), "edges": len(eta.relations["E"]),
+            "template_symbols": len(ctx.symbols)})
+    return 0
+
+
+def _transition(args) -> int:
+    import numpy as np
+
+    tm = colouring.build_transition_matrix(args.d)
+    _print({"states": len(tm.states), "iterations": tm.iterations,
+            "row_sum_residual": tm.row_sum_residual, "second_modulus": tm.second_modulus,
+            "spectrum": sorted(np.linalg.eigvalsh(tm.matrix).tolist())})
+    return 0
+
+
+def _rho(args) -> int:
+    rho1 = dkkms.build_rho1(_load_system(args.system), args.n, args.ell)
+    rho2 = dkkms.build_rho2(rho1)
+    if args.out:
+        serialize.dump(serialize.instance_to_dict(rho2.instance), args.out)
+    _print({"vertices": len(rho1.instance.variables), "alphabet": len(rho1.instance.alphabet),
+            "constraints_rho1": len(rho1.instance.constraints),
+            "constraints_rho2": len(rho2.instance.constraints),
+            "tags": {t: rho1.tags.count(t) for t in sorted(set(rho1.tags))}})
+    return 0
+
+
+def _game(args) -> int:
+    game = dkkms.game_csp(_load_system(args.system), args.n)
+    if args.out:
+        serialize.dump(serialize.instance_to_dict(game), args.out)
+    _print(
+        {
+            "variables": len(game.variables),
+            "alphabet": len(game.alphabet),
+            "constraints": len(game.constraints),
+        }
+    )
+    return 0
+
+
+def _rho_transfer(args) -> int:
+    rho, transferred = dkkms.rho_quantum_transfer(
+        _load_system(args.system), args.n, args.ell, _load_assignment(args.strategy)
+    )
+    X, A = csp.to_structures(rho.instance)
+    report = qop.verify_assignment(X, A, transferred, 0)
+    if args.out:
+        serialize.dump(serialize.assignment_to_dict(transferred), args.out)
+    _print({"perfect": report.perfect, "summary": report.summary()})
+    return 0 if report.perfect else 1
+
+
+def _dmr(args) -> int:
+    tracked = _load_assignment(args.track_quantum) if args.track_quantum else None
+    final, rep, _ = dmr.dmr_pipeline(
+        _load_instance(args.instance), Fraction(args.eps), args.k, args.t, tracked,
+        budget=_DMR_BUDGET,
+    )
+    _print(
+        {
+            "parameters": {k: str(v) for k, v in rep.parameters.items()},
+            "stages": rep.stage_sizes,
+            "certificates": rep.certificates,
+            "quantum": rep.quantum_ledger,
+        }
+    )
+    return 0
+
+
+def _pipeline(args) -> int:
+    if args.which == "thm15":
+        report = pipeline_magic_square(args.seed, outdir=args.outdir)
+    else:
+        report = pipeline_machinery(2, args.seed, outdir=args.outdir)
+    print(report.summary())
+    if args.outdir:
+        serialize.dump(report.to_dict(), os.path.join(args.outdir, "report.json"))
+    return 0 if not report.verdict.startswith("FAIL") else 1
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process (its tree is cyclic)."""
+    """The argument parser, built once per process (its tree is cyclic).
+    Each subcommand carries its handler as `run`."""
     parser = argparse.ArgumentParser(
         prog="chromagap",
         description="exact CSP reductions and quantum-assignment verification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("hom", help="find a homomorphism between structures")
+    def command(name, run, **kwargs):
+        p = sub.add_parser(name, **kwargs)
+        p.set_defaults(run=run)
+        return p
+
+    p = command("hom", _hom, help="find a homomorphism between structures")
     p.add_argument("source")
     p.add_argument("target")
 
-    p = sub.add_parser("chromatic", help="exact chromatic number")
+    p = command("chromatic", _chromatic, help="exact chromatic number")
     p.add_argument("graph")
     p.add_argument("--cap", type=int, required=True)
 
-    p = sub.add_parser("indep", help="exact independence number")
+    p = command("indep", _indep, help="exact independence number")
     p.add_argument("graph")
     p.add_argument("--cap", type=int, default=None)
 
-    p = sub.add_parser("sat", help="exact classical value of an instance")
+    p = command("sat", _sat, help="exact classical value of an instance")
     p.add_argument("instance")
 
-    p = sub.add_parser("isat", help="induced-subinstance set-assignment value")
+    p = command("isat", _isat, help="induced-subinstance set-assignment value")
     p.add_argument("instance")
     p.add_argument("--t", type=int, required=True)
 
-    p = sub.add_parser("classify", help="label-cover certificates")
+    p = command("classify", _classify, help="label-cover certificates")
     p.add_argument("instance")
 
-    p = sub.add_parser("augment", help="distance-k compatibility augmentation")
+    p = command("augment", _augment, help="distance-k compatibility augmentation")
     p.add_argument("instance")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("qverify", help="verify a quantum assignment")
+    p = command("qverify", _qverify, help="verify a quantum assignment")
     p.add_argument("source")
     p.add_argument("target")
     p.add_argument("assignment")
     p.add_argument("--k", type=int, default=0)
 
-    p = sub.add_parser("qsat", help="exact quantum value of an assignment")
+    p = command("qsat", _qsat, help="exact quantum value of an assignment")
     p.add_argument("instance")
     p.add_argument("assignment")
 
-    p = sub.add_parser("pultr", help="Pultr functors and the adjunction oracle")
+    p = command("pultr", _pultr, help="Pultr functors and the adjunction oracle")
     p.add_argument("action", choices=["gamma", "lambda", "check"])
     p.add_argument("--template", required=True)
     p.add_argument("--structure", required=True)
     p.add_argument("--target", default=None, help="second structure for check")
     p.add_argument("--out", default=None)
 
-    p = sub.add_parser("linedigraph", help="iterate the line-digraph operator")
+    p = command("linedigraph", _linedigraph, help="iterate the line-digraph operator")
     p.add_argument("graph")
     p.add_argument("--iterate", type=int, default=1)
     p.add_argument("--out", default=None)
 
-    p = sub.add_parser("eta", help="d-to-d to colouring reduction")
+    p = command("eta", _eta, help="d-to-d to colouring reduction")
     p.add_argument("instance")
-    p.add_argument("--budget", type=int, default=10_000_000)
-    p.add_argument("--emit-template", action="store_true")
     p.add_argument("--out", default=None)
 
-    p = sub.add_parser("transition", help="build and certify the state matrix")
+    p = command("transition", _transition, help="build and certify the state matrix")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--emit-spectrum", action="store_true")
 
-    p = sub.add_parser("rho", help="3XOR to 2-to-2 reduction")
+    p = command("rho", _rho, help="3XOR to 2-to-2 reduction")
     p.add_argument("system", help="text file of `x y z = b` lines")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--emit-tags", action="store_true")
     p.add_argument("--out", default=None)
 
-    p = sub.add_parser("game", help="the consistent-repetition game as a CSP")
+    p = command("game", _game, help="the consistent-repetition game as a CSP")
     p.add_argument("system")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--questions", choices=["legitimate", "all"], default="legitimate")
     p.add_argument("--out", default=None)
 
-    p = sub.add_parser("rho-transfer", help="transfer a game strategy through rho")
+    p = command("rho-transfer", _rho_transfer, help="transfer a game strategy through rho")
     p.add_argument("system")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--strategy", required=True)
     p.add_argument("--out", default=None)
 
-    p = sub.add_parser("dmr", help="d-to-1 to d-to-d preprocessing chain")
+    p = command("dmr", _dmr, help="d-to-1 to d-to-d preprocessing chain")
     p.add_argument("instance")
     p.add_argument("--eps", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--track-quantum", default=None, help="assignment file")
-    p.add_argument("--budget", type=int, default=1_000_000)
 
-    p = sub.add_parser("pipeline", help="headline end-to-end runs")
+    p = command("pipeline", _pipeline, help="headline end-to-end runs")
     p.add_argument("which", choices=["thm15", "thm14"])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=5_000_000)
     p.add_argument("--outdir", default=None)
     return parser
 
 
 def main(argv: Optional[list] = None) -> int:
+    """Run one subcommand: 0 for success, 1 for a negative verdict; argparse
+    exits with 2 on a usage error."""
     args = _parser().parse_args(argv)
-
-    if args.command == "hom":
-        f = relstruct.find_homomorphism(
-            _load_structure(args.source), _load_structure(args.target)
-        )
-        _print({"exists": f is not None, "witness": None if f is None else
-                {str(serialize.encode_id(k)): serialize.encode_id(v) for k, v in f.items()}})
-        return 0 if f is not None else 1
-
-    if args.command == "chromatic":
-        result = relstruct.chromatic_number(_load_structure(args.graph), args.cap)
-        _print({"chromatic": "above cap" if result is ABOVE_CAP else result})
-        return 0
-
-    if args.command == "indep":
-        _print({"independence": relstruct.independence_number(_load_structure(args.graph), args.cap)})
-        return 0
-
-    if args.command == "sat":
-        _print({"sat": str(csp.sat_value(_load_instance(args.instance)))})
-        return 0
-
-    if args.command == "isat":
-        _print({"isat": str(csp.isat_value(_load_instance(args.instance), args.t))})
-        return 0
-
-    if args.command == "classify":
-        profile = csp.classify_label_cover(_load_instance(args.instance))
-        _print(
-            {
-                "bipartite": profile.bipartite is not None,
-                "projective": profile.projective is not None,
-                "d_to_1": profile.d_to_1,
-                "d_to_d": None
-                if profile.d_to_d is None
-                else {"m": profile.d_to_d.m, "d": profile.d_to_d.d},
-            }
-        )
-        return 0
-
-    if args.command == "augment":
-        out = csp.augment_k(_load_instance(args.instance), args.k)
-        serialize.dump(serialize.instance_to_dict(out), args.out)
-        return 0
-
-    if args.command == "qverify":
-        report = qop.verify_assignment(
-            _load_structure(args.source),
-            _load_structure(args.target),
-            serialize.assignment_from_dict(serialize.load(args.assignment)),
-            args.k,
-        )
-        _print(
-            {
-                "passed": report.passed,
-                "perfect": report.perfect,
-                "summary": report.summary(),
-                "product_violations": [repr(v) for v in report.product_violations[:10]],
-                "commutator_violations": [repr(v) for v in report.commutator_violations[:10]],
-            }
-        )
-        return 0 if report.passed else 1
-
-    if args.command == "qsat":
-        result = qop.qsat(
-            _load_instance(args.instance),
-            serialize.assignment_from_dict(serialize.load(args.assignment)),
-        )
-        _print({"qsat": str(result.value), "imag": str(result.imag), "real": result.real})
-        return 0
-
-    if args.command == "pultr":
-        template = serialize.template_from_dict(serialize.load(args.template))
-        X = _load_structure(args.structure)
-        if args.action == "gamma":
-            out = pultr.central_apply(template, X, budget=_PULTR_BUDGET)
-        elif args.action == "lambda":
-            out = pultr.left_apply(template, X)
-        else:
-            Y = _load_structure(args.target)
-            lam, gam = pultr.adjunction_oracle(template, X, Y, budget=_PULTR_BUDGET)
-            _print({"lambda_side": lam, "gamma_side": gam, "agree": lam == gam})
-            return 0 if lam == gam else 1
-        if args.out:
-            serialize.dump(serialize.structure_to_dict(out), args.out)
-        _print({"vertices": len(out.domain)})
-        return 0
-
-    if args.command == "linedigraph":
-        X = _load_structure(args.graph)
-        for _ in range(args.iterate):
-            X = colouring.line_digraph(X)
-        if args.out:
-            serialize.dump(serialize.structure_to_dict(X), args.out)
-        _print({"vertices": len(X.domain), "edges": len(X.relations[X.graph_symbol()])})
-        return 0
-
-    if args.command == "eta":
-        inst = _load_instance(args.instance)
-        ctx = colouring.eta_context(inst, budget=args.budget)
-        eta = colouring.eta_apply(ctx)
-        if args.out:
-            serialize.dump(serialize.structure_to_dict(eta), args.out)
-        payload = {"vertices": len(eta.domain), "edges": len(eta.relations["E"])}
-        if args.emit_template:
-            payload["template_symbols"] = len(ctx.symbols)
-        _print(payload)
-        return 0
-
-    if args.command == "transition":
-        tm = colouring.build_transition_matrix(args.d)
-        payload = {
-            "states": len(tm.states),
-            "iterations": tm.iterations,
-            "row_sum_residual": tm.row_sum_residual,
-            "second_modulus": tm.second_modulus,
-        }
-        if args.emit_spectrum:
-            import numpy as np
-
-            payload["spectrum"] = sorted(np.linalg.eigvalsh(tm.matrix).tolist())
-        _print(payload)
-        return 0
-
-    if args.command == "rho":
-        with open(args.system) as fh:
-            system = dkkms.XorSystem.parse(fh.read())
-        rho1 = dkkms.build_rho1(system, args.n, args.ell)
-        rho2 = dkkms.build_rho2(rho1)
-        payload = {
-            "vertices": len(rho1.instance.variables),
-            "alphabet": len(rho1.instance.alphabet),
-            "constraints_rho1": len(rho1.instance.constraints),
-            "constraints_rho2": len(rho2.instance.constraints),
-        }
-        if args.emit_tags:
-            payload["tags"] = {t: rho1.tags.count(t) for t in sorted(set(rho1.tags))}
-        if args.out:
-            serialize.dump(serialize.instance_to_dict(rho2.instance), args.out)
-        _print(payload)
-        return 0
-
-    if args.command == "game":
-        with open(args.system) as fh:
-            system = dkkms.XorSystem.parse(fh.read())
-        game = dkkms.game_csp(system, args.n, question_set=args.questions)
-        if args.out:
-            serialize.dump(serialize.instance_to_dict(game), args.out)
-        _print(
-            {
-                "variables": len(game.variables),
-                "alphabet": len(game.alphabet),
-                "constraints": len(game.constraints),
-            }
-        )
-        return 0
-
-    if args.command == "rho-transfer":
-        with open(args.system) as fh:
-            system = dkkms.XorSystem.parse(fh.read())
-        strategy = serialize.assignment_from_dict(serialize.load(args.strategy))
-        rho, transferred = dkkms.rho_quantum_transfer(system, args.n, args.ell, strategy)
-        X, A = csp.to_structures(rho.instance)
-        report = qop.verify_assignment(X, A, transferred, 0)
-        if args.out:
-            serialize.dump(serialize.assignment_to_dict(transferred), args.out)
-        _print({"perfect": report.perfect, "summary": report.summary()})
-        return 0 if report.perfect else 1
-
-    if args.command == "dmr":
-        inst = _load_instance(args.instance)
-        tracked = None
-        if args.track_quantum:
-            tracked = serialize.assignment_from_dict(serialize.load(args.track_quantum))
-        final, rep, _ = dmr.dmr_pipeline(
-            inst, Fraction(args.eps), args.k, args.t, tracked, budget=args.budget
-        )
-        _print(
-            {
-                "parameters": {k: str(v) for k, v in rep.parameters.items()},
-                "stages": rep.stage_sizes,
-                "certificates": rep.certificates,
-                "quantum": rep.quantum_ledger,
-            }
-        )
-        return 0
-
-    if args.command == "pipeline":
-        if args.which == "thm15":
-            report = pipeline_magic_square(args.seed, outdir=args.outdir)
-        else:
-            report = pipeline_machinery(2, args.seed, budget=args.budget, outdir=args.outdir)
-        print(report.summary())
-        if args.outdir:
-            serialize.dump(report.to_dict(), os.path.join(args.outdir, "report.json"))
-        return 0 if not report.verdict.startswith("FAIL") else 1
-
-    return 2  # pragma: no cover
+    return args.run(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

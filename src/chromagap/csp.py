@@ -15,7 +15,6 @@ from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
 from .relstruct import (
     RelStructure,
-    SearchBudgetExceeded,
     Signature,
     SignatureMismatch,
     gaifman_balls,
@@ -102,12 +101,12 @@ class CspInstance:
         return total
 
 
-def sat_value(inst: CspInstance, budget: Optional[int] = None) -> Fraction:
+def sat_value(inst: CspInstance) -> Fraction:
     """Exact maximum weighted satisfied fraction over classical assignments.
 
     Branch and bound over the variables in canonical order: a branch is cut
     when even satisfying every still-undecided constraint cannot beat the
-    incumbent.  `budget` caps the number of search nodes.
+    incumbent.
     """
     variables = inst.variables
     pos = {v: i for i, v in enumerate(variables)}
@@ -122,10 +121,9 @@ def sat_value(inst: CspInstance, budget: Optional[int] = None) -> Fraction:
         )
     best = Fraction(0)
     assignment: dict = {}
-    nodes = 0
 
     def bt(i: int, current: Fraction) -> None:
-        nonlocal best, nodes
+        nonlocal best
         if i == len(variables):
             if current > best:
                 best = current
@@ -134,9 +132,6 @@ def sat_value(inst: CspInstance, budget: Optional[int] = None) -> Fraction:
             return
         v = variables[i]
         for a in inst.alphabet:
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise SearchBudgetExceeded(f"sat search exceeded {budget} nodes")
             assignment[v] = a
             gained = sum(
                 (c.weight for c in decided_at[i]
@@ -162,14 +157,14 @@ def _subsets_at_most(alphabet: Sequence, t: int) -> list[frozenset]:
     return out
 
 
-def isat_value(inst: CspInstance, t: int, budget: Optional[int] = None) -> Fraction:
+def isat_value(inst: CspInstance, t: int) -> Fraction:
     """Largest relative size of a variable set whose induced constraints are
     satisfiable by an assignment of at-most-t-element label sets.
 
     A binary constraint is satisfied by set-valued f when some allowed pair
     (a, b) has a in f(x1) and b in f(x2).  Constraints are induced by S when
     both scope endpoints lie in S.  Searches subsets by descending size with
-    forward pruning; exact within the node budget.
+    forward pruning; exact.
     """
     if not inst.is_binary():
         raise NotBinary("isat is defined for binary instances only")
@@ -181,13 +176,11 @@ def isat_value(inst: CspInstance, t: int, budget: Optional[int] = None) -> Fract
     by_pair: dict[tuple, list[frozenset]] = {}
     for c in inst.constraints:
         by_pair.setdefault(c.scope, []).append(c.allowed)
-    nodes = 0
 
     def compatible(sx: frozenset, sy: frozenset, allowed: frozenset) -> bool:
         return any(a in sx and b in sy for (a, b) in allowed)
 
     def satisfiable(S: tuple) -> bool:
-        nonlocal nodes
         inside = set(S)
         order = {v: i for i, v in enumerate(S)}
         # constraints checked when their later endpoint gets its label set
@@ -200,14 +193,10 @@ def isat_value(inst: CspInstance, t: int, budget: Optional[int] = None) -> Fract
         chosen: dict[Var, frozenset] = {}
 
         def bt(i: int) -> bool:
-            nonlocal nodes
             if i == len(S):
                 return True
             v = S[i]
             for sv in choices:
-                nodes += 1
-                if budget is not None and nodes > budget:
-                    raise SearchBudgetExceeded(f"isat search exceeded {budget} nodes")
                 ok = True
                 for earlier, allowed, v_is_second in relevant[v]:
                     if earlier == v:

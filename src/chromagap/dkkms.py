@@ -188,23 +188,14 @@ def game_csp(
     system: XorSystem,
     n: int,
     *,
-    question_set: str = "legitimate",
     budget: Optional[int] = None,
 ) -> CspInstance:
-    """The consistent-repetition game as a CSP: variables are equation
-    tuples, labels encode assignments, a unary constraint pins each tuple to
-    its satisfying assignments, and a binary consistency constraint joins
-    every two tuples with intersecting variable sets.
-
-    `question_set` is "legitimate" (the tuples feeding the reduction) or
-    "all" (every ordered n-tuple).
-    """
-    if question_set == "legitimate":
-        tuples = legitimate_tuples(system, n)
-    elif question_set == "all":
-        tuples = list(itertools.product(range(len(system.equations)), repeat=n))
-    else:
-        raise ValueError("question_set must be 'legitimate' or 'all'")
+    """The consistent-repetition game as a CSP: variables are the legitimate
+    equation tuples (those feeding the reduction), labels encode assignments,
+    a unary constraint pins each tuple to its satisfying assignments, and a
+    binary consistency constraint joins every two tuples with intersecting
+    variable sets."""
+    tuples = legitimate_tuples(system, n)
     if budget is not None and len(tuples) > budget:
         raise SizeBudgetExceeded(f"{len(tuples)} question tuples exceed budget")
     sats = {t: satisfying_assignments(system, t) for t in tuples}
@@ -282,9 +273,6 @@ def build_rho1(
     system: XorSystem,
     n: int,
     ell: int,
-    *,
-    p: int = 2,
-    budget: Optional[int] = None,
 ) -> RhoInstance:
     """First reduction stage: the tagged 1-to-1 / 2-to-2 label-cover instance.
 
@@ -295,7 +283,7 @@ def build_rho1(
     """
     if ell < 2:
         raise ValueError("ell must be >= 2")
-    reg = is_regular(system, p)
+    reg = is_regular(system, 2)
     if not reg.regular:
         raise NotRegular(repr(reg))
     ambient = system.ambient()
@@ -312,8 +300,6 @@ def build_rho1(
         for low in enumerate_subspaces(coord, ell, avoid=h_space):
             vertex = RhoVertex(t, low, low.sum(h_space))
             vertices[vertex.key] = vertex
-            if budget is not None and len(vertices) > budget:
-                raise SizeBudgetExceeded("vertex count exceeds budget")
     keys = sorted(vertices)
     alphabet = tuple(range(2**ell))
     labels = {

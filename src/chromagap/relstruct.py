@@ -462,11 +462,10 @@ def find_homomorphism(
     X: RelStructure,
     Y: RelStructure,
     *,
-    order: Optional[Sequence[Vertex]] = None,
     budget: Optional[int] = None,
 ) -> Optional[dict]:
     """Return the canonically-least homomorphism X -> Y, or None."""
-    for f in _search_homomorphisms(X, Y, order=order, limit=1, budget=budget):
+    for f in _search_homomorphisms(X, Y, limit=1, budget=budget):
         return f
     return None
 
@@ -568,7 +567,7 @@ def is_bipartite(G: RelStructure) -> bool:
     return all((a - b) % 2 for a, b in zip(map(at, heads), map(at, tails)))
 
 
-def chromatic_number(G: RelStructure, cap: int, *, budget: Optional[int] = None):
+def chromatic_number(G: RelStructure, cap: int):
     """Least n <= cap with a homomorphism G -> K_n, else the ABOVE_CAP sentinel.
 
     Exact search: vertices are coloured in descending Gaifman-degree order
@@ -581,22 +580,16 @@ def chromatic_number(G: RelStructure, cap: int, *, budget: Optional[int] = None)
         return ABOVE_CAP
     order = sorted(G.domain, key=lambda v: (-len(adj[v]), G.index(v)))
     colour: dict = {}
-    nodes = 0
 
     def colourable(k: int) -> bool:
-        nonlocal nodes
         colour.clear()
 
         def bt(i: int, used: int) -> bool:
-            nonlocal nodes
             if i == len(order):
                 return True
             v = order[i]
             forbidden = {colour[u] for u in adj[v] if u in colour}
             for c in range(min(k, used + 1)):
-                nodes += 1
-                if budget is not None and nodes > budget:
-                    raise SearchBudgetExceeded(f"colouring search exceeded {budget} nodes")
                 if c in forbidden:
                     continue
                 colour[v] = c
@@ -618,31 +611,26 @@ def chromatic_number(G: RelStructure, cap: int, *, budget: Optional[int] = None)
     return ABOVE_CAP
 
 
-def independence_number(G: RelStructure, cap: Optional[int] = None, *, budget: Optional[int] = None) -> int:
+def independence_number(G: RelStructure, cap: Optional[int] = None) -> int:
     """Exact maximum independent set size in the single binary relation.
 
-    `cap` bounds the answer from above (search stops early once reached);
-    `budget` bounds the number of branch nodes and fails loudly beyond it.
+    `cap` bounds the answer from above (search stops early once reached).
     """
     sym = G.graph_symbol()
     adj = G.gaifman_adjacency()
     loopers = {a for (a, b) in G.relations[sym] if a == b}
     verts = [v for v in sorted(G.domain, key=lambda v: (-len(adj[v]), G.index(v))) if v not in loopers]
     best = 0
-    nodes = 0
     target = cap if cap is not None else len(verts)
 
     def bt(i: int, chosen: set) -> None:
-        nonlocal best, nodes
+        nonlocal best
         if best >= target:
             return
         if len(chosen) > best:
             best = len(chosen)
         if i == len(verts) or len(chosen) + (len(verts) - i) <= best:
             return
-        nodes += 1
-        if budget is not None and nodes > budget:
-            raise SearchBudgetExceeded(f"independent-set search exceeded {budget} nodes")
         v = verts[i]
         if not any(u in chosen for u in adj[v]):
             chosen.add(v)

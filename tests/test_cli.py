@@ -2,6 +2,8 @@ import gc
 import json
 import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -160,7 +162,7 @@ def test_rho_and_game_commands(tmp_path, capsys):
     spath = os.path.join(str(tmp_path), "magic.xor")
     with open(spath, "w") as fh:
         fh.write(system.format())
-    assert run(["rho", spath, "--n", "1", "--ell", "2", "--emit-tags"]) == 0
+    assert run(["rho", spath, "--n", "1", "--ell", "2"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["vertices"] == 24 and out["tags"]["2-to-2"] == 144
     assert run(["game", spath, "--n", "1"]) == 0
@@ -222,7 +224,8 @@ def strip_timing(d):
 
 def test_magic_square_pipeline_is_exact_and_writes_artifacts(tmp_path, monkeypatch):
     """The thm15 run sweeps every forbidden product of the eta colouring
-    exactly; the flags of the removed sampled mode are rejected.  The
+    exactly; the flags of the removed sampled mode, and the removed budget,
+    emit and question-set flags, are rejected.  The
     pipeline call, artifacts included, leaves no cyclic garbage, and nor
     does writing the same two artifacts again."""
     pipeline, garbage = cli.pipeline_magic_square, []
@@ -258,6 +261,18 @@ def test_magic_square_pipeline_is_exact_and_writes_artifacts(tmp_path, monkeypat
     with pytest.raises(SystemExit) as info:
         run(["qverify", "x.json", "y.json", "q.json", "--samples", "4"])
     assert info.value.code == 2
+    for argv in (
+        ["eta", "inst.json", "--budget", "10"],
+        ["dmr", "inst.json", "--eps", "12", "--k", "1", "--t", "1", "--budget", "10"],
+        ["pipeline", "thm14", "--budget", "10"],
+        ["eta", "inst.json", "--emit-template"],
+        ["rho", "magic.xor", "--n", "1", "--ell", "2", "--emit-tags"],
+        ["transition", "--d", "2", "--emit-spectrum"],
+        ["game", "magic.xor", "--n", "1", "--questions", "all"],
+    ):
+        with pytest.raises(SystemExit) as info:
+            run(argv)
+        assert info.value.code == 2
 
 
 def test_machinery_pipeline_reproducible_and_artifacts_reverify(tmp_path):
@@ -330,6 +345,317 @@ def test_eta_command(tmp_path, capsys):
     full = [(a, b) for a in range(2) for b in range(2)]
     inst = CspInstance(["x", "y"], range(2), [(("x", "y"), full)])
     path = write(str(tmp_path), "dd.json", serialize.instance_to_dict(inst))
-    assert run(["eta", path, "--emit-template"]) == 0
+    assert run(["eta", path]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["vertices"] == 32 and out["edges"] == 84
+
+
+# -- every subcommand through `main`, payloads pinned ------------------------
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """Tiny input files for every subcommand, by name."""
+    d = str(tmp_path_factory.mktemp("cli_inputs"))
+    C5 = digraph([(f"v{i}", f"v{(i + 1) % 5}") for i in range(5)])
+    pred = {("a0", "b0"), ("a1", "b0")}
+    full = [(a, b) for a in range(2) for b in range(2)]
+    seed = CspInstance(
+        ["p", "q", "y"], ["a0", "a1", "b0"], [(("p", "y"), pred), (("q", "y"), pred)],
+        [Fraction(1, 2), Fraction(1, 2)],
+    )
+    system, strategy = mermin_peres()
+    from chromagap.colouring import linedigraph_template
+
+    docs = {
+        "c5": serialize.structure_to_dict(C5),
+        "k2": serialize.structure_to_dict(clique(2)),
+        "k3": serialize.structure_to_dict(clique(3)),
+        "k4": serialize.structure_to_dict(clique(4)),
+        "inst": serialize.instance_to_dict(CspInstance(["x", "y"], ["a0", "a1", "b0"], [(("x", "y"), pred)])),
+        "inst_lift": serialize.assignment_to_dict(lift_classical({"x": "a0", "y": "b0"})),
+        "c5_k3": serialize.assignment_to_dict(lift_classical(find_homomorphism(C5, clique(3)))),
+        "c5_k0": serialize.assignment_to_dict(lift_classical({v: "k0" for v in C5.domain})),
+        "template": serialize.template_to_dict(linedigraph_template()),
+        "dd": serialize.instance_to_dict(CspInstance(["x", "y"], range(2), [(("x", "y"), full)])),
+        "strategy": serialize.assignment_to_dict(strategy),
+        "seed": serialize.instance_to_dict(seed),
+        "seed_lift": serialize.assignment_to_dict(lift_classical({"p": "a0", "q": "a0", "y": "b0"})),
+    }
+    paths = {name: write(d, f"{name}.json", doc) for name, doc in docs.items()}
+    paths["magic"] = os.path.join(d, "magic.xor")
+    with open(paths["magic"], "w") as fh:
+        fh.write(system.format())
+    return paths
+
+
+def structure_doc(path):
+    return serialize.structure_from_dict(serialize.load(path))
+
+
+def instance_doc(path):
+    return serialize.instance_from_dict(serialize.load(path))
+
+
+def assignment_doc(path):
+    return serialize.assignment_from_dict(serialize.load(path))
+
+
+PASS = "pass: pvm_ok=True products=0 (viol 0) commutators=0 (viol 0)"
+DMR_PARAMETERS = {
+    "delta": "4", "ell": "1", "eps": "12", "eps_double_prime": "1", "eps_prime": "2",
+    "eps_triple_prime": "2", "h": "2", "m": "1",
+}
+DMR_CERTIFICATES = [["uniform-marginals", True], ["left-regular", True], ["d-to-d", True]]
+DMR_STAGES = ["marginals", "left-regular", "d-to-d"]
+DMR_SIZES = ["CspInstance(|X|=5, |A|=3, |E|=4)"] * 2 + ["CspInstance(|X|=4, |A|=2, |E|=12)"]
+
+
+def dmr_payload(quantum):
+    return {
+        "certificates": DMR_CERTIFICATES,
+        "parameters": DMR_PARAMETERS,
+        "quantum": [[stage, q] for stage, q in zip(DMR_STAGES, quantum)],
+        "stages": [[stage, size] for stage, size in zip(DMR_STAGES, DMR_SIZES)],
+    }
+
+
+def line_stage(name, vertices, edges, level):
+    return {"name": name, "vertices": vertices, "edges": edges, "level": level, "verification": PASS}
+
+
+# (argv, exit code, payload, {--out file: loader}); `{name}` is an input file,
+# `{out}` the case's output directory.  The payloads were recorded from the
+# command chain `main` had before its handlers were split out, with the eta,
+# transition and rho fields that were then printed on request only and are
+# now always printed.
+CLI_CASES = {
+    "hom": (
+        ["hom", "{c5}", "{k3}"],
+        0,
+        {"exists": True, "witness": {"v0": "k0", "v1": "k1", "v2": "k0", "v3": "k1", "v4": "k2"}},
+        {},
+    ),
+    "hom-none": (["hom", "{k3}", "{k2}"], 1, {"exists": False, "witness": None}, {}),
+    "chromatic": (["chromatic", "{c5}", "--cap", "5"], 0, {"chromatic": 3}, {}),
+    "chromatic-above-cap": (["chromatic", "{c5}", "--cap", "2"], 0, {"chromatic": "above cap"}, {}),
+    "indep": (["indep", "{c5}"], 0, {"independence": 2}, {}),
+    "indep-cap": (["indep", "{c5}", "--cap", "1"], 0, {"independence": 1}, {}),
+    "sat": (["sat", "{inst}"], 0, {"sat": "1"}, {}),
+    "isat": (["isat", "{inst}", "--t", "1"], 0, {"isat": "1"}, {}),
+    "classify": (
+        ["classify", "{inst}"],
+        0,
+        {"bipartite": True, "d_to_1": 2, "d_to_d": None, "projective": True},
+        {},
+    ),
+    "augment": (
+        ["augment", "{inst}", "--k", "1", "--out", "{out}/aug.json"], 0, None, {"aug.json": instance_doc}
+    ),
+    "qverify": (
+        ["qverify", "{c5}", "{k3}", "{c5_k3}", "--k", "1"],
+        0,
+        {
+            "passed": True,
+            "perfect": True,
+            "summary": PASS,
+            "product_violations": [],
+            "commutator_violations": [],
+        },
+        {},
+    ),
+    "qverify-fails": (
+        ["qverify", "{c5}", "{k3}", "{c5_k0}"],
+        1,
+        {
+            "passed": False,
+            "perfect": False,
+            "summary": "FAIL: pvm_ok=True products=5 (viol 5) commutators=0 (viol 0)",
+            "product_violations": [
+                f"product('E', ('v{i}', 'v{(i + 1) % 5}'), ('k0', 'k0'))" for i in range(5)
+            ],
+            "commutator_violations": [],
+        },
+        {},
+    ),
+    "qsat": (["qsat", "{inst}", "{inst_lift}"], 0, {"imag": "0", "qsat": "1", "real": True}, {}),
+    "pultr-gamma": (
+        ["pultr", "gamma", "--template", "{template}", "--structure", "{c5}", "--out", "{out}/g.json"],
+        0,
+        {"vertices": 5},
+        {"g.json": structure_doc},
+    ),
+    "pultr-lambda": (
+        ["pultr", "lambda", "--template", "{template}", "--structure", "{c5}", "--out", "{out}/l.json"],
+        0,
+        {"vertices": 5},
+        {"l.json": structure_doc},
+    ),
+    "pultr-check": (
+        ["pultr", "check", "--template", "{template}", "--structure", "{c5}", "--target", "{k3}"],
+        0,
+        {"agree": True, "gamma_side": True, "lambda_side": True},
+        {},
+    ),
+    "linedigraph": (
+        ["linedigraph", "{k4}", "--iterate", "2", "--out", "{out}/line.json"],
+        0,
+        {"edges": 108, "vertices": 36},
+        {"line.json": structure_doc},
+    ),
+    "eta": (
+        ["eta", "{dd}", "--out", "{out}/eta.json"],
+        0,
+        {"edges": 84, "template_symbols": 1, "vertices": 32},
+        {"eta.json": structure_doc},
+    ),
+    "transition": (
+        ["transition", "--d", "2"],
+        0,
+        {
+            "states": 16,
+            "iterations": 47,
+            "row_sum_residual": 8.57980353430321e-13,
+            "second_modulus": 0.8222666901147099,
+            "spectrum": [
+                -0.8222666901147099, -0.8222666901147095, -0.8222666901147091, -0.11696311977564583,
+                -5.945163273482437e-17, -4.698721272016309e-18, 2.6607389843657197e-18,
+                3.714767479555038e-17, 6.694131862399042e-17, 2.0817708326705294e-16,
+                0.04741491666948463, 0.04741491666948468, 0.04741491666948468,
+                0.7207592200556596, 0.7207592200556601, 0.9999999999999999,
+            ],
+        },
+        {},
+    ),
+    "rho": (
+        ["rho", "{magic}", "--n", "1", "--ell", "2", "--out", "{out}/rho2.json"],
+        0,
+        {
+            "vertices": 24,
+            "alphabet": 4,
+            "constraints_rho1": 180,
+            "constraints_rho2": 144,
+            "tags": {"1-to-1": 36, "2-to-2": 144},
+        },
+        {"rho2.json": instance_doc},
+    ),
+    "game": (
+        ["game", "{magic}", "--n", "1", "--out", "{out}/game.json"],
+        0,
+        {"alphabet": 24, "constraints": 15, "variables": 6},
+        {"game.json": instance_doc},
+    ),
+    "rho-transfer": (
+        ["rho-transfer", "{magic}", "--n", "1", "--ell", "2", "--strategy", "{strategy}",
+         "--out", "{out}/transferred.json"],
+        0,
+        {"perfect": True, "summary": "pass: pvm_ok=True products=1584 (viol 0) commutators=0 (viol 0)"},
+        {"transferred.json": assignment_doc},
+    ),
+    "dmr": (
+        ["dmr", "{seed}", "--eps", "12", "--k", "1", "--t", "1"],
+        0,
+        dmr_payload(["not tracked"] * 3),
+        {},
+    ),
+    "dmr-track-quantum": (
+        ["dmr", "{seed}", "--eps", "12", "--k", "1", "--t", "1", "--track-quantum", "{seed_lift}"],
+        0,
+        dmr_payload([f"level 2: {PASS}", f"level 2: {PASS}", f"level 1: {PASS}"]),
+        {},
+    ),
+    "pipeline-thm14": (
+        ["pipeline", "thm14", "--seed", "0", "--outdir", "{out}"],
+        0,
+        {
+            "pipeline": "thm14",
+            "seed": 0,
+            "stages": [
+                {
+                    "name": "dmr-chain",
+                    "parameters": DMR_PARAMETERS,
+                    "certificates": DMR_CERTIFICATES,
+                    "quantum": [
+                        [stage, f"level {k}: {PASS}"] for stage, k in zip(DMR_STAGES, (20, 20, 10))
+                    ],
+                    "final": "CspInstance(|X|=4, |A|=2, |E|=12)",
+                },
+                line_stage("eta", 64, 1008, 10),
+                line_stage("line-digraph-1", 1008, 18576, 4),
+                line_stage("line-digraph-2", 18576, 333072, 1),
+                {
+                    "name": "three-colouring",
+                    "chi_delta2_k4": 3,
+                    "ledger": [10, 4, 1],
+                    "verification": PASS,
+                    "final_bipartite": False,
+                    "bipartite_note": "a bipartite output would already be quantum 2-colourable",
+                },
+            ],
+            "verdict": "ledger 10->4->1; verified 3-colouring witness",
+        },
+        {
+            "report.json": serialize.load,
+            "three_colouring_witness.json": assignment_doc,
+            "final_digraph.json": structure_doc,
+        },
+    ),
+}
+
+
+def approx_floats(payload):
+    """The payload with its floats, numpy results, compared to within 1e-12."""
+    if isinstance(payload, float):
+        return pytest.approx(payload, abs=1e-12)
+    if isinstance(payload, dict):
+        return {k: approx_floats(v) for k, v in payload.items()}
+    if isinstance(payload, list):
+        return [approx_floats(v) for v in payload]
+    return payload
+
+
+@pytest.mark.parametrize("case", sorted(CLI_CASES))
+def test_every_subcommand_exit_code_payload_and_out_files(case, cli_inputs, tmp_path, capsys):
+    argv, code, payload, outs = CLI_CASES[case]
+    out = str(tmp_path)
+    assert run([a.format(out=out, **cli_inputs) for a in argv]) == code
+    printed = capsys.readouterr().out
+    if argv[0] == "pipeline":
+        assert printed.splitlines()[-1] == f"verdict: {payload['verdict']}"
+        got = strip_timing(serialize.load(os.path.join(out, "report.json")))
+    else:
+        got = json.loads(printed) if printed else None
+    assert got == approx_floats(payload)
+    for name, loader in outs.items():
+        loader(os.path.join(out, name))
+
+
+def test_pultr_check_without_target_is_a_usage_error(cli_inputs, capsys):
+    """`pultr check` needs a second structure: without `--target` argparse
+    reports a usage error, exit code 2."""
+    with pytest.raises(SystemExit) as info:
+        run(["pultr", "check", "--template", cli_inputs["template"], "--structure", cli_inputs["c5"]])
+    assert info.value.code == 2
+    assert "pultr check needs --target" in capsys.readouterr().err
+
+
+def test_module_entry_point_passes_exit_codes_through(cli_inputs):
+    """`python -m chromagap.cli`, the `sys.exit(main())` path the installed
+    `chromagap` script takes: `sat` prints exactly one JSON line and exits 0,
+    `hom` with no homomorphism exits 1."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+
+    def cli_process(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "chromagap.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    sat = cli_process("sat", cli_inputs["inst"])
+    assert sat.returncode == 0, sat.stderr
+    lines = sat.stdout.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0]) == {"sat": "1"}
+    hom = cli_process("hom", cli_inputs["k3"], cli_inputs["k2"])
+    assert hom.returncode == 1, hom.stderr
+    assert json.loads(hom.stdout) == {"exists": False, "witness": None}

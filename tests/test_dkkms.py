@@ -229,13 +229,6 @@ def test_transfer_perfect_on_both_stages(magic):
         assert report.perfect and report.passed
 
 
-def test_unknown_question_set_is_rejected(magic):
-    """The game CSP does not read an unknown question set as "all"."""
-    system, _ = magic
-    with pytest.raises(ValueError, match="question_set"):
-        game_csp(system, 1, question_set="legit")
-
-
 def test_game_form_rejects_a_corrupted_strategy(magic):
     """Swapping two answers' projectors in the first row's family leaves a
     PVM but breaks 8 of the 72 consistency products; the rho transfer
