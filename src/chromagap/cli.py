@@ -404,8 +404,9 @@ def _print(obj) -> None:
 
 def _hom(args) -> int:
     f = relstruct.find_homomorphism(_load_structure(args.source), _load_structure(args.target))
-    _print({"exists": f is not None, "witness": None if f is None else
-            {str(serialize.encode_id(k)): serialize.encode_id(v) for k, v in f.items()}})
+    _print({"exists": f is not None, "witness": None if f is None else {
+        k if isinstance(k, str) else json.dumps(serialize.encode_id(k), separators=(",", ":")):
+        serialize.encode_id(v) for k, v in f.items()}})
     return 0 if f is not None else 1
 
 

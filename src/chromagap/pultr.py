@@ -237,8 +237,8 @@ def left_apply(
     template: PultrTemplate, X: RelStructure, *, quotient: Optional[LambdaQuotient] = None
 ) -> RelStructure:
     """Glue a copy of A per vertex and a copy of B_T per tau-tuple along the
-    eps maps, and push all gadget relations to the quotient.  The copies,
-    as class names over their gadget's domain, are the result's block view."""
+    eps maps.  The copies, as class names over their gadget's domain, are the
+    block view; the gadget relations are pushed to the quotient on first read."""
     q = quotient if quotient is not None else lambda_quotient(template, X)
     names = [q.class_name[root] for root in q.class_of_id]
 
@@ -252,14 +252,18 @@ def left_apply(
     groups = [(A, copies(A, [("A", x) for x in X.domain]))]
     for t in template.tau.names():
         groups.append((template.B[t], copies(template.B[t], [("B", t, xt) for xt in X.relations[t]])))
-    relations: dict[str, set] = {name: set() for name, _ in template.rho.symbols}
-    for rname, arity in template.rho.symbols:
-        for at in A.relations[rname]:
-            relations[rname].update(zip(*[map(itemgetter(A.index(a)), groups[0][1]) for a in at]))
-        for bt, maps in groups[1:]:
-            flat = [bt.index(b) for btuple in bt.relations[rname] for b in btuple]
-            for m in maps if flat else ():
-                relations[rname].update(zip(*[map(m.__getitem__, flat)] * arity))
+
+    def relations() -> dict:
+        relations: dict[str, set] = {name: set() for name, _ in template.rho.symbols}
+        for rname, arity in template.rho.symbols:
+            for at in A.relations[rname]:
+                relations[rname].update(zip(*[map(itemgetter(A.index(a)), groups[0][1]) for a in at]))
+            for bt, maps in groups[1:]:
+                flat = [bt.index(b) for btuple in bt.relations[rname] for b in btuple]
+                for m in maps if flat else ():
+                    relations[rname].update(zip(*[map(m.__getitem__, flat)] * arity))
+        return relations
+
     # lists index faster; the view keeps its maps as tuples
     blocks = dict.fromkeys(template.rho.names(), [(g, list(map(tuple, maps))) for g, maps in groups])
     return RelStructure._trusted(template.rho, tuple(dict.fromkeys(names)), relations, blocks)
@@ -398,17 +402,19 @@ def transfer_lambda(
         """Per part i of the gadget glued along xt: each label h of xt[i]
         with the sum of the scope-ordered products over the glued label
         tuples that carry h there and form homomorphisms B_T -> Y.  The
-        glued label tuples are checked and multiplied once per tau-tuple."""
+        glued label tuples are multiplied once per tau-tuple, and checked
+        only where the product is nonzero."""
         found = scope_sums.get((name, xt))
         if found is None:
             fams = [assignment.pvms[xj] for xj in xt]
             found = [{} for _ in xt]
             for labels in itertools.product(*fams):
-                if not glued_is_hom(name, labels):
-                    continue
                 prod = fams[0][labels[0]]
                 for fam, h in zip(fams[1:], labels[1:]):
                     prod = prod @ fam[h]
+                # a zero product adds nothing, so its glued labels go untested
+                if prod.is_zero() or not glued_is_hom(name, labels):
+                    continue
                 for sums, h in zip(found, labels):
                     sums[h] = sums[h] + prod if h in sums else prod
             scope_sums[(name, xt)] = found

@@ -91,8 +91,8 @@ class RelStructure:
     A structure glued from gadget copies may keep them as `_blocks`: per
     symbol, groups (gadget, maps), each map one copy's vertices in the gadget's
     domain order; the images of the gadget's tuples union, overlapping or not,
-    to the relation.
-    """
+    to the relation.  `relations` may be deferred: `_trusted` then takes a
+    builder, a callable run on their first read (see `_Deferred`)."""
 
     __slots__ = ("signature", "domain", "relations", "_index", "_ordered", "_gaifman", "_supports", "_blocks")
 
@@ -131,19 +131,26 @@ class RelStructure:
         """A structure from checked parts, not checked again: `domain` without
         repeats; per symbol, tuples over it of its arity, as a list in canonical
         tuple order without repeats, or as a set in any order (frozen by insertion,
-        so it iterates as the public constructor's would; `ordered` sorts it);
-        `blocks`, if given, the gadget copies the relations are made of."""
-        self = cls.__new__(cls)
+        so it iterates as the public constructor's would; `ordered` sorts it),
+        or a builder of them; `blocks`, if given, the gadget copies they are made of."""
+        self = cls.__new__(_Deferred if callable(tuples) else cls)
         self.signature, self.domain = signature, domain
         self._index = {v: i for i, v in enumerate(domain)}
-        self._ordered, self.relations = {}, {}
-        for name in signature.names():
+        self._ordered, self._gaifman, self._supports, self._blocks = {}, None, {}, blocks
+        if callable(tuples):
+            self._build = tuples
+        else:
+            self._freeze(tuples)
+        return self
+
+    def _freeze(self, tuples: Mapping) -> dict:
+        self.relations = {}
+        for name in self.signature.names():
             ts = tuples[name]
             if not isinstance(ts, (set, frozenset)):
                 ts = self._ordered[name] = tuple(ts)
             self.relations[name] = ts if type(ts) is frozenset else frozenset(iter(ts))
-        self._gaifman, self._supports, self._blocks = None, {}, blocks
-        return self
+        return self.relations
 
     def index(self, v: Vertex) -> int:
         try:
@@ -238,6 +245,19 @@ class RelStructure:
         return self.signature.symbols[0][0]
 
 
+class _Deferred(RelStructure):
+    """Relations built on first read, which falls through to `__getattr__`;
+    a subclass, so that attribute reads on other structures stay specialised."""
+
+    __slots__ = ("_build",)
+
+    def __getattr__(self, name: str):
+        if name != "relations":
+            raise AttributeError(name)
+        tuples, self._build = self._build(), None
+        return self._freeze(tuples)
+
+
 def _bad_tuple(tuples: Iterable[tuple], name: str, arity: int, index: Mapping) -> Optional[str]:
     """Why the first of `tuples`, in iteration order, that has the wrong
     arity or an entry outside the domain is bad; None if all are good."""
@@ -271,10 +291,18 @@ def check_homomorphism(f: Mapping, X: RelStructure, Y: RelStructure) -> bool:
         if f[v] not in known:
             raise UnknownVertex(repr(f[v]))
     image = f.__getitem__
-    return all(
-        Y.relations[name].issuperset(zip(*[map(image, c) for c in _columns(X.scan(name), arity)]))
-        for name, arity in X.signature.symbols
-    )
+    for name, arity in X.signature.symbols:
+        rel, groups = Y.relations[name], (X._blocks or {}).get(name)
+        if groups is None and not rel.issuperset(zip(*[map(image, c) for c in _columns(X.scan(name), arity)])):
+            return False
+        # the copies' images union to the relation: f must map each copy into Y
+        for g, maps in groups or ():
+            at = [list(map(g._index.__getitem__, c)) for c in _columns(g.scan(name), arity)]
+            for m in maps if at[0] else ():
+                img = list(map(image, m))
+                if not rel.issuperset(zip(*[map(img.__getitem__, c) for c in at])):
+                    return False
+    return True
 
 
 def _search_homomorphisms(

@@ -11,7 +11,7 @@ import pytest
 from chromagap import cli, dmr, qop, serialize
 from chromagap.csp import CspInstance
 from chromagap.qop import lift_classical, mermin_peres
-from chromagap.relstruct import GRAPH_SIGNATURE, RelStructure, clique, digraph, find_homomorphism
+from chromagap.relstruct import GRAPH_SIGNATURE, RelStructure, check_homomorphism, clique, digraph, find_homomorphism
 from helpers import cyclic_garbage_of, reference_chromatic_lower_bound
 
 
@@ -40,6 +40,26 @@ def test_hom_command(c5_file, k3_file, capsys):
     assert run(["hom", c5_file, k3_file]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["exists"]
+
+
+def test_hom_witness_keys_read_back_to_their_vertices(k3_file, tmp_path, capsys):
+    """A tuple vertex is keyed by the compact JSON text of its encoding and
+    an integer by its decimal text, so `decode_id(json.loads(key))` gives the
+    vertex back; a string vertex is its own key.  On the line digraph of K3
+    and on a digraph with an integer, a string and a nested tuple vertex."""
+    from chromagap.colouring import line_digraph
+
+    nested = (1, ("a", 2))
+    for i, X in enumerate([line_digraph(clique(3)), digraph([(0, nested), (nested, "s")])]):
+        source = write(str(tmp_path), f"x{i}.json", serialize.structure_to_dict(X))
+        assert run(["hom", source, k3_file]) == 0
+        witness = json.loads(capsys.readouterr().out)["witness"]
+        strings = {v for v in X.domain if isinstance(v, str)}
+        keys = {key if key in strings else serialize.decode_id(json.loads(key)): key for key in witness}
+        assert set(keys) == set(X.domain) and len(keys) == len(witness)
+        f = {v: serialize.decode_id(witness[key]) for v, key in keys.items()}
+        assert check_homomorphism(f, X, clique(3))
+    assert keys[nested] == '{"t":[1,{"t":["a",2]}]}' and keys[0] == "0"
 
 
 def test_chromatic_command(c5_file, capsys):

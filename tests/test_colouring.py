@@ -342,6 +342,34 @@ def test_eta_transfer_matches_reference_layers(monkeypatch):
     assert got[3][0] is pultr.WellDefinednessViolation
 
 
+def test_perfect_eta_transfer_never_builds_the_glued_targets_relations(monkeypatch):
+    """With a perfect input, the canonical colouring is checked copy by copy
+    and every nonzero product of the faithful transfer lies on a copy of a
+    gadget in the glued target's block view, so its relations are never
+    built: for a classical lift and for split inputs in the standard and
+    the Hadamard basis, on two instances."""
+    built = []
+
+    def capturing_left_apply(*args, **kwargs):
+        out = left_apply(*args, **kwargs)
+        built.append(out)
+        return out
+
+    monkeypatch.setattr(colouring, "left_apply", capturing_left_apply)
+    two = two_symbol_instance()
+    s1, s2 = {"x": 0, "y": 0, "z": 1}, {"x": 2, "y": 3, "z": 2}
+    runs = [(full_d2_instance(), lift_classical({"x": 0, "y": 1}))] + [
+        (two, QuantumAssignment(2, 0, {v: {s1[v]: p, s2[v]: q} for v in two.variables}))
+        for p, q in (STANDARD, HADAMARD)
+    ]
+    for inst, assignment in runs:
+        built.clear()
+        eta, coloured, _ = eta_quantum_transfer(inst, assignment, 0)
+        assert len(built) == 1 and built[0]._blocks is not None
+        assert getattr(built[0], "_build", None) is not None  # its builder never ran
+        assert verify_assignment(eta, clique(4), coloured, 0).passed
+
+
 def test_import_leaves_numpy_unloaded():
     """numpy is imported only where the transition matrix is built: neither
     the import nor an eta context (on the rho2 instance) loads it."""

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from chromagap.colouring import line_digraph, linedigraph_template
-from chromagap import pultr
+from chromagap import pultr, serialize
 from chromagap.pultr import (
     CompatibilityTooLow,
     NotConnected,
@@ -25,8 +25,11 @@ from chromagap.pultr import (
 from chromagap.qop import PMatrix, QuantumAssignment, lift_classical, verify_assignment
 from chromagap.relstruct import (
     GRAPH_SIGNATURE,
+    PartialMap,
     RelStructure,
     Signature,
+    SignatureMismatch,
+    UnknownVertex,
     check_homomorphism,
     clique,
     digraph,
@@ -1050,3 +1053,126 @@ def test_quotient_classes_are_built_once_in_tag_order():
     for tag in q.tags:
         fresh.setdefault(q.cls(tag), []).append(tag)
     assert list(classes.items()) == list(fresh.items())
+
+
+# -- relations built on first read -------------------------------------------------
+
+
+def _unbuilt(X: RelStructure) -> bool:
+    """Whether X's relations are deferred and not yet read."""
+    return getattr(X, "_build", None) is not None
+
+
+def test_left_apply_defers_its_relations_and_reads_like_an_eager_structure():
+    """Each reader, run first on a fresh Lambda X, gives what it gives on the
+    same structure rebuilt by the public constructor: equality, repr, the
+    canonical tuple lists, the tuples in any order, the Gaifman adjacency,
+    the support index and the serialised form.  The builder runs once, on
+    the first read of `relations`, whose every later read is that object."""
+    rng = random.Random(107)
+    readers = [
+        repr,
+        lambda s: [s.ordered(r) for r in s.signature.names()],
+        lambda s: [sorted(s.scan(r), key=repr) for r in s.signature.names()],
+        lambda s: list(s.all_tuples()),
+        lambda s: s.gaifman_adjacency(),
+        lambda s: [s.supports(r) for r in s.signature.names()],
+        serialize.structure_to_dict,
+    ]
+    makers = [random_template, random_faithful_template, _glued_template]
+    for case in range(60):
+        template = makers[case % 3](rng)
+        X = _random_tau_structure(rng, template, 4)
+        eager = without_view(left_apply(template, X))
+        for read in readers:
+            lam = left_apply(template, X)
+            assert _unbuilt(lam) and lam._blocks is not None
+            got = read(lam)
+            assert not _unbuilt(lam)
+            assert got == read(eager)
+        lam = left_apply(template, X)
+        assert hash(lam) == hash(eager) and _unbuilt(lam)
+        assert lam == eager and eager == lam and not _unbuilt(lam)
+    calls = []
+
+    def build():
+        calls.append(1)
+        return {"E": {("a", "b"), ("b", "a")}}
+
+    X = RelStructure._trusted(GRAPH_SIGNATURE, ("a", "b"), build)
+    assert not calls and X.domain == ("a", "b") and X.index("b") == 1
+    relations = X.relations
+    assert X.relations is relations and X.scan("E") is relations["E"] and len(calls) == 1
+    assert X == digraph([("a", "b"), ("b", "a")])
+    with pytest.raises(AttributeError):
+        X.missing
+
+
+def test_check_homomorphism_per_copy_matches_the_relations():
+    """The verdict on Lambda X, read copy by copy from its block view, equals
+    the verdict on Lambda X rebuilt without the view and on the reference
+    left functor's structure, and the check leaves the relations unbuilt:
+    for maps into targets that contain their image (homomorphisms), for
+    those maps with one vertex moved, and for the homomorphisms the search
+    finds into random targets; on templates whose copies overlap and whose
+    gadgets have empty relations.  A partial map, an image outside the
+    target and a target of another signature raise the same errors."""
+    rng = random.Random(109)
+    makers = [random_template, random_faithful_template, _glued_template, _edged_template]
+    seen = set()
+    errors = set()
+    for case in range(320):
+        template = makers[case % 4](rng)
+        X = _random_tau_structure(rng, template, 4)
+        ref, plain = reference_left_apply(template, X), without_view(left_apply(template, X))
+        Y = random_structure(rng, template.rho, 3)
+        g = {v: rng.choice(Y.domain) for v in ref.domain}
+        covering = RelStructure(template.rho, Y.domain, {
+            r: set(Y.relations[r]) | {tuple(map(g.__getitem__, t)) for t in ref.relations[r]}
+            for r in template.rho.names()
+        })
+        moved = dict(g)
+        if moved:
+            moved[rng.choice(ref.domain)] = rng.choice(Y.domain)
+        found = find_homomorphism(ref, Y)
+        partial = {v: y for v, y in g.items() if v != rng.choice(ref.domain)}
+        outside = {**g, rng.choice(ref.domain): "nowhere"} if g else g
+        other = clique(2) if template.rho != GRAPH_SIGNATURE else RelStructure(Signature((("F", 2),)), ["a"], {})
+        checks = [(g, covering), (moved, covering), (moved, Y), (partial, covering), (outside, covering), (g, other)]
+        checks += [(found, Y)] if found is not None else []
+        for f, target in checks:
+            lam = left_apply(template, X)
+            got = _witness_outcome(check_homomorphism, f, lam, target)
+            assert _unbuilt(lam)
+            assert got == _witness_outcome(check_homomorphism, f, ref, target)
+            assert got == _witness_outcome(check_homomorphism, f, plain, target)
+            if isinstance(got, tuple):
+                errors.add(got[0])
+                continue
+            overlapping = any(len(block_images(lam, r)) > len(plain.relations[r]) for r in plain.signature.names())
+            empty = any(not gadget.relations[r] for r in plain.signature.names() for gadget, _ in lam._blocks[r])
+            seen.add((overlapping, empty, got))
+    assert errors == {PartialMap, UnknownVertex, SignatureMismatch}
+    assert seen == {(o, e, v) for o in (True, False) for e in (True, False) for v in (True, False)}, seen
+
+
+def test_transfer_lambda_with_off_relation_products_matches_reference():
+    """Inputs with nonzero products on glued labels outside Lambda Z, and
+    inputs without: the same ordered PVMs or the same error as the
+    reference on the reference left functor's structure.  Only a nonzero
+    product on glued labels that are not a copy of B_T builds Lambda Z's
+    relations."""
+    rng = random.Random(113)
+    kinds = set()
+    for case in range(240):
+        template = random_faithful_template(rng)
+        Z = _random_tau_structure(rng, template, 3)
+        lam = left_apply(template, Z)
+        X = _random_tau_structure(rng, template, 3)
+        bases = [STANDARD] if case % 3 == 0 else [STANDARD, HADAMARD]
+        assignment = _unit_labelled_assignment(rng, template, X, Z, lam, bases)
+        got = _lambda_outcome(transfer_lambda, template, X, lam, assignment, 1)
+        built = not _unbuilt(lam)
+        assert got == _lambda_outcome(reference_transfer_lambda, template, X, reference_left_apply(template, Z), assignment, 1)
+        kinds.add((built, got[0].__name__ if isinstance(got[0], type) else "transferred"))
+    assert kinds == {(b, k) for b in (True, False) for k in ("transferred", "WellDefinednessViolation")}, kinds
