@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .csp import CspInstance, DtoDCertificate, classify_label_cover
@@ -32,7 +32,6 @@ from .relstruct import (
     RelStructure,
     Signature,
     SizeBudgetExceeded,
-    _columns,
     check_homomorphism,
     clique,
 )
@@ -157,8 +156,10 @@ def _blocks(z: int, perm: Sequence[int], d: int, base: int) -> tuple:
 @dataclass
 class EtaContext:
     """Shared data of one reduction run: the d-to-d certificate, the grouped
-    constraint symbols, the gadget template, and per symbol the (z, z')
-    pairs with entrywise disjoint permuted blocks (the gadget's edges)."""
+    constraint symbols, the variable and target structures, and the gadget
+    template.  The gadget of a symbol has an edge ((1, z), (2, z')) per pair
+    of z-strings with entrywise disjoint permuted blocks, listed by z, then
+    z' (its `ordered("E")`)."""
 
     instance: CspInstance
     certificate: DtoDCertificate
@@ -170,7 +171,6 @@ class EtaContext:
     variable_structure: RelStructure
     target: RelStructure
     template: PultrTemplate
-    pair_lists: dict
 
 
 def _require_certificate(inst: CspInstance) -> DtoDCertificate:
@@ -212,7 +212,6 @@ def eta_context(inst: CspInstance, *, budget: Optional[int] = None) -> EtaContex
     A = RelStructure._trusted(rho, tuple(z_all), {"E": []})
     gadgets: dict = {}
     eps: dict = {}
-    pair_lists: dict = {}
     for (mu, nu), name in pair_to_symbol.items():
         # z' is paired with z when each of its nu-blocks is a disjoint
         # partner of z's mu-block at the same place; listed by z, then z'
@@ -224,7 +223,6 @@ def eta_context(inst: CspInstance, *, budget: Optional[int] = None) -> EtaContex
             choices = [partners[a] for a in _blocks(z, mu, d, base)]
             zps = [zp for bs in itertools.product(*choices) for zp in by_blocks.get(bs, ())]
             pairs += [(z, zp) for zp in sorted(zps)]
-        pair_lists[name] = pairs
         dom = tuple((1, z) for z in z_all) + tuple((2, z) for z in z_all)
         edges = [((1, z), (2, zp)) for z, zp in pairs]  # in canonical order
         gadgets[name] = RelStructure._trusted(rho, dom, {"E": edges})
@@ -253,33 +251,35 @@ def eta_context(inst: CspInstance, *, budget: Optional[int] = None) -> EtaContex
             raise VerificationFailure(
                 f"target relation {name!r} differs from the predicate of scope {c.scope!r}"
             )
-    return EtaContext(
-        inst, cert, d, m, n, symbols, mu_nu, x_struct, target, template, pair_lists
-    )
+    return EtaContext(inst, cert, d, m, n, symbols, mu_nu, x_struct, target, template)
+
+
+def _eta_quotient(ctx: EtaContext) -> LambdaQuotient:
+    """The quotient of the left functor on the variable structure, each class
+    named (x, z) after its copy vertex ("A", x, z) of A.  The template is
+    faithful, so each class holds exactly one copy vertex of A, and A's tags
+    come first, so that vertex is the class's least tag; checked as every
+    class named by an A tag and as many classes as A tags."""
+    X = ctx.variable_structure
+    q = lambda_quotient(ctx.template, X)
+    unglued = next((tag for tag in q.class_name.values() if tag[0] != "A"), None)
+    if unglued is not None:
+        raise VerificationFailure(f"class {unglued!r} has no copy vertex of A")
+    a_tags = len(X.domain) * len(ctx.template.A.domain)
+    if len(q.class_name) != a_tags:
+        raise VerificationFailure(f"{len(q.class_name)} classes for {a_tags} copy vertices of A")
+    return replace(q, class_name={root: tag[1:] for root, tag in q.class_name.items()})
 
 
 def eta_apply(ctx: EtaContext) -> RelStructure:
-    """The reduced digraph of the context's instance: vertices (x, z) for z
-    in [2d]^n, an edge per constraint and per pair of z-strings whose
-    permuted d-blocks are entrywise disjoint (the support of the certified
-    transition matrix)."""
-    base = 2 * ctx.d
-    z_count = base**ctx.n
-    variables = ctx.instance.variables
-    # vertex tuples are shared between the domain and every edge that uses
-    # them, which keeps the edge set light at full scale
-    by_x = {x: [(x, z) for z in range(z_count)] for x in variables}
-    vertices = tuple(v for x in variables for v in by_x[x])
-    edges = []
-    blocks = []  # per symbol, its gadget with one copy per scope (x, x')
-    for name in ctx.symbols:
-        zs, zps = map(list, _columns(ctx.pair_lists[name], 2))
-        scopes = ctx.variable_structure.ordered(name)
-        for x, xp in scopes:
-            edges += zip(map(by_x[x].__getitem__, zs), map(by_x[xp].__getitem__, zps))
-        blocks.append((ctx.template.B[name], [tuple(by_x[x] + by_x[xp]) for x, xp in scopes]))
-    # a scope under two symbols can repeat an edge; the frozenset drops it
-    return RelStructure._trusted(GRAPH_SIGNATURE, vertices, {"E": frozenset(edges)}, {"E": blocks})
+    """The reduced digraph of the context's instance: the left functor of the
+    gadget template on the variable structure, with vertices (x, z) for z in
+    [2d]^n, listed by x, then z.  It has an edge per constraint and per pair
+    of z-strings whose permuted d-blocks are entrywise disjoint (the support
+    of the certified transition matrix), built on first read.  The block view
+    holds A's edgeless copies, then per symbol its gadget with one copy per
+    scope (x, x')."""
+    return left_apply(ctx.template, ctx.variable_structure, quotient=_eta_quotient(ctx))
 
 
 def xi_colouring(ctx: EtaContext) -> tuple[dict, RelStructure, LambdaQuotient]:
@@ -324,8 +324,10 @@ def eta_quantum_transfer(
     2d-colouring of the reduced digraph, preserving the Hilbert space.
 
     The route is the faithful-template functor transfer followed by
-    composition with the canonical colouring of the glued target.  The output
-    is keyed by the (x, z) vertices of `eta_apply`.
+    composition with the canonical colouring of the glued target.  Both the
+    transfer and the returned digraph, `eta_apply`'s, read one quotient of
+    the left functor with classes named (x, z), so the output is keyed by
+    the digraph's vertices as built; its edges are left unbuilt.
     """
     ctx = eta_context(inst)
     if check_input:
@@ -335,7 +337,7 @@ def eta_quantum_transfer(
                 f"input verification at level {k} failed: {report.summary()}"
             )
     xi, lam_target, quotient_y = xi_colouring(ctx)
-    quotient_x = lambda_quotient(ctx.template, ctx.variable_structure)
+    quotient_x = _eta_quotient(ctx)
     transferred = lambda_functor(
         ctx.template,
         ctx.variable_structure,
@@ -349,23 +351,10 @@ def eta_quantum_transfer(
     del lam_target, quotient_y  # the stage's largest structure, freed before the eta digraph
     identity = {v: v for v in transferred.pvms}
     coloured = compose_sandwich(identity, transferred, xi, k=k)
-
-    # rename quotient classes to the (x, z) vertices of eta_apply: every
-    # class contains exactly one copy vertex of A, which carries the name
-    rename: dict = {}
-    for class_name, members in quotient_x.classes().items():
-        a_tags = [t for t in members if t[0] == "A"]
-        if len(a_tags) != 1:
-            raise VerificationFailure(
-                f"class {class_name!r} has {len(a_tags)} copy vertices of A"
-            )
-        _, x, z = a_tags[0]
-        rename[class_name] = (x, z)
-    eta = eta_apply(ctx)
-    renamed = coloured.renamed(rename)
-    if set(renamed.pvms) != set(eta.domain):
+    eta = left_apply(ctx.template, ctx.variable_structure, quotient=quotient_x)
+    if set(coloured.pvms) != set(eta.domain):
         raise VerificationFailure("transfer domain differs from the reduced digraph")
-    return eta, renamed, ctx
+    return eta, coloured, ctx
 
 
 # -- line-digraph transfer ---------------------------------------------------

@@ -173,7 +173,8 @@ class LambdaQuotient:
 
     Tags are ("A", x, a) for copy vertices of A and ("B", T, xt, b) for copy
     vertices of gadgets; each class is named by its least tag in the
-    deterministic tag enumeration order."""
+    deterministic tag enumeration order, or by a renaming of it (the eta
+    digraph's (x, z))."""
 
     tags: list
     tag_ids: dict
@@ -237,8 +238,9 @@ def left_apply(
     template: PultrTemplate, X: RelStructure, *, quotient: Optional[LambdaQuotient] = None
 ) -> RelStructure:
     """Glue a copy of A per vertex and a copy of B_T per tau-tuple along the
-    eps maps.  The copies, as class names over their gadget's domain, are the
-    block view; the gadget relations are pushed to the quotient on first read."""
+    eps maps.  The copies, in canonical order and as class names over their
+    gadget's domain, are the block view; the gadget relations are pushed to
+    the quotient on first read."""
     q = quotient if quotient is not None else lambda_quotient(template, X)
     names = [q.class_name[root] for root in q.class_of_id]
 
@@ -251,17 +253,21 @@ def left_apply(
     A = template.A
     groups = [(A, copies(A, [("A", x) for x in X.domain]))]
     for t in template.tau.names():
-        groups.append((template.B[t], copies(template.B[t], [("B", t, xt) for xt in X.relations[t]])))
+        groups.append((template.B[t], copies(template.B[t], [("B", t, xt) for xt in X.ordered(t)])))
 
     def relations() -> dict:
-        relations: dict[str, set] = {name: set() for name, _ in template.rho.symbols}
+        # images appended in canonical copy and tuple order, frozen once; the
+        # frozenset drops the repeats of overlapping copies
+        relations: dict = {}
         for rname, arity in template.rho.symbols:
-            for at in A.relations[rname]:
-                relations[rname].update(zip(*[map(itemgetter(A.index(a)), groups[0][1]) for a in at]))
+            images: list = []
+            for at in A.ordered(rname):
+                images += zip(*[map(itemgetter(A.index(a)), groups[0][1]) for a in at])
             for bt, maps in groups[1:]:
-                flat = [bt.index(b) for btuple in bt.relations[rname] for b in btuple]
+                flat = [bt.index(b) for btuple in bt.ordered(rname) for b in btuple]
                 for m in maps if flat else ():
-                    relations[rname].update(zip(*[map(m.__getitem__, flat)] * arity))
+                    images += zip(*[map(m.__getitem__, flat)] * arity)
+            relations[rname] = frozenset(images)
         return relations
 
     # lists index faster; the view keeps its maps as tuples

@@ -3,7 +3,8 @@ Pultr templates.
 
 Vertex and label identifiers round-trip through a tagged encoding so that
 tuple-shaped names (quotient classes, copy vertices) survive JSON: strings
-and integers pass through, tuples become {"t": [...]}.  Scalars are rational
+and integers pass through, tuples become {"t": [...]}, and anything else
+(a boolean, a float, null) raises ValueError naming it.  Scalars are rational
 strings; complex entries are [re, im] pairs of rational strings.
 """
 
@@ -20,17 +21,19 @@ from .relstruct import RelStructure, Signature
 
 
 def encode_id(value: Any) -> Any:
+    if isinstance(value, str) or isinstance(value, int) and not isinstance(value, bool):
+        return value
     if isinstance(value, tuple):
         return {"t": [encode_id(v) for v in value]}
-    if isinstance(value, (str, int)):
-        return value
-    raise TypeError(f"cannot encode identifier {value!r}")
+    raise ValueError(f"cannot encode identifier {value!r}")
 
 
 def decode_id(value: Any) -> Any:
-    if isinstance(value, dict) and set(value) == {"t"}:
+    if isinstance(value, str) or isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, dict) and set(value) == {"t"} and isinstance(value["t"], list):
         return tuple(decode_id(v) for v in value["t"])
-    return value
+    raise ValueError(f"not an identifier: {value!r}")
 
 
 def structure_to_dict(s: RelStructure) -> dict:

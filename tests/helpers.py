@@ -568,7 +568,7 @@ def reference_eta_apply(ctx) -> RelStructure:
     for name in ctx.symbols:
         for x, xp in ctx.variable_structure.ordered(name):
             left, right = by_x[x], by_x[xp]
-            for z, zp in ctx.pair_lists[name]:
+            for (_, z), (_, zp) in ctx.template.B[name].ordered("E"):
                 edges.append((left[z], right[zp]))
     return RelStructure(GRAPH_SIGNATURE, vertices, {"E": edges})
 
@@ -790,7 +790,8 @@ def reference_left_apply(
     template: PultrTemplate, X: RelStructure, *, quotient: Optional[pultr.LambdaQuotient] = None
 ) -> RelStructure:
     """Glue a copy of A per vertex and a copy of B_T per tau-tuple along the
-    eps maps, and push all gadget relations to the quotient."""
+    eps maps, and push all gadget relations to the quotient, copies and
+    tuples in canonical order."""
     q = quotient if quotient is not None else pultr.lambda_quotient(template, X)
     domain = []
     seen = set()
@@ -799,16 +800,16 @@ def reference_left_apply(
         if name not in seen:
             seen.add(name)
             domain.append(name)
-    relations: dict[str, set] = {name: set() for name, _ in template.rho.symbols}
+    relations: dict[str, list] = {name: [] for name, _ in template.rho.symbols}
     for rname, _ in template.rho.symbols:
-        for at in template.A.relations[rname]:
+        for at in template.A.ordered(rname):
             for x in X.domain:
-                relations[rname].add(tuple(q.cls(("A", x, a)) for a in at))
+                relations[rname].append(tuple(q.cls(("A", x, a)) for a in at))
         for tname, _ in template.tau.symbols:
             bt = template.B[tname]
-            for xt in X.relations[tname]:
-                for btuple in bt.relations[rname]:
-                    relations[rname].add(
+            for xt in X.ordered(tname):
+                for btuple in bt.ordered(rname):
+                    relations[rname].append(
                         tuple(q.cls(("B", tname, xt, b)) for b in btuple)
                     )
     return RelStructure(template.rho, domain, relations)

@@ -2,6 +2,7 @@ import gc
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -60,6 +61,17 @@ def test_hom_witness_keys_read_back_to_their_vertices(k3_file, tmp_path, capsys)
         f = {v: serialize.decode_id(witness[key]) for v, key in keys.items()}
         assert check_homomorphism(f, X, clique(3))
     assert keys[nested] == '{"t":[1,{"t":["a",2]}]}' and keys[0] == "0"
+
+
+@pytest.mark.parametrize("bad", [True, 1.5])
+def test_hom_prints_no_verdict_on_a_non_identifier_vertex(bad, k3_file, tmp_path, capsys):
+    """A boolean or float vertex id stops the command before any search: it
+    is not read as a vertex 1, nor kept to fail when the witness is written."""
+    payload = {"signature": [{"name": "E", "arity": 2}], "domain": [1, bad, 2], "relations": {"E": [[1, 2]]}}
+    source = write(str(tmp_path), "g.json", payload)
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        run(["hom", source, k3_file])
+    assert capsys.readouterr().out == ""
 
 
 def test_chromatic_command(c5_file, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 import random
@@ -22,7 +23,14 @@ from chromagap.colouring import (
 from chromagap.csp import CspInstance
 from chromagap.dkkms import build_rho1, build_rho2
 from chromagap.pultr import left_apply, template_predicates
-from chromagap.qop import PMatrix, QuantumAssignment, lift_classical, mermin_peres, verify_assignment
+from chromagap.qop import (
+    PMatrix,
+    QuantumAssignment,
+    VerificationFailure,
+    lift_classical,
+    mermin_peres,
+    verify_assignment,
+)
 from chromagap.relstruct import (
     ABOVE_CAP,
     GRAPH_SIGNATURE,
@@ -162,6 +170,11 @@ def two_symbol_instance():
     )
 
 
+def _gadget_pairs(ctx, name) -> list:
+    """The (z, z') pairs of a symbol, read off its gadget's edges in order."""
+    return [(z, zp) for (_, z), (_, zp) in ctx.template.B[name].ordered("E")]
+
+
 def test_eta_apply_edges_are_the_gadget_edges_in_order():
     inst = two_symbol_instance()
     ctx = eta_context(inst)
@@ -183,7 +196,7 @@ def test_eta_apply_edges_are_the_gadget_edges_in_order():
             )
         ]
         gadget = ctx.template.B[name].relations["E"]
-        assert ctx.pair_lists[name] == pairs
+        assert _gadget_pairs(ctx, name) == pairs
         assert {((1, z), (2, zp)) for z, zp in pairs} == gadget
         scopes = sorted(
             ctx.variable_structure.relations[name], key=lambda t: tuple(var_pos[v] for v in t)
@@ -194,6 +207,49 @@ def test_eta_apply_edges_are_the_gadget_edges_in_order():
     assert len(expected) == len(eta.relations["E"]) == 3 * 7056
     # the same edges, inserted in the same order, iterate identically
     assert list(eta.relations["E"]) == list(frozenset(expected))
+
+
+def test_eta_apply_inserts_the_scopes_in_canonical_order():
+    """The copies go in canonical scope order, not in the scope set's order:
+    on a 5-cycle of integer variables, whose scope set iterates in a fixed
+    order unlike the canonical one, the edges iterate as the gadget edges
+    inserted scope by scope in canonical order, and the block view lists
+    the copies in that order."""
+    same_half = {(a, b) for a in range(4) for b in range(4) if a // 2 == b // 2}
+    inst = CspInstance(range(5), range(4), [((i, (i + 1) % 5), same_half) for i in range(5)])
+    ctx = eta_context(inst)
+    [name] = ctx.symbols
+    scopes = ctx.variable_structure.ordered(name)
+    assert list(ctx.variable_structure.relations[name]) != list(scopes)
+    pairs = _gadget_pairs(ctx, name)
+    expected = [((x, z), (xp, zp)) for x, xp in scopes for z, zp in pairs]
+    eta = eta_apply(ctx)
+    assert list(eta.relations["E"]) == list(frozenset(expected))
+    _, (_, maps) = eta._blocks["E"]
+    assert [(m[0][0], m[-1][0]) for m in maps] == list(scopes)
+
+
+def test_eta_apply_rejects_classes_it_cannot_name():
+    """eta_apply names each class of the left functor after its one copy
+    vertex of A; with a non-injective eps_1 gadget vertices are glued to no
+    copy of A, and with both eps maps onto one copy of the gadget copies of
+    A merge.  Either raises instead of returning a digraph with merged
+    vertices or vertices named after gadget tags."""
+    ctx = eta_context(two_symbol_instance())
+    name = ctx.symbols[0]
+    eps1, eps2 = ctx.template.eps[name]
+    collapsed = {z: eps1[0] for z in eps1}
+    one_copy = RelStructure(GRAPH_SIGNATURE, list(eps1.values()), {})
+    variants = [
+        ({}, (collapsed, eps2), "has no copy vertex of A"),
+        ({name: one_copy}, (eps1, eps1), "classes for .* copy vertices of A"),
+    ]
+    for gadgets, maps, message in variants:
+        template = dataclasses.replace(
+            ctx.template, B={**ctx.template.B, **gadgets}, eps={**ctx.template.eps, name: maps}
+        )
+        with pytest.raises(VerificationFailure, match=message):
+            eta_apply(dataclasses.replace(ctx, template=template))
 
 
 def test_eta_template_predicates_match_all_pairs_reference():
@@ -290,7 +346,7 @@ def test_eta_pair_lists_match_all_pairs_reference_on_rho2():
     system, _ = mermin_peres()
     ctx = eta_context(build_rho2(build_rho1(system, 1, 2)).instance)
     assert len(ctx.symbols) == 15
-    assert ctx.pair_lists == reference_eta_pair_lists(ctx)
+    assert {name: _gadget_pairs(ctx, name) for name in ctx.symbols} == reference_eta_pair_lists(ctx)
 
 
 HALF = Fraction(1, 2)
@@ -346,13 +402,14 @@ def test_perfect_eta_transfer_never_builds_the_glued_targets_relations(monkeypat
     """With a perfect input, the canonical colouring is checked copy by copy
     and every nonzero product of the faithful transfer lies on a copy of a
     gadget in the glued target's block view, so its relations are never
-    built: for a classical lift and for split inputs in the standard and
-    the Hadamard basis, on two instances."""
+    built; nor are the returned eta digraph's until the check reads them:
+    for a classical lift and for split inputs in the standard and the
+    Hadamard basis, on two instances."""
     built = []
 
     def capturing_left_apply(*args, **kwargs):
         out = left_apply(*args, **kwargs)
-        built.append(out)
+        built.append((args[1], out))
         return out
 
     monkeypatch.setattr(colouring, "left_apply", capturing_left_apply)
@@ -364,9 +421,11 @@ def test_perfect_eta_transfer_never_builds_the_glued_targets_relations(monkeypat
     ]
     for inst, assignment in runs:
         built.clear()
-        eta, coloured, _ = eta_quantum_transfer(inst, assignment, 0)
-        assert len(built) == 1 and built[0]._blocks is not None
-        assert getattr(built[0], "_build", None) is not None  # its builder never ran
+        eta, coloured, ctx = eta_quantum_transfer(inst, assignment, 0)
+        [lam_target] = [out for X, out in built if X is ctx.target]
+        assert lam_target._blocks is not None
+        assert getattr(lam_target, "_build", None) is not None  # its builder never ran
+        assert getattr(eta, "_build", None) is not None  # nor did the eta digraph's
         assert verify_assignment(eta, clique(4), coloured, 0).passed
 
 
@@ -429,8 +488,8 @@ def test_eta_stage_trusted_builds_match_the_public_constructor():
         ctx = eta_context(_random_two_to_two_instance(rng))
         template = ctx.template
         _assert_same_structure(template.A, RelStructure(GRAPH_SIGNATURE, template.A.domain, {}))
-        for name, pairs in ctx.pair_lists.items():
-            edges = [((1, z), (2, zp)) for z, zp in pairs]
+        for name in ctx.symbols:
+            edges = [((1, z), (2, zp)) for z, zp in _gadget_pairs(ctx, name)]
             want = RelStructure(GRAPH_SIGNATURE, template.B[name].domain, {"E": edges})
             _assert_same_structure(template.B[name], want)
         for X in (ctx.variable_structure, ctx.target) if case < 2 else (ctx.variable_structure,):
@@ -438,7 +497,7 @@ def test_eta_stage_trusted_builds_match_the_public_constructor():
         eta = eta_apply(ctx)
         _assert_same_structure(eta, reference_eta_apply(ctx))
         scopes = ctx.variable_structure.relations
-        emitted = sum(len(ctx.pair_lists[n]) * len(scopes[n]) for n in ctx.symbols)
+        emitted = sum(len(template.B[n].relations["E"]) * len(scopes[n]) for n in ctx.symbols)
         shared += len(eta.relations["E"]) < emitted
     assert shared
 
@@ -458,14 +517,17 @@ def _block_view_instances(rng) -> list:
 
 
 def test_eta_block_view_is_the_gadget_copies_and_unions_to_the_edges():
-    """One group per symbol, holding the context's gadget itself and one map
-    per scope; the images union to the edges, and overlap exactly when a
-    scope under two symbols repeats an edge."""
+    """A leading group of A's edgeless copies, one per variable and named
+    (x, z), then one group per symbol, holding the context's gadget itself
+    and one map per scope; the images union to the edges, and overlap
+    exactly when a scope under two symbols repeats an edge."""
     overlaps = set()
     for inst in _block_view_instances(random.Random(97)):
         ctx = eta_context(inst)
         eta = eta_apply(ctx)
-        groups = eta._blocks["E"]
+        (a_gadget, a_maps), *groups = eta._blocks["E"]
+        assert a_gadget is ctx.template.A and not a_gadget.relations["E"]
+        assert a_maps == [tuple((x, z) for z in a_gadget.domain) for x in inst.variables]
         assert len(groups) == len(ctx.symbols)
         assert all(g is ctx.template.B[name] for (g, _), name in zip(groups, ctx.symbols))
         assert [len(maps) for _, maps in groups] == [

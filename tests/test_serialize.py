@@ -3,12 +3,20 @@ rational matrix entries written as [re, im] pairs of rational strings."""
 
 import json
 from fractions import Fraction
+from re import escape
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chromagap.qop import GQ, PMatrix, QuantumAssignment
-from chromagap.serialize import assignment_from_dict, assignment_to_dict, decode_id, encode_id
+from chromagap.serialize import (
+    assignment_from_dict,
+    assignment_to_dict,
+    decode_id,
+    encode_id,
+    structure_from_dict,
+)
 
 ids = st.recursive(
     st.one_of(st.integers(-20, 20), st.text(max_size=3)),
@@ -59,3 +67,23 @@ def test_assignment_round_trip(case):
                 json.dumps(encode_id(y), sort_keys=True)
             ]
             assert written == [[[str(re), str(im)] for re, im in row] for row in rows[(x, y)]]
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.5, None, [1], {"t": "ab"}])
+def test_identifiers_are_strings_integers_or_tagged_tuples(bad):
+    """A JSON boolean is not read as the vertex 1 or 0, nor a float, null,
+    list or malformed tag kept to fail later: both directions raise
+    ValueError naming the value."""
+    with pytest.raises(ValueError, match=escape(repr(bad))):
+        decode_id(bad)
+    with pytest.raises(ValueError, match=escape(repr(bad))):
+        encode_id(bad)
+    with pytest.raises(ValueError, match=escape(repr(bad))):
+        decode_id({"t": [0, bad]})
+
+
+@pytest.mark.parametrize("bad", [True, 1.5])
+def test_structure_from_dict_rejects_a_non_identifier_vertex(bad):
+    d = {"signature": [{"name": "E", "arity": 2}], "domain": [1, bad, 2], "relations": {"E": [[1, 2]]}}
+    with pytest.raises(ValueError, match=escape(repr(bad))):
+        structure_from_dict(d)
