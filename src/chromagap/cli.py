@@ -381,21 +381,35 @@ _DMR_BUDGET = 1_000_000
 _MACHINERY_BUDGET = 5_000_000
 
 
+class InputError(Exception):
+    """A malformed input file; `main` prints it on one line and exits 2."""
+
+
+def _load(path: str, decode):
+    """`decode` applied to the text of the file at `path`; an error it raises
+    on malformed content becomes one InputError naming the file."""
+    with open(path) as fh:
+        text = fh.read()
+    try:
+        return decode(text)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise InputError(f"{path}: {type(exc).__name__}: {exc}") from exc
+
+
 def _load_structure(path: str) -> relstruct.RelStructure:
-    return serialize.structure_from_dict(serialize.load(path))
+    return _load(path, lambda text: serialize.structure_from_dict(json.loads(text)))
 
 
 def _load_instance(path: str) -> csp.CspInstance:
-    return serialize.instance_from_dict(serialize.load(path))
+    return _load(path, lambda text: serialize.instance_from_dict(json.loads(text)))
 
 
 def _load_assignment(path: str) -> qop.QuantumAssignment:
-    return serialize.assignment_from_dict(serialize.load(path))
+    return _load(path, lambda text: serialize.assignment_from_dict(json.loads(text)))
 
 
 def _load_system(path: str) -> dkkms.XorSystem:
-    with open(path) as fh:
-        return dkkms.XorSystem.parse(fh.read())
+    return _load(path, dkkms.XorSystem.parse)
 
 
 def _print(obj) -> None:
@@ -480,7 +494,7 @@ def _qsat(args) -> int:
 def _pultr(args) -> int:
     if args.action == "check" and args.target is None:
         _parser().error("pultr check needs --target")
-    template = serialize.template_from_dict(serialize.load(args.template))
+    template = _load(args.template, lambda text: serialize.template_from_dict(json.loads(text)))
     X = _load_structure(args.structure)
     if args.action == "gamma":
         out = pultr.central_apply(template, X, budget=_PULTR_BUDGET)
@@ -697,10 +711,14 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
-    """Run one subcommand: 0 for success, 1 for a negative verdict; argparse
-    exits with 2 on a usage error."""
+    """Run one subcommand: 0 for success, 1 for a negative verdict, 2 for a
+    malformed input file; argparse exits with 2 on a usage error."""
     args = _parser().parse_args(argv)
-    return args.run(args)
+    try:
+        return args.run(args)
+    except InputError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

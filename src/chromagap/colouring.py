@@ -223,10 +223,12 @@ def eta_context(inst: CspInstance, *, budget: Optional[int] = None) -> EtaContex
             choices = [partners[a] for a in _blocks(z, mu, d, base)]
             zps = [zp for bs in itertools.product(*choices) for zp in by_blocks.get(bs, ())]
             pairs += [(z, zp) for zp in sorted(zps)]
-        dom = tuple((1, z) for z in z_all) + tuple((2, z) for z in z_all)
-        edges = [((1, z), (2, zp)) for z, zp in pairs]  # in canonical order
-        gadgets[name] = RelStructure._trusted(rho, dom, {"E": edges})
-        eps[name] = ({z: (1, z) for z in z_all}, {z: (2, z) for z in z_all})
+        # one tuple per vertex, shared by the domain, the edges and the eps maps:
+        # an equal copy per edge costs memory and a full compare on every lookup
+        left, right = [(1, z) for z in z_all], [(2, z) for z in z_all]
+        edges = [(left[z], right[zp]) for z, zp in pairs]  # in canonical order
+        gadgets[name] = RelStructure._trusted(rho, (*left, *right), {"E": edges})
+        eps[name] = (dict(zip(z_all, left)), dict(zip(z_all, right)))
     template = PultrTemplate(rho, tau, A, gadgets, eps)
 
     alpha_index = {a: i for i, a in enumerate(inst.alphabet)}

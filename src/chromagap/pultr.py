@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from operator import itemgetter, ne
+from functools import cached_property
+from operator import add, itemgetter, ne
 from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
 from .qop import PMatrix, QuantumAssignment, _ProductCache
@@ -80,6 +81,24 @@ class PultrTemplate:
                 if not check_homomorphism(m, self.A, self.B[name]):
                     raise ValueError(f"eps map for {name!r} is not a homomorphism")
 
+    @cached_property
+    def eps_parts(self) -> Optional[dict]:
+        """Per symbol T, the inverse of the eps maps: b -> (i, A-index of a)
+        for the unique eps_i(a) = b.  Defined when, for every T, each eps_i
+        is injective on exactly A's domain and the images are disjoint and
+        cover B_T's domain; None otherwise."""
+        a_index = {a: ai for ai, a in enumerate(self.A.domain)}
+        out = {}
+        for name, arity in self.tau.symbols:
+            maps, bdom = self.eps[name], self.B[name].domain
+            if any(m.keys() != a_index.keys() for m in maps):
+                return None
+            inverse = {m[a]: (i, ai) for i, m in enumerate(maps) for a, ai in a_index.items()}
+            if len(inverse) != arity * len(a_index) or inverse.keys() != set(bdom):
+                return None
+            out[name] = inverse
+        return out
+
 
 @dataclass(frozen=True)
 class TemplateReport:
@@ -107,7 +126,9 @@ def template_predicates(template: PultrTemplate) -> TemplateReport:
 
 
 def _is_faithful(template: PultrTemplate) -> bool:
-    """The gadgets are disjoint isomorphic eps-copies of A."""
+    """The gadgets are disjoint isomorphic eps-copies of A: the eps images
+    partition B_T, and the gadget tuples inside the image of eps_i, those
+    with every entry in part i, are exactly the eps_i-images of A's tuples."""
     for name, _ in template.tau.symbols:
         bt = template.B[name]
         maps = template.eps[name]
@@ -116,12 +137,21 @@ def _is_faithful(template: PultrTemplate) -> bool:
             return False
         if set().union(*images) != set(bt.domain) or sum(map(len, images)) != len(bt.domain):
             return False
-        for m, img in zip(maps, images):
+        part = {b: i for i, img in enumerate(images) for b in img}
+        inside: dict = {}  # (relation, i) -> the gadget tuples inside the image of eps_i
+        for rname, r_arity in template.rho.symbols:
+            ts = bt.relations[rname]
+            # only a part met at every position can hold a whole tuple, so the
+            # tuples are read one by one only when some part is
+            if set.intersection(*[set(map(part.__getitem__, set(c))) for c in _columns(ts, r_arity)]):
+                for t in ts:
+                    ps = set(map(part.__getitem__, t))
+                    if len(ps) == 1:
+                        inside.setdefault((rname, ps.pop()), set()).add(t)
+        for i, m in enumerate(maps):
             for rname, r_arity in template.rho.symbols:
                 at = _columns(template.A.relations[rname], r_arity)
-                mapped = set(zip(*[map(m.__getitem__, c) for c in at]))
-                ts = bt.relations[rname]
-                if mapped != set(itertools.compress(ts, map(img.issuperset, ts))):
+                if set(zip(*[map(m.__getitem__, c) for c in at])) != inside.get((rname, i), set()):
                     return False
     return True
 
@@ -172,9 +202,9 @@ class LambdaQuotient:
     """The glued-copy quotient underlying the left functor.
 
     Tags are ("A", x, a) for copy vertices of A and ("B", T, xt, b) for copy
-    vertices of gadgets; each class is named by its least tag in the
-    deterministic tag enumeration order, or by a renaming of it (the eta
-    digraph's (x, z))."""
+    vertices of gadgets, enumerated A's first; `class_of_id` gives each tag
+    id its class's least tag id, and each class is named by that least tag,
+    or by a renaming of it (the eta digraph's (x, z))."""
 
     tags: list
     tag_ids: dict
@@ -196,31 +226,44 @@ class LambdaQuotient:
 
 
 def lambda_quotient(template: PultrTemplate, X: RelStructure) -> LambdaQuotient:
+    """The quotient of the disjoint gadget copies over X by the gluing
+    ("A", xt[i], a) ~ ("B", T, xt, eps_i(a)) for every tau-tuple xt.
+
+    When the eps maps of every symbol partition B_T (`eps_parts`), each
+    gadget tag joins exactly one A tag and no two A tags meet, so every A
+    tag is its own class and ("B", T, xt, b) is in the class of
+    ("A", xt[i], a) for eps_i(a) = b: read off the table, in closed form.
+    Any other template (the line digraph's, with eps_1(a2) = eps_2(a1))
+    is quotiented by a union-find over the gluing pairs.  Both give each
+    class its least tag id and name it by that tag."""
     if X.signature != template.tau:
         raise ValueError("left functor expects a tau-structure")
-    tags: list = []
-    tag_ids: dict = {}
-
-    def add(tag) -> int:
-        if tag not in tag_ids:
-            tag_ids[tag] = len(tags)
-            tags.append(tag)
-        return tag_ids[tag]
-
-    for x in X.domain:
-        for a in template.A.domain:
-            add(("A", x, a))
-    for name, arity in template.tau.symbols:
+    a_dom = template.A.domain
+    tags = [("A", x, a) for x in X.domain for a in a_dom]
+    for name in template.tau.names():
         bdom = template.B[name].domain
-        for xt in X.ordered(name):
-            for b in bdom:
-                add(("B", name, xt, b))
+        tags += [("B", name, xt, b) for xt in X.ordered(name) for b in bdom]
+    tag_ids = dict(zip(tags, itertools.count()))
+    table = template.eps_parts
+    if table is not None:
+        n_a = len(a_dom)
+        x_start = {x: n_a * j for j, x in enumerate(X.domain)}
+        a_ids = list(range(len(X.domain) * n_a))
+        class_of_id = a_ids[:]
+        for name in template.tau.names():
+            inverse = list(map(table[name].__getitem__, template.B[name].domain))
+            parts, offsets = [i for i, _ in inverse], [ai for _, ai in inverse]
+            for xt in X.ordered(name):
+                starts = list(map(x_start.__getitem__, xt))
+                # ids read back from a_ids, so every B tag shares its class's int
+                class_of_id += map(a_ids.__getitem__, map(add, map(starts.__getitem__, parts), offsets))
+        return LambdaQuotient(tags, tag_ids, class_of_id, dict(zip(a_ids, tags)))
     uf = _UnionFind(len(tags))
     for name, arity in template.tau.symbols:
         maps = template.eps[name]
         for xt in X.relations[name]:
             for j in range(arity):
-                for a in template.A.domain:
+                for a in a_dom:
                     uf.union(
                         tag_ids[("A", xt[j], a)],
                         tag_ids[("B", name, xt, maps[j][a])],
@@ -364,20 +407,18 @@ def transfer_lambda(
     homomorphisms B_T -> Y.  Every member of a quotient class is computed
     independently and compared exactly; a mismatch raises
     WellDefinednessViolation naming the class.
+
+    Glued label tuples that are copies of B_T in Y's block view need no
+    probe; a symbol's part patterns are built only when a relation is probed.
     """
-    if not _is_faithful(template):
+    # a gadget vertex as (part i, A-index of its eps_i preimage)
+    parts = template.eps_parts
+    if parts is None or not _is_faithful(template):
         raise NotFaithful("transfer towards the left functor needs a faithful template")
     q = quotient if quotient is not None else lambda_quotient(template, X)
-    a_order = template.A.domain
-    a_index = {a: i for i, a in enumerate(a_order)}
+    a_index = {a: i for i, a in enumerate(template.A.domain)}
     dim = assignment.dim
-    # a gadget vertex as (part i, A-index of its eps_i preimage); a gadget
-    # tuple as the places of its vertices, which read its image off glued labels
-    parts = {
-        name: {b: (i, a_index[a]) for i, m in enumerate(template.eps[name]) for a, b in m.items()}
-        for name, _ in template.tau.symbols
-    }
-    patterns = {name: _part_patterns(template, name, parts[name]) for name in template.tau.names()}
+    patterns: dict = {}  # per symbol, its `_part_patterns`, built on the first probe
     hom_cache: dict = {}
     # per symbol and relation, the copies of B_T in Y's block view: glued labels
     # that form one map B_T into Y by construction, so that relation is not probed
@@ -393,13 +434,18 @@ def transfer_lambda(
             if copies:
                 glued = tuple(labels[i][ai] for i, ai in map(parts[name].__getitem__, template.B[name].domain))
                 known = {r for r, maps in copies[name].items() if glued in maps}
-            hom_cache[key] = all(
-                Y.relations[rname].issuperset(
-                    zip(*[map(labels[i].__getitem__, col) for i, col in zip(pattern, columns)])
+            if len(known) == len(template.rho.symbols):
+                hom_cache[key] = True
+            else:
+                if name not in patterns:
+                    patterns[name] = _part_patterns(template, name, parts[name])
+                hom_cache[key] = all(
+                    Y.relations[rname].issuperset(
+                        zip(*[map(labels[i].__getitem__, col) for i, col in zip(pattern, columns)])
+                    )
+                    for rname, pattern, columns in patterns[name]
+                    if rname not in known
                 )
-                for rname, pattern, columns in patterns[name]
-                if rname not in known
-            )
         return hom_cache[key]
 
     scope_sums: dict = {}

@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from operator import getitem
+from operator import getitem, itemgetter
 from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
 from .relstruct import RelStructure, _columns, gaifman_balls
@@ -482,8 +482,11 @@ def verify_assignment(
     is the zero matrix; and all projector pairs of variables within Gaifman
     distance k of each other commute.  Absent labels are zero projectors, so
     product checks iterate over present labels only, which is sound and
-    complete.  Each distinct family gets one PVM check, and the full sweep
-    decides each distinct (symbol, families) once.
+    complete.  Each distinct list of projectors gets one PVM check, looked
+    up once per distinct family.  Scope tuples over the same families are
+    counted once, and per symbol and label lists each distinct tuple of
+    projectors at a label tuple outside R(Y) is decided once; the sweep
+    goes tuple by tuple only when a product is nonzero, to name witnesses.
     """
     if set(assignment.pvms) != set(X.domain):
         raise KeyMismatch("assignment keys differ from the variable domain")
@@ -492,21 +495,27 @@ def verify_assignment(
             if y not in Y:
                 raise KeyMismatch(f"label {y!r} outside the target domain")
 
-    pvm_ok = True
+    # families numbered by their (label, projector) items as given, which the
+    # PVM check and its issue indexes read; one PVM check per projector list
+    given: dict = {}
+    gids = [given.setdefault(tuple(fam.items()), len(given)) for fam in assignment.pvms.values()]
+    pvm_reports: dict = {}
+    reports = []
+    for items in given:
+        mats = tuple(m for _, m in items)
+        if mats and mats not in pvm_reports:
+            pvm_reports[mats] = verify_pvm(mats)
+        reports.append(pvm_reports.get(mats))  # None for an empty family
+    pvm_ok = all(rep is not None and rep.passed for rep in reports)
     pvm_issues = []
-    pvm_reports: dict = {}  # keyed by the projectors in order, all a PVM check reads
-    for x in X.domain:
-        mats = tuple(assignment.pvms[x].values())
-        if not mats:
-            pvm_ok = False
-            pvm_issues.append((x, "empty"))
-            continue
-        rep = pvm_reports.get(mats)
-        if rep is None:
-            rep = pvm_reports[mats] = verify_pvm(mats)
-        if not rep.passed:
-            pvm_ok = False
-            pvm_issues.append((x, list(rep.issues)))
+    if not pvm_ok:
+        gid = dict(zip(assignment.pvms, gids))
+        for x in X.domain:
+            rep = reports[gid[x]]
+            if rep is None:
+                pvm_issues.append((x, "empty"))
+            elif not rep.passed:
+                pvm_issues.append((x, list(rep.issues)))
 
     cache = _ProductCache()
     product_violations: list[Violation] = []
@@ -519,20 +528,25 @@ def verify_assignment(
                     yield name, t, combo
 
     # scope tuples of one symbol over the same families, keyed by their
-    # (label, projector) items in order, have the same checks with the same
-    # verdicts, so each distinct one is checked once; the sweep runs tuple
-    # by tuple only when a product is nonzero, to name witnesses
+    # (label, projector) items in Y's domain order, have the same checks with
+    # the same verdicts, so each distinct one is checked once; the sweep runs
+    # tuple by tuple only when a product is nonzero, to name witnesses
+    label_order = Y._index.__getitem__
     family_id: dict = {}
-    fid = {
-        x: family_id.setdefault(tuple(fam.items()), len(family_id))
-        for x, fam in assignment.pvms.items()
-    }
+    canonical = [
+        family_id.setdefault(tuple(sorted(items, key=lambda item: label_order(item[0]))), len(family_id))
+        for items in given
+    ]
+    fid = dict(zip(assignment.pvms, map(canonical.__getitem__, gids)))
     pid: dict = {}  # one int per distinct projector
-    fam_labels = [tuple(y for y, _ in items) for items in family_id]
+    list_id: dict = {}  # one int per distinct label list
+    fam_list = [list_id.setdefault(tuple(y for y, _ in items), len(list_id)) for items in family_id]
     fam_pids = [tuple(pid.setdefault(m, len(pid)) for _, m in items) for items in family_id]
+    label_lists = list(list_id)
     projectors = list(pid)
-    keys: Counter = Counter()
+    keys: dict = {}  # per symbol, the family ids of its scope tuples, counted
     for s, arity in X.signature.symbols:
+        counts = keys[s] = Counter()
         groups = (X._blocks or {}).get(s)
         # copies whose sizes add up to the relation's are disjoint, as they union to it
         if groups and sum(len(g.relations[s]) * len(ms) for g, ms in groups) == len(X.relations[s]):
@@ -540,13 +554,9 @@ def verify_assignment(
                 places = [list(map(gadget._index.__getitem__, c)) for c in _columns(gadget.scan(s), arity)]
                 for m in maps:
                     ids = list(map(fid.__getitem__, m))
-                    keys.update(zip(itertools.repeat(s), *[map(ids.__getitem__, p) for p in places]))
+                    counts.update(zip(*[map(ids.__getitem__, p) for p in places]))
             continue
-        columns = [map(fid.__getitem__, c) for c in _columns(X.scan(s), arity)]
-        keys.update(zip(itertools.repeat(s), *columns))
-    checks = ()
-    products_checked = 0
-    forbidden: dict = {}  # (symbol, label lists) -> label positions outside Y
+        counts.update(zip(*[map(fid.__getitem__, c) for c in _columns(X.scan(s), arity)]))
     zero: dict = {}  # projector ids in scope order -> whether their product is 0
 
     def is_zero(key: tuple) -> bool:
@@ -554,19 +564,33 @@ def verify_assignment(
             zero[key] = _ordered_product_is_zero([projectors[p] for p in key], cache)
         return zero[key]
 
-    for (name, *ids), n in keys.items():
-        labels = tuple(map(fam_labels.__getitem__, ids))
-        outside = forbidden.get((name, labels))
-        if outside is None:
-            outside = forbidden[name, labels] = [
-                ps for ps in itertools.product(*map(range, map(len, labels)))
-                if tuple(map(getitem, labels, ps)) not in Y.relations[name]
-            ]
-        pids = list(map(fam_pids.__getitem__, ids))
-        if not all(is_zero(tuple(map(getitem, pids, ps))) for ps in outside):
-            checks, products_checked = full_sweep(), 0
-            break
-        products_checked += n * len(outside)
+    def products_if_all_zero() -> Optional[int]:
+        """The number of products the keys stand for, or None at the first
+        nonzero one.  The keys of a symbol are grouped by their label lists,
+        which fix the label positions outside Y; per position tuple, each
+        distinct tuple of projector ids among a group's keys is decided once."""
+        total = 0
+        for name, counts in keys.items():
+            by_lists: dict = {}
+            for lists, key in zip(map(tuple, map(map, itertools.repeat(fam_list.__getitem__), counts)), counts):
+                by_lists.setdefault(lists, []).append(key)
+            for lists, group in by_lists.items():
+                labels = list(map(label_lists.__getitem__, lists))
+                outside = [
+                    ps for ps in itertools.product(*map(range, map(len, labels)))
+                    if tuple(map(getitem, labels, ps)) not in Y.relations[name]
+                ]
+                pids = [list(map(fam_pids.__getitem__, col)) for col in zip(*group)]
+                for ps in outside:
+                    if not all(map(is_zero, set(zip(*[map(itemgetter(p), col) for p, col in zip(ps, pids)])))):
+                        return None
+                total += sum(map(counts.__getitem__, group)) * len(outside)
+        return total
+
+    checks = ()
+    products_checked = products_if_all_zero()
+    if products_checked is None:
+        checks, products_checked = full_sweep(), 0
     for name, t, combo in checks:
         products_checked += 1
         mats = [assignment.pvms[v][y] for v, y in zip(t, combo)]

@@ -12,11 +12,12 @@ and the reference eta-stage layers (faithful transfer, left functor,
 verifier, eta pair lists) work tag by tag, vertex by vertex and tuple by
 tuple.  The per-tuple references (homomorphism check, faithfulness test,
 part patterns, eta digraph) are those from before the column passes and
-the unvalidated builds.  The reference graph walks are the per-caller BFS
-loops that the shared Gaifman BFS in `relstruct` replaced, and the
-reference builders (line digraph, relabelling, Gaifman adjacency, Gamma
-products, gadget witness) are those from before structures kept a
-canonical tuple order.
+the unvalidated builds, and the reference quotient is the union-find that
+the closed form replaces where the eps maps partition the gadgets.  The
+reference graph walks are the per-caller BFS loops that the shared
+Gaifman BFS in `relstruct` replaced, and the reference builders (line
+digraph, relabelling, Gaifman adjacency, Gamma products, gadget witness)
+are those from before structures kept a canonical tuple order.
 """
 
 from __future__ import annotations
@@ -784,6 +785,48 @@ def reference_transfer_lambda(
                 )
         pvms[class_name] = first
     return QuantumAssignment(dim, k, pvms)
+
+
+def reference_lambda_quotient(template: PultrTemplate, X: RelStructure) -> LambdaQuotient:
+    """The quotient of the gadget copies over X by a union-find over every
+    gluing pair, on every template: tags added one at a time, each class
+    named by its first tag in enumeration order."""
+    if X.signature != template.tau:
+        raise ValueError("left functor expects a tau-structure")
+    tags: list = []
+    tag_ids: dict = {}
+
+    def add(tag) -> int:
+        if tag not in tag_ids:
+            tag_ids[tag] = len(tags)
+            tags.append(tag)
+        return tag_ids[tag]
+
+    for x in X.domain:
+        for a in template.A.domain:
+            add(("A", x, a))
+    for name, arity in template.tau.symbols:
+        bdom = template.B[name].domain
+        for xt in X.ordered(name):
+            for b in bdom:
+                add(("B", name, xt, b))
+    uf = pultr._UnionFind(len(tags))
+    for name, arity in template.tau.symbols:
+        maps = template.eps[name]
+        for xt in X.relations[name]:
+            for j in range(arity):
+                for a in template.A.domain:
+                    uf.union(
+                        tag_ids[("A", xt[j], a)],
+                        tag_ids[("B", name, xt, maps[j][a])],
+                    )
+    class_of_id = [uf.find(i) for i in range(len(tags))]
+    class_name: dict = {}
+    for i, tag in enumerate(tags):
+        root = class_of_id[i]
+        if root not in class_name:
+            class_name[root] = tag  # first tag in enumeration order is least
+    return LambdaQuotient(tags, tag_ids, class_of_id, class_name)
 
 
 def reference_left_apply(

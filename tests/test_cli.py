@@ -2,7 +2,6 @@ import gc
 import json
 import os
 import random
-import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -66,12 +65,16 @@ def test_hom_witness_keys_read_back_to_their_vertices(k3_file, tmp_path, capsys)
 @pytest.mark.parametrize("bad", [True, 1.5])
 def test_hom_prints_no_verdict_on_a_non_identifier_vertex(bad, k3_file, tmp_path, capsys):
     """A boolean or float vertex id stops the command before any search: it
-    is not read as a vertex 1, nor kept to fail when the witness is written."""
+    is not read as a vertex 1, nor kept to fail when the witness is written.
+    It is an input error: exit code 2, no verdict on stdout, and one line
+    on stderr naming the file and the value."""
     payload = {"signature": [{"name": "E", "arity": 2}], "domain": [1, bad, 2], "relations": {"E": [[1, 2]]}}
     source = write(str(tmp_path), "g.json", payload)
-    with pytest.raises(ValueError, match=re.escape(repr(bad))):
-        run(["hom", source, k3_file])
-    assert capsys.readouterr().out == ""
+    assert run(["hom", source, k3_file]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {source}: ValueError: ") and repr(bad) in err
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_chromatic_command(c5_file, capsys):
@@ -691,3 +694,41 @@ def test_module_entry_point_passes_exit_codes_through(cli_inputs):
     hom = cli_process("hom", cli_inputs["k3"], cli_inputs["k2"])
     assert hom.returncode == 1, hom.stderr
     assert json.loads(hom.stdout) == {"exists": False, "witness": None}
+
+
+@pytest.mark.parametrize(
+    "argv, bad, content, kind",
+    [
+        (["hom", "BAD", "k3"], "g.json", '{"signature": [', "JSONDecodeError"),
+        (["sat", "BAD"], "inst.json", '{"variables": ["x"]}', "KeyError"),
+        (["qverify", "k3", "k3", "BAD"], "a.json", "[1, 2]", "TypeError"),
+        (["rho", "BAD", "--n", "1", "--ell", "2"], "s.xor", "x y = 1 = 0\n", "ValueError"),
+        (["pultr", "gamma", "--template", "BAD", "--structure", "k3"], "t.json", '{"rho": 3}', "TypeError"),
+    ],
+)
+def test_malformed_input_file_exits_2_with_one_error_line(argv, bad, content, kind, cli_inputs, tmp_path, capsys):
+    """A file that does not decode is an input error, not a verdict: `main`
+    returns 2, prints nothing on stdout and one line on stderr that names
+    the file and the error, for the structure, instance, assignment, system
+    and template loaders alike."""
+    path = os.path.join(str(tmp_path), bad)
+    with open(path, "w") as fh:
+        fh.write(content)
+    args = [path if a == "BAD" else cli_inputs.get(a, a) for a in argv]
+    assert run(args) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {path}: {kind}: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_module_entry_point_reports_a_malformed_input_without_a_traceback(tmp_path):
+    """Through `python -m chromagap.cli`, a malformed file exits 2 with the
+    one error line and no traceback."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    source = write(str(tmp_path), "g.json", {"signature": [{"name": "E", "arity": 2}], "domain": [True], "relations": {}})
+    proc = subprocess.run(
+        [sys.executable, "-m", "chromagap.cli", "hom", source, source],
+        env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith(f"error: {source}: ValueError: ") and "Traceback" not in proc.stderr

@@ -349,6 +349,17 @@ def test_eta_pair_lists_match_all_pairs_reference_on_rho2():
     assert {name: _gadget_pairs(ctx, name) for name in ctx.symbols} == reference_eta_pair_lists(ctx)
 
 
+def test_eta_gadget_edges_and_eps_maps_hold_the_domain_vertices():
+    """Each gadget's edges and eps maps refer to its domain's own vertex
+    objects, not equal copies: one object per vertex, whatever the number
+    of edges it lies on."""
+    ctx = eta_context(two_symbol_instance())
+    for name in ctx.symbols:
+        bt = ctx.template.B[name]
+        own = {id(v) for v in bt.domain}
+        assert {id(v) for e in bt.relations["E"] for v in e} <= own
+        assert {id(v) for m in ctx.template.eps[name] for v in m.values()} == own
+
 HALF = Fraction(1, 2)
 STANDARD = (PMatrix.from_rows([[1, 0], [0, 0]]), PMatrix.from_rows([[0, 0], [0, 1]]))
 HADAMARD = (
@@ -427,6 +438,32 @@ def test_perfect_eta_transfer_never_builds_the_glued_targets_relations(monkeypat
         assert getattr(lam_target, "_build", None) is not None  # its builder never ran
         assert getattr(eta, "_build", None) is not None  # nor did the eta digraph's
         assert verify_assignment(eta, clique(4), coloured, 0).passed
+
+
+def test_eta_transfer_on_rho2_never_builds_part_patterns(monkeypatch):
+    """Every glued label tuple behind a nonzero product of the magic-square
+    strategy's transfer on the rho2 instance is a copy of its gadget in the
+    glued target's block view, so no relation is probed and no symbol's part
+    patterns are built.  The same transfer onto the glued target rebuilt
+    without its view has to probe, and builds them."""
+    from chromagap.dkkms import rho_quantum_transfer
+
+    system, game = mermin_peres()
+    rho2 = build_rho2(build_rho1(system, 1, 2))
+    _, strategy = rho_quantum_transfer(system, 1, 2, game, rho1=rho2)
+    calls = []
+    part_patterns = pultr._part_patterns
+    monkeypatch.setattr(pultr, "_part_patterns", lambda *args: calls.append(args[1]) or part_patterns(*args))
+    eta, coloured, ctx = eta_quantum_transfer(rho2.instance, strategy, 0, check_input=False)
+    assert len(ctx.symbols) == 15 and set(coloured.pvms) == set(eta.domain)
+    assert calls == []
+    inst = two_symbol_instance()
+    s1, s2 = {"x": 0, "y": 0, "z": 1}, {"x": 2, "y": 3, "z": 2}
+    split = QuantumAssignment(2, 0, {v: {s1[v]: STANDARD[0], s2[v]: STANDARD[1]} for v in inst.variables})
+    small = eta_context(inst)
+    lam_target = without_view(left_apply(small.template, small.target))
+    pultr.lambda_functor(small.template, small.variable_structure, small.target, split, 0, lambda_y=lam_target)
+    assert sorted(set(calls)) == list(small.symbols)
 
 
 def test_import_leaves_numpy_unloaded():

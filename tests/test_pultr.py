@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import re
@@ -5,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from chromagap.colouring import line_digraph, linedigraph_template
+from chromagap.colouring import eta_context, line_digraph, linedigraph_template
 from chromagap import pultr, serialize
+from chromagap.csp import CspInstance
 from chromagap.pultr import (
     CompatibilityTooLow,
     NotConnected,
@@ -48,6 +50,7 @@ from helpers import (
     reference_gamma_functor,
     reference_gamma_products,
     reference_is_faithful,
+    reference_lambda_quotient,
     reference_left_apply,
     reference_part_patterns,
     reference_transfer_lambda,
@@ -913,6 +916,113 @@ def test_faithfulness_and_part_patterns_match_per_tuple_references():
                 errors.add(got[0])
     assert verdicts == {True, False, KeyError}
     assert pattern_counts == {0, 1, 2, 3} and errors == {KeyError}
+    # the eta templates, as built and with one gadget edge added inside one
+    # eps image (not faithful) or across the two (still faithful)
+    eta_verdicts = set()
+    for template in _eta_templates():
+        name = template.tau.names()[0]
+        bt = template.B[name]
+        for edge in [None, ((1, 0), (1, 1)), ((2, 1), (2, 1)), ((2, 0), (1, 0))]:
+            if edge is None:
+                t = template
+            else:
+                edges = bt.relations["E"] | {edge}
+                t = dataclasses.replace(template, B={**template.B, name: RelStructure(bt.signature, bt.domain, {"E": edges})})
+            faithful = pultr._is_faithful(t)
+            assert faithful == reference_is_faithful(t)
+            eta_verdicts.add(faithful)
+            for sym in t.tau.names():
+                parts = t.eps_parts[sym]
+                assert pultr._part_patterns(t, sym, parts) == reference_part_patterns(t, sym, parts)
+    assert eta_verdicts == {True, False}
+
+
+def _eta_templates() -> list:
+    """The gadget templates of two small 2-to-2 instances: one symbol over
+    a two-letter alphabet, and two symbols over four letters."""
+    full = {(a, b) for a in range(2) for b in range(2)}
+    same_half = {(a, b) for a in range(4) for b in range(4) if a // 2 == b // 2}
+    parity_half = {(a, b) for a in range(4) for b in range(4) if a % 2 == b // 2}
+    instances = [
+        CspInstance(["x", "y"], range(2), [(("x", "y"), full)]),
+        CspInstance(["x", "y", "z"], range(4), [(("x", "y"), same_half), (("y", "z"), parity_half)]),
+    ]
+    return [eta_context(inst).template for inst in instances]
+
+
+def _assert_same_quotient(got, want):
+    """Equal tags, tag ids, class ids and class names, the dicts in the
+    same order, and the same classes with their members in tag order."""
+    assert got.tags == want.tags
+    assert list(got.tag_ids.items()) == list(want.tag_ids.items())
+    assert got.class_of_id == want.class_of_id
+    assert list(got.class_name.items()) == list(want.class_name.items())
+    assert list(got.classes().items()) == list(want.classes().items())
+
+
+def test_closed_form_quotient_matches_union_find_reference():
+    """Where the eps maps partition every gadget, the quotient read off
+    `eps_parts` equals the union-find's: on random faithful templates, on
+    disjoint copies with extra gadget tuples, and on the eta templates over
+    scopes with repeated entries and a scope under two symbols.  Templates
+    whose eps maps glue copies together (random glued templates) have no
+    table and take the union-find, with the same result."""
+    rng = random.Random(131)
+    paths = set()
+    makers = [random_faithful_template, _copies_template, random_template, _glued_template]
+    for case in range(200):
+        template = makers[case % 4](rng)
+        X = _random_tau_structure(rng, template, 4)
+        _assert_same_quotient(lambda_quotient(template, X), reference_lambda_quotient(template, X))
+        paths.add(template.eps_parts is not None)
+    assert paths == {True, False}
+    for template in _eta_templates():
+        first, *others = template.tau.names()
+        scopes = {first: [("x", "x"), ("x", "y"), ("z", "x")]}
+        for other in others:
+            scopes[other] = [("x", "y"), ("y", "y")]  # ("x", "y") under both symbols
+        X = RelStructure(template.tau, ["x", "y", "z", "w"], scopes)
+        assert template.eps_parts is not None
+        _assert_same_quotient(lambda_quotient(template, X), reference_lambda_quotient(template, X))
+
+
+def test_linedigraph_template_keeps_the_union_find():
+    """eps_1(a2) = eps_2(a1) = b2 in the line-digraph template, so it has
+    no inverse table, and its quotient, gluing consecutive arcs, is the
+    union-find's."""
+    template = linedigraph_template()
+    assert template.eps_parts is None
+    rng = random.Random(137)
+    for _ in range(20):
+        X = random_digraph(rng, 5, 7)
+        _assert_same_quotient(lambda_quotient(template, X), reference_lambda_quotient(template, X))
+
+
+def test_eps_parts_inverts_the_eps_maps_exactly_when_they_partition():
+    """b -> (i, A-index of a) for eps_i(a) = b, on every gadget vertex; None
+    when an eps map is not injective, two images meet, the images miss a
+    gadget vertex, or an eps map's keys are not A's domain."""
+    rng = random.Random(139)
+    for _ in range(50):
+        template = random_faithful_template(rng)
+        table = template.eps_parts
+        for name in template.tau.names():
+            assert set(table[name]) == set(template.B[name].domain)
+            for i, m in enumerate(template.eps[name]):
+                for ai, a in enumerate(template.A.domain):
+                    assert table[name][m[a]] == (i, ai)
+    A = RelStructure(GRAPH_SIGNATURE, ["a", "b"], {})
+    B = RelStructure(GRAPH_SIGNATURE, [0, 1, 2, 3], {})
+    sig = Signature((("S", 2),))
+
+    def parts(*maps, B=B):
+        return PultrTemplate(GRAPH_SIGNATURE, sig, A, {"S": B}, {"S": maps}).eps_parts
+
+    assert parts({"a": 0, "b": 1}, {"a": 2, "b": 3}) == {"S": {0: (0, 0), 1: (0, 1), 2: (1, 0), 3: (1, 1)}}
+    assert parts({"a": 0, "b": 0}, {"a": 2, "b": 3}) is None  # not injective
+    assert parts({"a": 0, "b": 1}, {"a": 1, "b": 2}) is None  # images meet
+    assert parts({"a": 0, "b": 1}, {"a": 2, "b": 3}, B=RelStructure(GRAPH_SIGNATURE, range(5), {})) is None
+    assert parts({"a": 0, "b": 1, "c": 4}, {"a": 2, "b": 3}, B=RelStructure(GRAPH_SIGNATURE, range(5), {})) is None
 
 
 # -- the block view of the left functor ------------------------------------------

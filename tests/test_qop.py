@@ -381,6 +381,54 @@ def test_verify_assignment_matches_reference():
     assert seen >= {"pass", "fail", "capped at 1", "capped at 2", "capped at 25", "pvm issues"}
 
 
+def _shuffled(rng, family: dict) -> dict:
+    items = list(family.items())
+    rng.shuffle(items)
+    return dict(items)
+
+
+def test_verify_assignment_on_shuffled_label_orders_matches_reference():
+    """Families that list their labels in different orders share a label
+    group of the product sweep, and the report still equals the per-tuple
+    reference's, witnesses, counts and PVM issue indexes (which follow each
+    family's given order) included: on perfect splits of two maps over
+    three labels, on the same with one family repeating a doubled
+    projector, and on inputs whose only nonzero forbidden product lies on
+    the one tuple of the last symbol, the sweep's last label group."""
+    rng = random.Random(151)
+    p, q = _STANDARD
+    sig = Signature((("E", 2), ("F", 2)))
+    seen = set()
+    for case in range(240):
+        labels = rng.sample("abc", 3)
+        dom = [f"x{i}" for i in range(rng.randint(2, 7))]
+        edges = {tuple(rng.choice(dom) for _ in range(2)) for _ in range(rng.randint(1, 9))}
+        f, g = ({x: rng.choice(labels) for x in dom} for _ in range(2))
+        allowed = {(h[u], h[v]) for h in (f, g) for u, v in edges}
+        pvms = {x: _shuffled(rng, {f[x]: p, g[x]: q} if f[x] != g[x] else {f[x]: p + q}) for x in dom}
+        if case % 3 == 1:
+            y0, y1 = rng.sample(labels, 2)
+            pvms[rng.choice(dom)] = _shuffled(rng, {y0: p + p, y1: q})
+        if case % 3 == 2:
+            dom += ["u", "w"]
+            pvms["u"] = _shuffled(rng, {"a": p, "b": q})
+            pvms["w"] = _shuffled(rng, {"a": _HADAMARD[1], "b": _HADAMARD[0]})
+            X = RelStructure(sig, dom, {"E": edges, "F": {("u", "w")}})
+            F = set(itertools.product(labels, repeat=2)) - {("a", "a")}
+        else:
+            X = RelStructure(sig, dom, {"E": edges, "F": set()})
+            F = set()
+        Y = RelStructure(sig, labels, {"E": allowed, "F": F})
+        args = (X, Y, QuantumAssignment(2, 0, pvms), rng.randint(0, 1))
+        cap = rng.choice([1, 25])
+        got = verify_assignment(*args, max_witnesses=cap)
+        assert got == reference_verify_assignment(*args, max_witnesses=cap)
+        if case % 3 == 2:
+            assert [v.witness for v in got.product_violations] == [("F", ("u", "w"), ("a", "a"))]
+        seen.add((case % 3, got.perfect, bool(got.pvm_issues)))
+    assert seen == {(0, True, False), (1, False, True), (2, False, False)}
+
+
 def test_verify_assignment_matches_reference_on_mixed_arities():
     """Field-for-field equal reports as the per-tuple reference on
     structures with arity-1, 2 and 3 symbols whose vertices carry at least
