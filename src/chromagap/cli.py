@@ -260,10 +260,7 @@ def pipeline_machinery(
     if i != 2:
         raise dmr.SizeBudgetExceeded("the desk-scale machinery run supports i = 2")
     report = PipelineReport("thm14", seed)
-    k_ladder = [3 * 2**i - 2]
-    while k_ladder[-1] != 1:
-        k_ladder.append((k_ladder[-1] - 2) // 2)
-    # 10 -> 4 -> 1 for i = 2
+    k_ladder = (10, 4, 1)  # 3 * 2^i - 2 at i = 2, then k -> (k - 2) / 2 per line digraph
 
     t0 = time.perf_counter()
     inst, classical = machinery_seed_instance(seed)
@@ -330,11 +327,9 @@ def pipeline_machinery(
             return report
 
     t0 = time.perf_counter()
-    delta2k4 = colouring.line_digraph(colouring.line_digraph(clique(4)))
-    chi = relstruct.chromatic_number(delta2k4, 4)
-    to_k3 = relstruct.find_homomorphism(delta2k4, clique(3))
-    # the target of the last transfer is delta^2 K4 up to the edge naming of
-    # line_digraph, which the transfer reuses, so the colouring composes
+    # current_y is delta^2 K4 as the last transfer named it, so the colouring composes
+    chi = relstruct.chromatic_number(current_y, 4)
+    to_k3 = relstruct.find_homomorphism(current_y, clique(3))
     final_assignment = qop.compose_sandwich(
         {v: v for v in current.pvms}, current, to_k3, k=0
     )
@@ -532,12 +527,10 @@ def _eta(args) -> int:
 
 
 def _transition(args) -> int:
-    import numpy as np
-
     tm = colouring.build_transition_matrix(args.d)
     _print({"states": len(tm.states), "iterations": tm.iterations,
             "row_sum_residual": tm.row_sum_residual, "second_modulus": tm.second_modulus,
-            "spectrum": sorted(np.linalg.eigvalsh(tm.matrix).tolist())})
+            "spectrum": tm.spectrum})
     return 0
 
 
@@ -607,6 +600,19 @@ def _pipeline(args) -> int:
     return 0 if not report.verdict.startswith("FAIL") else 1
 
 
+def _int_at_least(low: int):
+    """An argparse `type=` for an integer flag: a value below `low` is a
+    usage error, like a value that is no integer."""
+
+    def parse(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        return int(text)
+
+    parse.__name__ = "int"  # argparse names the type so when `text` is no integer
+    return parse
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process (its tree is cyclic).
@@ -632,7 +638,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = command("indep", _indep, help="exact independence number")
     p.add_argument("graph")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=_int_at_least(0), default=None)
 
     p = command("sat", _sat, help="exact classical value of an instance")
     p.add_argument("instance")
@@ -646,7 +652,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = command("augment", _augment, help="distance-k compatibility augmentation")
     p.add_argument("instance")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_int_at_least(1), required=True)
     p.add_argument("--out", required=True)
 
     p = command("qverify", _qverify, help="verify a quantum assignment")
@@ -668,7 +674,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = command("linedigraph", _linedigraph, help="iterate the line-digraph operator")
     p.add_argument("graph")
-    p.add_argument("--iterate", type=int, default=1)
+    p.add_argument("--iterate", type=_int_at_least(0), default=1)
     p.add_argument("--out", default=None)
 
     p = command("eta", _eta, help="d-to-d to colouring reduction")
@@ -676,12 +682,12 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = command("transition", _transition, help="build and certify the state matrix")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_int_at_least(2), required=True)
 
     p = command("rho", _rho, help="3XOR to 2-to-2 reduction")
     p.add_argument("system", help="text file of `x y z = b` lines")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
+    p.add_argument("--ell", type=_int_at_least(2), required=True)
     p.add_argument("--out", default=None)
 
     p = command("game", _game, help="the consistent-repetition game as a CSP")
@@ -692,7 +698,7 @@ def _parser() -> argparse.ArgumentParser:
     p = command("rho-transfer", _rho_transfer, help="transfer a game strategy through rho")
     p.add_argument("system")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
+    p.add_argument("--ell", type=_int_at_least(2), required=True)
     p.add_argument("--strategy", required=True)
     p.add_argument("--out", default=None)
 

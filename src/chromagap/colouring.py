@@ -17,20 +17,20 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from .csp import CspInstance, DtoDCertificate, classify_label_cover
+from .csp import CspInstance, DtoDCertificate, classify_label_cover, to_structures
 from .pultr import (
     LambdaQuotient,
     PultrTemplate,
+    adjunction_unit,
     gamma_functor,
-    lambda_functor,
     lambda_quotient,
     left_apply,
+    transfer_lambda,
 )
 from .qop import QuantumAssignment, VerificationFailure, compose_sandwich, verify_assignment
 from .relstruct import (
     GRAPH_SIGNATURE,
     RelStructure,
-    Signature,
     SizeBudgetExceeded,
     check_homomorphism,
     clique,
@@ -79,6 +79,7 @@ class TransitionMatrix:
     row_sum_residual: float
     second_modulus: float
     iterations: int
+    spectrum: tuple[float, ...]  # ascending, the eigenvalues certified
 
 
 _SINKHORN_ITERATIONS = 100_000
@@ -108,8 +109,6 @@ def build_transition_matrix(d: int) -> TransitionMatrix:
                 pattern[i, j] = 1.0
                 support.add((i, j))
     scaling = np.ones(n)
-    residual = np.inf
-    iterations = 0
     for iterations in range(1, _SINKHORN_ITERATIONS + 1):
         row_action = pattern @ scaling
         if np.any(row_action <= 0):
@@ -123,20 +122,20 @@ def build_transition_matrix(d: int) -> TransitionMatrix:
         raise SinkhornDivergence(
             f"row sums off by {residual:.3e} after {_SINKHORN_ITERATIONS} iterations"
         )
-    matrix = (pattern * scaling[:, None]) * scaling[None, :]
     if not np.array_equal(matrix > 0, pattern > 0):
         raise SpectralCertificationFailure("support drifted during scaling")
     eigenvalues = np.linalg.eigvalsh(matrix)
     top = eigenvalues[-1]
-    others = np.abs(np.concatenate([eigenvalues[:-1]]))
-    second = float(others.max())
+    second = float(np.abs(eigenvalues[:-1]).max())
     if abs(top - 1.0) > 1e-9:
         raise SpectralCertificationFailure(f"top eigenvalue {top} is not 1")
     if second >= 1.0 - _SPECTRAL_GAP:
         raise SpectralCertificationFailure(
             f"second modulus {second} too close to 1 (gap < {_SPECTRAL_GAP})"
         )
-    return TransitionMatrix(d, states, matrix, frozenset(support), residual, second, iterations)
+    return TransitionMatrix(
+        d, states, matrix, frozenset(support), residual, second, iterations, tuple(eigenvalues.tolist())
+    )
 
 
 # -- the reduction ----------------------------------------------------------
@@ -155,11 +154,12 @@ def _blocks(z: int, perm: Sequence[int], d: int, base: int) -> tuple:
 
 @dataclass
 class EtaContext:
-    """Shared data of one reduction run: the d-to-d certificate, the grouped
-    constraint symbols, the variable and target structures, and the gadget
-    template.  The gadget of a symbol has an edge ((1, z), (2, z')) per pair
-    of z-strings with entrywise disjoint permuted blocks, listed by z, then
-    z' (its `ordered("E")`)."""
+    """Shared data of one reduction run: the d-to-d certificate, the
+    constraint symbols with their permutation pairs, the variable and target
+    structures of `csp.to_structures`, and the gadget template.  The gadget
+    of a symbol has an edge ((1, z), (2, z')) per pair of z-strings with
+    entrywise disjoint permuted blocks, listed by z, then z' (its
+    `ordered("E")`)."""
 
     instance: CspInstance
     certificate: DtoDCertificate
@@ -173,17 +173,14 @@ class EtaContext:
     template: PultrTemplate
 
 
-def _require_certificate(inst: CspInstance) -> DtoDCertificate:
-    profile = classify_label_cover(inst)
-    if profile.d_to_d is None:
-        raise NotDtoD("instance has no verified d-to-d certificate")
-    return profile.d_to_d
-
-
 def eta_context(inst: CspInstance, *, budget: Optional[int] = None) -> EtaContext:
-    """Classify the instance, group constraints by their permutation pair,
-    and materialise the gadget template for exactly the occurring symbols."""
-    cert = _require_certificate(inst)
+    """Classify the instance, take its structure pair from `to_structures`,
+    and materialise the gadget template for exactly its symbols.  A symbol
+    stands for one predicate, and a certified predicate has exactly one
+    canonical permutation pair (mu, nu), read off the certificate."""
+    cert = classify_label_cover(inst).d_to_d
+    if cert is None:
+        raise NotDtoD("instance has no verified d-to-d certificate")
     d, m = cert.d, cert.m
     if d < 2:
         raise ValueError("d must be >= 2")
@@ -196,23 +193,17 @@ def eta_context(inst: CspInstance, *, budget: Optional[int] = None) -> EtaContex
     block_values = list(itertools.product(range(base), repeat=d))
     partners = {a: [b for b in block_values if not set(a) & set(b)] for a in block_values}
 
-    pair_to_symbol: dict = {}
-    scopes_by_symbol: dict = {}
-    for c, (mu, nu) in zip(inst.constraints, cert.permutations):
-        key = (mu, nu)
-        if key not in pair_to_symbol:
-            pair_to_symbol[key] = f"T{len(pair_to_symbol)}"
-            scopes_by_symbol[pair_to_symbol[key]] = set()
-        scopes_by_symbol[pair_to_symbol[key]].add(c.scope)
-    symbols = tuple(pair_to_symbol[key] for key in pair_to_symbol)
-    tau = Signature(tuple((name, 2) for name in symbols))
+    x_struct, target = to_structures(inst)
+    symbols = target.signature.names()
+    by_predicate = dict(zip((c.allowed for c in inst.constraints), cert.permutations))
+    mu_nu = {name: by_predicate[target.relations[name]] for name in symbols}
     rho = GRAPH_SIGNATURE
 
     z_all = range(base**n)
     A = RelStructure._trusted(rho, tuple(z_all), {"E": []})
     gadgets: dict = {}
     eps: dict = {}
-    for (mu, nu), name in pair_to_symbol.items():
+    for name, (mu, nu) in mu_nu.items():
         # z' is paired with z when each of its nu-blocks is a disjoint
         # partner of z's mu-block at the same place; listed by z, then z'
         by_blocks: dict = {}
@@ -229,30 +220,7 @@ def eta_context(inst: CspInstance, *, budget: Optional[int] = None) -> EtaContex
         edges = [(left[z], right[zp]) for z, zp in pairs]  # in canonical order
         gadgets[name] = RelStructure._trusted(rho, (*left, *right), {"E": edges})
         eps[name] = (dict(zip(z_all, left)), dict(zip(z_all, right)))
-    template = PultrTemplate(rho, tau, A, gadgets, eps)
-
-    alpha_index = {a: i for i, a in enumerate(inst.alphabet)}
-    x_struct = RelStructure(tau, inst.variables, scopes_by_symbol)
-    target_rels: dict = {}
-    for (mu, nu), name in pair_to_symbol.items():
-        mu_pos = {a: p for p, a in enumerate(mu)}
-        nu_pos = {b: p for p, b in enumerate(nu)}
-        target_rels[name] = {
-            (a, b)
-            for a in inst.alphabet
-            for b in inst.alphabet
-            if mu_pos[alpha_index[a]] // d == nu_pos[alpha_index[b]] // d
-        }
-    target = RelStructure(tau, inst.alphabet, target_rels)
-    mu_nu = {name: key for key, name in pair_to_symbol.items()}
-    # the target's relations reproduce the predicates: same sanity check the
-    # classifier already passed, kept as a cheap structural check
-    for c, (mu, nu) in zip(inst.constraints, cert.permutations):
-        name = pair_to_symbol[(mu, nu)]
-        if target_rels[name] != set(c.allowed):
-            raise VerificationFailure(
-                f"target relation {name!r} differs from the predicate of scope {c.scope!r}"
-            )
+    template = PultrTemplate(rho, target.signature, A, gadgets, eps)
     return EtaContext(inst, cert, d, m, n, symbols, mu_nu, x_struct, target, template)
 
 
@@ -325,11 +293,13 @@ def eta_quantum_transfer(
     """Push a perfect assignment of a d-to-d instance to a quantum
     2d-colouring of the reduced digraph, preserving the Hilbert space.
 
-    The route is the faithful-template functor transfer followed by
-    composition with the canonical colouring of the glued target.  Both the
-    transfer and the returned digraph, `eta_apply`'s, read one quotient of
-    the left functor with classes named (x, z), so the output is keyed by
-    the digraph's vertices as built; its edges are left unbuilt.
+    The route is the left functor's action on the assignment followed by
+    composition with the canonical colouring xi of the glued target: the
+    adjunction unit, read off xi's quotient, lifts the assignment, and
+    `transfer_lambda` carries it onto xi's glued target.  Both the transfer
+    and the returned digraph, `eta_apply`'s, read one quotient of the left
+    functor with classes named (x, z), so the output is keyed by the
+    digraph's vertices as built; its edges are left unbuilt.
     """
     ctx = eta_context(inst)
     if check_input:
@@ -339,20 +309,13 @@ def eta_quantum_transfer(
                 f"input verification at level {k} failed: {report.summary()}"
             )
     xi, lam_target, quotient_y = xi_colouring(ctx)
+    unit = adjunction_unit(ctx.template, ctx.target, quotient_y)
+    lifted = compose_sandwich({x: x for x in assignment.pvms}, assignment, unit)
     quotient_x = _eta_quotient(ctx)
-    transferred = lambda_functor(
-        ctx.template,
-        ctx.variable_structure,
-        ctx.target,
-        assignment,
-        k,
-        quotient_x=quotient_x,
-        quotient_y=quotient_y,
-        lambda_y=lam_target,
-    )[0]
+    transferred = transfer_lambda(ctx.template, ctx.variable_structure, lam_target, lifted, k,
+                                  quotient=quotient_x)
     del lam_target, quotient_y  # the stage's largest structure, freed before the eta digraph
-    identity = {v: v for v in transferred.pvms}
-    coloured = compose_sandwich(identity, transferred, xi, k=k)
+    coloured = compose_sandwich({v: v for v in transferred.pvms}, transferred, xi, k=k)
     eta = left_apply(ctx.template, ctx.variable_structure, quotient=quotient_x)
     if set(coloured.pvms) != set(eta.domain):
         raise VerificationFailure("transfer domain differs from the reduced digraph")

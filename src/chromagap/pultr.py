@@ -18,12 +18,12 @@ instead of producing garbage.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from operator import add, itemgetter, ne
 from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
-from .qop import PMatrix, QuantumAssignment, _ProductCache
+from .qop import PMatrix, QuantumAssignment, _ProductCache, compose_sandwich
 from .relstruct import (
     RelStructure,
     Signature,
@@ -210,19 +210,16 @@ class LambdaQuotient:
     tag_ids: dict
     class_of_id: list
     class_name: dict
-    _classes: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
 
     def cls(self, tag) -> Hashable:
         return self.class_name[self.class_of_id[self.tag_ids[tag]]]
 
     def classes(self) -> dict:
-        """Each class name with its member tags in tag order; built once."""
-        if self._classes is None:
-            members: dict = {}
-            for tag, i in self.tag_ids.items():
-                members.setdefault(self.class_name[self.class_of_id[i]], []).append(tag)
-            self._classes = members
-        return self._classes
+        """Each class name with its member tags in tag order."""
+        members: dict = {}
+        for tag, i in self.tag_ids.items():
+            members.setdefault(self.class_name[self.class_of_id[i]], []).append(tag)
+        return members
 
 
 def lambda_quotient(template: PultrTemplate, X: RelStructure) -> LambdaQuotient:
@@ -314,7 +311,7 @@ def left_apply(
         return relations
 
     # lists index faster; the view keeps its maps as tuples
-    blocks = dict.fromkeys(template.rho.names(), [(g, list(map(tuple, maps))) for g, maps in groups])
+    blocks = [(g, list(map(tuple, maps))) for g, maps in groups]
     return RelStructure._trusted(template.rho, tuple(dict.fromkeys(names)), relations, blocks)
 
 
@@ -420,21 +417,19 @@ def transfer_lambda(
     dim = assignment.dim
     patterns: dict = {}  # per symbol, its `_part_patterns`, built on the first probe
     hom_cache: dict = {}
-    # per symbol and relation, the copies of B_T in Y's block view: glued labels
-    # that form one map B_T into Y by construction, so that relation is not probed
+    # per symbol, the copies of B_T in Y's block view: glued labels that form
+    # a map B_T -> Y by construction, so no relation is probed
     copies = {
-        name: {r: {m for g, maps in Y._blocks[r] if g is template.B[name] for m in maps} for r in Y._blocks}
+        name: {m for g, maps in Y._blocks if g is template.B[name] for m in maps}
         for name in template.tau.names()
     } if Y._blocks else {}
 
     def glued_is_hom(name: str, labels: tuple) -> bool:
         key = (name, labels)
         if key not in hom_cache:
-            known = ()
-            if copies:
-                glued = tuple(labels[i][ai] for i, ai in map(parts[name].__getitem__, template.B[name].domain))
-                known = {r for r, maps in copies[name].items() if glued in maps}
-            if len(known) == len(template.rho.symbols):
+            if copies and tuple(
+                labels[i][ai] for i, ai in map(parts[name].__getitem__, template.B[name].domain)
+            ) in copies[name]:
                 hom_cache[key] = True
             else:
                 if name not in patterns:
@@ -444,7 +439,6 @@ def transfer_lambda(
                         zip(*[map(labels[i].__getitem__, col) for i, col in zip(pattern, columns)])
                     )
                     for rname, pattern, columns in patterns[name]
-                    if rname not in known
                 )
         return hom_cache[key]
 
@@ -518,36 +512,25 @@ def _part_patterns(template: PultrTemplate, name: str, parts: dict) -> list:
     return out
 
 
+def adjunction_unit(template: PultrTemplate, Y: RelStructure, quotient: LambdaQuotient) -> dict:
+    """The unit Y -> Gamma Lambda Y: y -> (a -> class of a^(y)), read off
+    `quotient`, the quotient of Lambda Y."""
+    return {y: tuple(quotient.cls(("A", y, a)) for a in template.A.domain) for y in Y.domain}
+
+
 def lambda_functor(
     template: PultrTemplate,
     X: RelStructure,
     Y: RelStructure,
     assignment: QuantumAssignment,
     k: int,
-    *,
-    quotient_x: Optional[LambdaQuotient] = None,
-    quotient_y: Optional[LambdaQuotient] = None,
-    lambda_y: Optional[RelStructure] = None,
-) -> tuple[QuantumAssignment, LambdaQuotient]:
+) -> QuantumAssignment:
     """Functorial action on quantum assignments: X ~> Y gives
     Lambda X ~> Lambda Y at the same level, via the adjunction unit
-    y -> (a -> class of a^(y)) composed with the faithful transfer."""
-    qy = quotient_y if quotient_y is not None else lambda_quotient(template, Y)
-    a_order = template.A.domain
-    unit = {y: tuple(qy.cls(("A", y, a)) for a in a_order) for y in Y.domain}
-    composed: dict = {}
-    for x, fam in assignment.pvms.items():
-        out: dict = {}
-        for y, m in fam.items():
-            label = unit[y]
-            out[label] = out[label] + m if label in out else m
-        composed[x] = out
-    lifted = QuantumAssignment(assignment.dim, assignment.k, composed)
-    lam_y = lambda_y if lambda_y is not None else left_apply(template, Y, quotient=qy)
-    result = transfer_lambda(
-        template, X, lam_y, lifted, k, quotient=quotient_x
-    )
-    return result, qy
+    composed with the faithful transfer."""
+    qy = lambda_quotient(template, Y)
+    lifted = compose_sandwich({x: x for x in assignment.pvms}, assignment, adjunction_unit(template, Y, qy))
+    return transfer_lambda(template, X, left_apply(template, Y, quotient=qy), lifted, k)
 
 
 def gamma_functor(

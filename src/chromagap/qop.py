@@ -545,9 +545,9 @@ def verify_assignment(
     label_lists = list(list_id)
     projectors = list(pid)
     keys: dict = {}  # per symbol, the family ids of its scope tuples, counted
+    groups = X._blocks
     for s, arity in X.signature.symbols:
         counts = keys[s] = Counter()
-        groups = (X._blocks or {}).get(s)
         # copies whose sizes add up to the relation's are disjoint, as they union to it
         if groups and sum(len(g.relations[s]) * len(ms) for g, ms in groups) == len(X.relations[s]):
             for gadget, maps in groups:

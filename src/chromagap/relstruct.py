@@ -88,11 +88,12 @@ class RelStructure:
     instances, not to structures.  `relations` holds frozensets for
     membership; `ordered` lists the same tuples in the canonical tuple order
     (lexicographic by domain index), and order-sensitive walks read it.
-    A structure glued from gadget copies may keep them as `_blocks`: per
-    symbol, groups (gadget, maps), each map one copy's vertices in the gadget's
-    domain order; the images of the gadget's tuples union, overlapping or not,
-    to the relation.  `relations` may be deferred: `_trusted` then takes a
-    builder, a callable run on their first read (see `_Deferred`)."""
+    A structure glued from gadget copies may keep them as `_blocks`: one
+    list of groups (gadget, maps), each map one copy's vertices in the
+    gadget's domain order; for every symbol, the images of the gadgets'
+    tuples union, overlapping or not, to the relation.  `relations` may be
+    deferred: `_trusted` then takes a builder, a callable run on their first
+    read (see `_Deferred`)."""
 
     __slots__ = ("signature", "domain", "relations", "_index", "_ordered", "_gaifman", "_supports", "_blocks")
 
@@ -122,17 +123,18 @@ class RelStructure:
         self._ordered: dict = {}
         self._gaifman: Optional[dict] = None
         self._supports: dict = {}
-        self._blocks: Optional[dict] = None
+        self._blocks: Optional[list] = None
 
     @classmethod
     def _trusted(
-        cls, signature: Signature, domain: tuple, tuples: Mapping, blocks: Optional[dict] = None
+        cls, signature: Signature, domain: tuple, tuples: Mapping, blocks: Optional[list] = None
     ) -> "RelStructure":
         """A structure from checked parts, not checked again: `domain` without
         repeats; per symbol, tuples over it of its arity, as a list in canonical
         tuple order without repeats, or as a set in any order (frozen by insertion,
         so it iterates as the public constructor's would; `ordered` sorts it),
-        or a builder of them; `blocks`, if given, the gadget copies they are made of."""
+        or a builder of them; `blocks`, if given, the gadget copies every
+        symbol's tuples are made of."""
         self = cls.__new__(_Deferred if callable(tuples) else cls)
         self.signature, self.domain = signature, domain
         self._index = {v: i for i, v in enumerate(domain)}
@@ -290,9 +292,9 @@ def check_homomorphism(f: Mapping, X: RelStructure, Y: RelStructure) -> bool:
             raise PartialMap(repr(v))
         if f[v] not in known:
             raise UnknownVertex(repr(f[v]))
-    image = f.__getitem__
+    image, groups = f.__getitem__, X._blocks
     for name, arity in X.signature.symbols:
-        rel, groups = Y.relations[name], (X._blocks or {}).get(name)
+        rel = Y.relations[name]
         if groups is None and not rel.issuperset(zip(*[map(image, c) for c in _columns(X.scan(name), arity)])):
             return False
         # the copies' images union to the relation: f must map each copy into Y
@@ -642,8 +644,11 @@ def chromatic_number(G: RelStructure, cap: int):
 def independence_number(G: RelStructure, cap: Optional[int] = None) -> int:
     """Exact maximum independent set size in the single binary relation.
 
-    `cap` bounds the answer from above (search stops early once reached).
+    `cap` bounds the answer from above (search stops early once reached);
+    a negative cap raises ValueError.
     """
+    if cap is not None and cap < 0:
+        raise ValueError("cap must be >= 0")
     sym = G.graph_symbol()
     adj = G.gaifman_adjacency()
     loopers = {a for (a, b) in G.relations[sym] if a == b}

@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from chromagap import colouring, pultr, qop, relstruct
-from chromagap.csp import CspInstance
+from chromagap.csp import CspInstance, classify_label_cover
 from chromagap.qop import PMatrix, QuantumAssignment
 from chromagap.relstruct import (
     GRAPH_SIGNATURE,
@@ -581,7 +581,7 @@ def block_images(X: RelStructure, name: str) -> list:
     """The images of the gadget tuples of `name` under every map of X's block
     view, repeats kept, group by group and map by map."""
     out = []
-    for gadget, maps in X._blocks[name]:
+    for gadget, maps in X._blocks:
         for m in maps:
             out += [tuple(m[gadget.index(v)] for v in t) for t in gadget.relations[name]]
     return out
@@ -974,6 +974,80 @@ def reference_eta_pair_lists(ctx) -> dict:
         ]
         pair_lists[name] = pairs
     return pair_lists
+
+
+def reference_eta_context(inst: CspInstance, *, budget: Optional[int] = None) -> colouring.EtaContext:
+    """The eta context as built before it read its structures from
+    `csp.to_structures`: constraints grouped by their permutation pair, one
+    symbol T<i> per pair, the target rebuilt from (mu, nu) and rechecked
+    against the predicates."""
+    cert = classify_label_cover(inst).d_to_d
+    if cert is None:
+        raise colouring.NotDtoD("instance has no verified d-to-d certificate")
+    d, m = cert.d, cert.m
+    if d < 2:
+        raise ValueError("d must be >= 2")
+    n = len(inst.alphabet)
+    base = 2 * d
+    if budget is not None and len(inst.variables) * base**n > budget:
+        raise relstruct.SizeBudgetExceeded(
+            f"{len(inst.variables)} * (2d)^{n} vertices exceed the budget"
+        )
+    block_values = list(itertools.product(range(base), repeat=d))
+    partners = {a: [b for b in block_values if not set(a) & set(b)] for a in block_values}
+
+    pair_to_symbol: dict = {}
+    scopes_by_symbol: dict = {}
+    for c, (mu, nu) in zip(inst.constraints, cert.permutations):
+        key = (mu, nu)
+        if key not in pair_to_symbol:
+            pair_to_symbol[key] = f"T{len(pair_to_symbol)}"
+            scopes_by_symbol[pair_to_symbol[key]] = set()
+        scopes_by_symbol[pair_to_symbol[key]].add(c.scope)
+    symbols = tuple(pair_to_symbol[key] for key in pair_to_symbol)
+    tau = Signature(tuple((name, 2) for name in symbols))
+    rho = GRAPH_SIGNATURE
+
+    z_all = range(base**n)
+    A = RelStructure._trusted(rho, tuple(z_all), {"E": []})
+    gadgets: dict = {}
+    eps: dict = {}
+    for (mu, nu), name in pair_to_symbol.items():
+        by_blocks: dict = {}
+        for zp in z_all:
+            by_blocks.setdefault(colouring._blocks(zp, nu, d, base), []).append(zp)
+        pairs = []
+        for z in z_all:
+            choices = [partners[a] for a in colouring._blocks(z, mu, d, base)]
+            zps = [zp for bs in itertools.product(*choices) for zp in by_blocks.get(bs, ())]
+            pairs += [(z, zp) for zp in sorted(zps)]
+        left, right = [(1, z) for z in z_all], [(2, z) for z in z_all]
+        edges = [(left[z], right[zp]) for z, zp in pairs]
+        gadgets[name] = RelStructure._trusted(rho, (*left, *right), {"E": edges})
+        eps[name] = (dict(zip(z_all, left)), dict(zip(z_all, right)))
+    template = PultrTemplate(rho, tau, A, gadgets, eps)
+
+    alpha_index = {a: i for i, a in enumerate(inst.alphabet)}
+    x_struct = RelStructure(tau, inst.variables, scopes_by_symbol)
+    target_rels: dict = {}
+    for (mu, nu), name in pair_to_symbol.items():
+        mu_pos = {a: p for p, a in enumerate(mu)}
+        nu_pos = {b: p for p, b in enumerate(nu)}
+        target_rels[name] = {
+            (a, b)
+            for a in inst.alphabet
+            for b in inst.alphabet
+            if mu_pos[alpha_index[a]] // d == nu_pos[alpha_index[b]] // d
+        }
+    target = RelStructure(tau, inst.alphabet, target_rels)
+    mu_nu = {name: key for key, name in pair_to_symbol.items()}
+    for c, (mu, nu) in zip(inst.constraints, cert.permutations):
+        name = pair_to_symbol[(mu, nu)]
+        if target_rels[name] != set(c.allowed):
+            raise qop.VerificationFailure(
+                f"target relation {name!r} differs from the predicate of scope {c.scope!r}"
+            )
+    return colouring.EtaContext(inst, cert, d, m, n, symbols, mu_nu, x_struct, target, template)
 
 
 # -- reference graph walks --------------------------------------------------

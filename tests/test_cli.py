@@ -1,4 +1,6 @@
+import argparse
 import gc
+import inspect
 import json
 import os
 import random
@@ -8,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+import chromagap
 from chromagap import cli, dmr, qop, serialize
 from chromagap.csp import CspInstance
 from chromagap.qop import lift_classical, mermin_peres
@@ -463,8 +466,18 @@ def line_stage(name, vertices, edges, level):
 # `{out}` the case's output directory.  The payloads were recorded from the
 # command chain `main` had before its handlers were split out, with the eta,
 # transition and rho fields that were then printed on request only and are
-# now always printed.
+# now always printed.  A flag below its least value is a usage error: exit
+# code 2, no payload.
+USAGE_ERROR = (2, None, {})
 CLI_CASES = {
+    "indep-negative-cap": (["indep", "{c5}", "--cap", "-1"], *USAGE_ERROR),
+    "augment-k-0": (["augment", "{inst}", "--k", "0", "--out", "{out}/aug.json"], *USAGE_ERROR),
+    "linedigraph-negative-iterate": (["linedigraph", "{k4}", "--iterate", "-2"], *USAGE_ERROR),
+    "transition-d-1": (["transition", "--d", "1"], *USAGE_ERROR),
+    "rho-ell-1": (["rho", "{magic}", "--n", "1", "--ell", "1"], *USAGE_ERROR),
+    "rho-transfer-ell-1": (
+        ["rho-transfer", "{magic}", "--n", "1", "--ell", "1", "--strategy", "{strategy}"], *USAGE_ERROR
+    ),
     "hom": (
         ["hom", "{c5}", "{k3}"],
         0,
@@ -653,8 +666,12 @@ def approx_floats(payload):
 def test_every_subcommand_exit_code_payload_and_out_files(case, cli_inputs, tmp_path, capsys):
     argv, code, payload, outs = CLI_CASES[case]
     out = str(tmp_path)
-    assert run([a.format(out=out, **cli_inputs) for a in argv]) == code
-    printed = capsys.readouterr().out
+    try:
+        got_code = run([a.format(out=out, **cli_inputs) for a in argv])
+    except SystemExit as exc:  # argparse's usage error
+        got_code = exc.code
+    printed, err = capsys.readouterr()
+    assert got_code == code and ("usage:" in err) == (code == 2)
     if argv[0] == "pipeline":
         assert printed.splitlines()[-1] == f"verdict: {payload['verdict']}"
         got = strip_timing(serialize.load(os.path.join(out, "report.json")))
@@ -663,6 +680,33 @@ def test_every_subcommand_exit_code_payload_and_out_files(case, cli_inputs, tmp_
     assert got == approx_floats(payload)
     for name, loader in outs.items():
         loader(os.path.join(out, name))
+
+
+# defaulted parameters of the callables `chromagap` exports plus optional
+# flags of the command line, as last counted; lower it when one goes
+SETTABLE_VALUES = 39
+
+
+def test_settable_values_do_not_grow():
+    """A ratchet on what a caller can set: the defaulted parameters of every
+    callable the package exports and the optional flags of every
+    subcommand never add up to more than SETTABLE_VALUES."""
+    defaulted = [
+        (name, p.name)
+        for name, obj in vars(chromagap).items()
+        if callable(obj) and not name.startswith("_")
+        for p in inspect.signature(obj).parameters.values()
+        if p.default is not p.empty
+    ]
+    [sub] = [a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = [
+        (command, a.dest)
+        for command, p in sub.choices.items()
+        for a in p._actions
+        if a.option_strings and not a.required and not isinstance(a, argparse._HelpAction)
+    ]
+    assert ("verify_assignment", "max_witnesses") in defaulted and ("indep", "cap") in flags
+    assert len(defaulted) + len(flags) <= SETTABLE_VALUES, (defaulted, flags)
 
 
 def test_pultr_check_without_target_is_a_usage_error(cli_inputs, capsys):

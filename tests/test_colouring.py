@@ -46,6 +46,7 @@ from helpers import (
     block_images,
     random_digraph,
     reference_eta_apply,
+    reference_eta_context,
     reference_eta_pair_lists,
     reference_left_apply,
     reference_line_digraph,
@@ -109,6 +110,8 @@ def test_transition_matrix_certificate():
     assert tm.row_sum_residual < 1e-12
     assert np.array_equal(tm.matrix, tm.matrix.T)
     assert tm.second_modulus < 1 - 1e-8
+    assert list(tm.spectrum) == sorted(np.linalg.eigvalsh(tm.matrix).tolist())
+    assert tm.spectrum[-1] == max(tm.spectrum) and tm.second_modulus == max(map(abs, tm.spectrum[:-1]))
     for i, s in enumerate(tm.states):
         for j, t in enumerate(tm.states):
             if set(s) & set(t):
@@ -225,7 +228,7 @@ def test_eta_apply_inserts_the_scopes_in_canonical_order():
     expected = [((x, z), (xp, zp)) for x, xp in scopes for z, zp in pairs]
     eta = eta_apply(ctx)
     assert list(eta.relations["E"]) == list(frozenset(expected))
-    _, (_, maps) = eta._blocks["E"]
+    _, (_, maps) = eta._blocks
     assert [(m[0][0], m[-1][0]) for m in maps] == list(scopes)
 
 
@@ -461,8 +464,8 @@ def test_eta_transfer_on_rho2_never_builds_part_patterns(monkeypatch):
     s1, s2 = {"x": 0, "y": 0, "z": 1}, {"x": 2, "y": 3, "z": 2}
     split = QuantumAssignment(2, 0, {v: {s1[v]: STANDARD[0], s2[v]: STANDARD[1]} for v in inst.variables})
     small = eta_context(inst)
-    lam_target = without_view(left_apply(small.template, small.target))
-    pultr.lambda_functor(small.template, small.variable_structure, small.target, split, 0, lambda_y=lam_target)
+    monkeypatch.setattr(pultr, "left_apply", lambda *args, **kwargs: without_view(left_apply(*args, **kwargs)))
+    pultr.lambda_functor(small.template, small.variable_structure, small.target, split, 0)
     assert sorted(set(calls)) == list(small.symbols)
 
 
@@ -562,7 +565,7 @@ def test_eta_block_view_is_the_gadget_copies_and_unions_to_the_edges():
     for inst in _block_view_instances(random.Random(97)):
         ctx = eta_context(inst)
         eta = eta_apply(ctx)
-        (a_gadget, a_maps), *groups = eta._blocks["E"]
+        (a_gadget, a_maps), *groups = eta._blocks
         assert a_gadget is ctx.template.A and not a_gadget.relations["E"]
         assert a_maps == [tuple((x, z) for z in a_gadget.domain) for x in inst.variables]
         assert len(groups) == len(ctx.symbols)
@@ -614,3 +617,101 @@ def test_verify_assignment_same_with_and_without_the_eta_view():
                 if got.products_checked:
                     seen.add((overlapping, got.perfect))
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+# -- eta_context against its construction before `to_structures` -------------------
+
+
+def _random_d_to_d_instance(rng):
+    """A 2-to-2 instance over four shuffled string labels whose predicates
+    come from a pool of two: the first scope carries both, so it lies in two
+    symbols when they differ, and the other scopes repeat pool predicates."""
+    alphabet = rng.sample("abcd", 4)
+    variables = ["x", "y", "z", "w"][: rng.randint(2, 4)]
+
+    def predicate():
+        mu, nu = rng.sample(alphabet, 4), rng.sample(alphabet, 4)
+        return {(a, b) for a in alphabet for b in alphabet if mu.index(a) // 2 == nu.index(b) // 2}
+
+    pool = [predicate(), predicate()]
+    scopes = [tuple(rng.sample(variables, 2)) for _ in range(rng.randint(1, 4))]
+    constraints = [(scopes[0], pool[0]), (scopes[0], pool[1])] + [(s, rng.choice(pool)) for s in scopes[1:]]
+    return CspInstance(variables, alphabet, constraints)
+
+
+def _assert_same_eta_context(got, want):
+    """Equal contexts up to symbol names, compared symbol by symbol in order."""
+    assert got.instance is want.instance and got.certificate == want.certificate
+    assert (got.d, got.m, got.n, len(got.symbols)) == (want.d, want.m, want.n, len(want.symbols))
+    assert got.variable_structure.domain == want.variable_structure.domain
+    assert got.target.domain == want.target.domain
+    _assert_same_structure(got.template.A, want.template.A)
+    for g, w in zip(got.symbols, want.symbols):
+        assert got.mu_nu[g] == want.mu_nu[w]
+        assert got.variable_structure.relations[g] == want.variable_structure.relations[w]
+        assert got.variable_structure.ordered(g) == want.variable_structure.ordered(w)
+        assert got.target.relations[g] == want.target.relations[w]
+        assert got.target.ordered(g) == want.target.ordered(w)
+        _assert_same_structure(got.template.B[g], want.template.B[w])
+        assert got.template.eps[g] == want.template.eps[w]
+
+
+def _transfer_outcome(inst, assignment, k):
+    """The reduced digraph's vertices and the coloured assignment of
+    `eta_quantum_transfer`, or the type and text of what it raised."""
+    try:
+        eta, coloured, _ = eta_quantum_transfer(inst, assignment, k)
+    except Exception as exc:  # the same failure is expected of both contexts
+        return type(exc), str(exc)
+    return eta.domain, coloured.dim, coloured.k, coloured.pvms
+
+
+def _classical_or_split(rng, inst) -> QuantumAssignment:
+    """The lift of a solution of the instance, or a split of two random maps
+    that the input verification rejects."""
+    maps = [dict(zip(inst.variables, labels)) for labels in itertools.product(inst.alphabet, repeat=len(inst.variables))]
+    solutions = [s for s in maps if all((s[c.scope[0]], s[c.scope[1]]) in c.allowed for c in inst.constraints)]
+    if solutions:
+        return lift_classical(rng.choice(solutions))
+    s1, s2 = rng.sample(maps, 2)
+    pvms = {x: {s1[x]: STANDARD[0], s2[x]: STANDARD[1]} for x in inst.variables}
+    return QuantumAssignment(2, 0, {x: fam if len(fam) == 2 else {s1[x]: PMatrix.identity(2)} for x, fam in pvms.items()})
+
+
+def test_eta_context_matches_its_grouped_construction(monkeypatch):
+    """`eta_context`, read from `to_structures`, equals the construction that
+    grouped constraints by permutation pair and rebuilt the target from
+    (mu, nu), symbol by symbol in order: structures, gadgets, eps maps and
+    (mu, nu), the eta digraph, and the transfer of a perfect assignment, on
+    rho2, a two-symbol instance, the thm14 chain's final instance and random
+    instances with a scope under two symbols and repeated predicates."""
+    from chromagap import cli, dmr
+    from chromagap.dkkms import rho_quantum_transfer
+
+    system, game = mermin_peres()
+    rho2 = build_rho2(build_rho1(system, 1, 2))
+    _, strategy = rho_quantum_transfer(system, 1, 2, game, rho1=rho2)
+    s1, s2 = {"x": 0, "y": 0, "z": 1}, {"x": 2, "y": 3, "z": 2}
+    split = QuantumAssignment(2, 0, {v: {s1[v]: STANDARD[0], s2[v]: STANDARD[1]} for v in "xyz"})
+    seed, classical = cli.machinery_seed_instance(0)
+    final, _, tracked = dmr.dmr_pipeline(seed, Fraction(12), 10, 1, lift_classical(classical))
+    cases = [(rho2.instance, strategy, 0), (two_symbol_instance(), split, 0), (final, tracked, 10)]
+    rng = random.Random(109)
+    instances = [_random_d_to_d_instance(rng) for _ in range(8)]
+    cases += [(inst, _classical_or_split(rng, inst), 0) for inst in instances]
+    symbol_counts, shared, repeated, raised = [], 0, 0, 0
+    for inst, assignment, k in cases:
+        got, want = eta_context(inst), reference_eta_context(inst)
+        _assert_same_eta_context(got, want)
+        symbol_counts.append(len(got.symbols))
+        scopes = got.variable_structure.relations
+        shared += len(set().union(*scopes.values())) < sum(map(len, scopes.values()))
+        repeated += len(inst.constraints) > len(got.symbols)
+        if inst is not rho2.instance:  # its 1,016,064 edges are compared by the transfer's vertices
+            _assert_same_structure(eta_apply(got), eta_apply(want))
+        new = _transfer_outcome(inst, assignment, k)
+        monkeypatch.setattr(colouring, "eta_context", reference_eta_context)
+        assert new == _transfer_outcome(inst, assignment, k)
+        monkeypatch.undo()
+        raised += isinstance(new[0], type)
+    assert symbol_counts[:2] == [15, 2] and shared and repeated > 1 and 0 < raised < len(cases) - 3

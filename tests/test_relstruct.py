@@ -369,6 +369,12 @@ def test_independence_number():
     assert independence_number(C5) == 2
 
 
+def test_independence_number_rejects_a_negative_cap():
+    assert independence_number(C5, 0) == 0
+    with pytest.raises(ValueError, match="cap must be >= 0"):
+        independence_number(C5, -1)
+
+
 def test_independence_number_leaves_no_cyclic_garbage():
     assert cyclic_garbage_of(lambda: independence_number(clique(5))) == (1, 0)
 
