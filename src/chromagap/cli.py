@@ -575,7 +575,7 @@ def _rho_transfer(args) -> int:
 def _dmr(args) -> int:
     tracked = _load_assignment(args.track_quantum) if args.track_quantum else None
     final, rep, _ = dmr.dmr_pipeline(
-        _load_instance(args.instance), Fraction(args.eps), args.k, args.t, tracked,
+        _load_instance(args.instance), args.eps, args.k, args.t, tracked,
         budget=_DMR_BUDGET,
     )
     _print(
@@ -613,6 +613,18 @@ def _int_at_least(low: int):
     return parse
 
 
+def _positive_fraction(text: str) -> Fraction:
+    """An argparse `type=` for an exact positive rational such as 12 or 1/2;
+    anything else is a usage error."""
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        value = None
+    if value is None or value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a fraction > 0, got {text!r}")
+    return value
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process (its tree is cyclic).
@@ -634,7 +646,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = command("chromatic", _chromatic, help="exact chromatic number")
     p.add_argument("graph")
-    p.add_argument("--cap", type=int, required=True)
+    p.add_argument("--cap", type=_int_at_least(1), required=True)
 
     p = command("indep", _indep, help="exact independence number")
     p.add_argument("graph")
@@ -645,7 +657,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = command("isat", _isat, help="induced-subinstance set-assignment value")
     p.add_argument("instance")
-    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--t", type=_int_at_least(0), required=True)
 
     p = command("classify", _classify, help="label-cover certificates")
     p.add_argument("instance")
@@ -659,7 +671,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("source")
     p.add_argument("target")
     p.add_argument("assignment")
-    p.add_argument("--k", type=int, default=0)
+    p.add_argument("--k", type=_int_at_least(0), default=0)
 
     p = command("qsat", _qsat, help="exact quantum value of an assignment")
     p.add_argument("instance")
@@ -686,27 +698,27 @@ def _parser() -> argparse.ArgumentParser:
 
     p = command("rho", _rho, help="3XOR to 2-to-2 reduction")
     p.add_argument("system", help="text file of `x y z = b` lines")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument("--ell", type=_int_at_least(2), required=True)
     p.add_argument("--out", default=None)
 
     p = command("game", _game, help="the consistent-repetition game as a CSP")
     p.add_argument("system")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument("--out", default=None)
 
     p = command("rho-transfer", _rho_transfer, help="transfer a game strategy through rho")
     p.add_argument("system")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument("--ell", type=_int_at_least(2), required=True)
     p.add_argument("--strategy", required=True)
     p.add_argument("--out", default=None)
 
     p = command("dmr", _dmr, help="d-to-1 to d-to-d preprocessing chain")
     p.add_argument("instance")
-    p.add_argument("--eps", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--eps", type=_positive_fraction, required=True)
+    p.add_argument("--k", type=_int_at_least(0), required=True)
+    p.add_argument("--t", type=_int_at_least(1), required=True)
     p.add_argument("--track-quantum", default=None, help="assignment file")
 
     p = command("pipeline", _pipeline, help="headline end-to-end runs")

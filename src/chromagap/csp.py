@@ -164,8 +164,10 @@ def isat_value(inst: CspInstance, t: int) -> Fraction:
     A binary constraint is satisfied by set-valued f when some allowed pair
     (a, b) has a in f(x1) and b in f(x2).  Constraints are induced by S when
     both scope endpoints lie in S.  Searches subsets by descending size with
-    forward pruning; exact.
+    forward pruning; exact.  A negative t raises ValueError.
     """
+    if t < 0:
+        raise ValueError(f"t must be >= 0, got {t}")
     if not inst.is_binary():
         raise NotBinary("isat is defined for binary instances only")
     variables = inst.variables

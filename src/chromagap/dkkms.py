@@ -132,7 +132,9 @@ def is_regular(system: XorSystem, p: int) -> RegularityReport:
 def legitimate_tuples(system: XorSystem, n: int) -> list[tuple[int, ...]]:
     """Index tuples (ascending) of n distinct, variable-disjoint equations
     such that no equation of the system joins variables taken from two
-    different members of the tuple."""
+    different members of the tuple; n < 1 raises ValueError."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     var_sets = [set(vs) for vs, _ in system.equations]
     out = []
     for combo in itertools.combinations(range(len(system.equations)), n):

@@ -6,8 +6,8 @@ shared right vertex into d-to-d constraints on the left part.  Each stage
 carries an optional quantum assignment along (projectors are reused on
 copies; the collapse first cleans cross-part projectors, then restricts to
 the left alphabet), with compatibility 2k in and 2k, 2k, k out per stage.
-The classical soundness bounds of the chain are asymptotic counting facts;
-the pipeline records their statements and verifies only the structural
+The classical soundness bounds of the chain are asymptotic counting facts,
+not decided at desk scale; the pipeline verifies only the structural
 certificates (uniform marginals, left-regularity, the d-to-d certificate)
 plus the quantum ledger.
 """
@@ -235,7 +235,6 @@ class DmrReport:
     stage_sizes: list = field(default_factory=list)
     certificates: list = field(default_factory=list)
     quantum_ledger: list = field(default_factory=list)
-    soundness_notes: list = field(default_factory=list)
 
     def summary(self) -> str:
         lines = [f"parameters: {self.parameters}"]
@@ -246,8 +245,11 @@ class DmrReport:
 
 
 def pipeline_parameters(eps: Fraction, t: int, d: int) -> dict:
-    """The exact rational parameter cascade of the chained reduction."""
+    """The exact rational parameter cascade of the chained reduction; eps
+    must be positive and t at least 1 (ValueError otherwise)."""
     eps = Fraction(eps)
+    if eps <= 0 or t < 1:
+        raise ValueError(f"need eps > 0 and t >= 1, got eps={eps}, t={t}")
     delta = eps / (3 * t**2)
     ell = math.ceil(1 / delta)
     eps1 = eps / (3 * d * ell**2 * t**2)
@@ -283,10 +285,6 @@ def dmr_pipeline(
         raise NotDto1("the pipeline starts from a d-to-1 instance")
     params = pipeline_parameters(eps, t, profile.d_to_1)
     report = DmrReport(parameters=params)
-    report.soundness_notes.append(
-        "classical soundness of each stage is an asymptotic counting bound; "
-        "it is not decided at desk scale, only the structural certificates are"
-    )
 
     def record_quantum(name: str, stage_inst: CspInstance, q, level: int) -> None:
         if q is None:

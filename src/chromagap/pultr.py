@@ -12,7 +12,9 @@ requires compatibility level (k+1) * diam(template) on the input; towards
 Lambda, projectors are fibre sums and gadget products at the same level k.
 All outputs are rechecked structurally (projector factors commute before
 multiplying; quotient classes agree exactly), so a violated contract raises
-instead of producing garbage.
+instead of producing garbage.  Maps out of a gadget are decided by
+relstruct's `check_homomorphism` or its search; column passes only take
+the path on which every check holds.
 """
 
 from __future__ import annotations
@@ -20,15 +22,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add, itemgetter, ne
-from typing import Hashable, Iterable, Mapping, Optional, Sequence
+from operator import add, eq, itemgetter
+from typing import Hashable, Mapping, Optional, Sequence
 
 from .qop import PMatrix, QuantumAssignment, _ProductCache, compose_sandwich
 from .relstruct import (
     RelStructure,
     Signature,
-    SignatureMismatch,
-    UnknownVertex,
     _columns,
     _search_homomorphisms,
     check_homomorphism,
@@ -405,8 +405,9 @@ def transfer_lambda(
     independently and compared exactly; a mismatch raises
     WellDefinednessViolation naming the class.
 
-    Glued label tuples that are copies of B_T in Y's block view need no
-    probe; a symbol's part patterns are built only when a relation is probed.
+    A glued label tuple that is a copy of B_T in Y's block view is a
+    homomorphism by construction; any other is decided by
+    `check_homomorphism`, once per tuple.
     """
     # a gadget vertex as (part i, A-index of its eps_i preimage)
     parts = template.eps_parts
@@ -415,31 +416,20 @@ def transfer_lambda(
     q = quotient if quotient is not None else lambda_quotient(template, X)
     a_index = {a: i for i, a in enumerate(template.A.domain)}
     dim = assignment.dim
-    patterns: dict = {}  # per symbol, its `_part_patterns`, built on the first probe
     hom_cache: dict = {}
     # per symbol, the copies of B_T in Y's block view: glued labels that form
-    # a map B_T -> Y by construction, so no relation is probed
+    # a map B_T -> Y by construction
     copies = {
-        name: {m for g, maps in Y._blocks if g is template.B[name] for m in maps}
+        name: {m for g, maps in Y._blocks or () if g is template.B[name] for m in maps}
         for name in template.tau.names()
-    } if Y._blocks else {}
+    }
 
     def glued_is_hom(name: str, labels: tuple) -> bool:
         key = (name, labels)
         if key not in hom_cache:
-            if copies and tuple(
-                labels[i][ai] for i, ai in map(parts[name].__getitem__, template.B[name].domain)
-            ) in copies[name]:
-                hom_cache[key] = True
-            else:
-                if name not in patterns:
-                    patterns[name] = _part_patterns(template, name, parts[name])
-                hom_cache[key] = all(
-                    Y.relations[rname].issuperset(
-                        zip(*[map(labels[i].__getitem__, col) for i, col in zip(pattern, columns)])
-                    )
-                    for rname, pattern, columns in patterns[name]
-                )
+            bt = template.B[name]
+            glued = tuple(labels[i][ai] for i, ai in map(parts[name].__getitem__, bt.domain))
+            hom_cache[key] = glued in copies[name] or check_homomorphism(dict(zip(bt.domain, glued)), bt, Y)
         return hom_cache[key]
 
     scope_sums: dict = {}
@@ -494,24 +484,6 @@ def transfer_lambda(
     return QuantumAssignment(dim, k, pvms)
 
 
-def _part_patterns(template: PultrTemplate, name: str, parts: dict) -> list:
-    """The gadget tuples of B_T grouped by symbol and part pattern: for a
-    pattern (the part i of each position), the A-indexes at each position
-    as one column over its tuples, so a tuple's image under glued labels is
-    labels[i][ai] position by position."""
-    part_of = {b: i for b, (i, _) in parts.items()}.__getitem__
-    ai_of = {b: ai for b, (_, ai) in parts.items()}.__getitem__
-    out = []
-    for rname, arity in template.rho.symbols:
-        ts = template.B[name].relations[rname]
-        keys = list(zip(*[map(part_of, c) for c in _columns(ts, arity)]))
-        ais = [list(map(ai_of, c)) for c in _columns(ts, arity)]
-        for pattern in dict.fromkeys(keys):  # in order of first occurrence
-            mask = list(map(pattern.__eq__, keys))
-            out.append((rname, pattern, [tuple(itertools.compress(c, mask)) for c in ais]))
-    return out
-
-
 def adjunction_unit(template: PultrTemplate, Y: RelStructure, quotient: LambdaQuotient) -> dict:
     """The unit Y -> Gamma Lambda Y: y -> (a -> class of a^(y)), read off
     `quotient`, the quotient of Lambda Y."""
@@ -551,8 +523,9 @@ def gamma_functor(
     the counit (A, h, a) -> h(a), (B, T, ht, b) -> ell(b) for a gadget
     witness ell of ht is well defined iff ell(eps_j(a)) == ht[j](a) on
     every pair; the class of (A, h, a) then carries the family of h(a).
-    Both sides of every pair are compared as columns over the tuples; the
-    error names the first tuple in canonical order that breaks a pair.
+    Both sides of every pair are compared as columns over the tuples; only
+    when a pair differs are the tuples read one by one, so the error names
+    the first tuple in canonical order that breaks a pair.
     `gamma_x`, if given, must equal central_apply(template, X); otherwise
     Gamma X is built by an unbounded homomorphism enumeration.
     """
@@ -564,15 +537,14 @@ def gamma_functor(
         plan = _gluing_plan(template, name, a_index)
         hts = gx.ordered(name)
         ell = dict(zip(template.B[name].domain, _gadget_witnesses(template, name, hts, X, plan)))
-        failures = [
-            (n, WellDefinednessViolation(
-                f"counit ill-defined: symbol {name!r}, tuple {hts[n]!r}, gadget vertex {b!r}"
-            ))
-            for j, ai, b in plan[0]
-            if (n := _first_difference(ell[b], _place_column(hts, j, ai))) is not None
-        ]
-        if failures:
-            raise _first_failure(failures)
+        pairs = plan[0]
+        if not all(all(map(eq, ell[b], _place_column(hts, j, ai))) for j, ai, b in pairs):
+            for n, ht in enumerate(hts):
+                for j, ai, b in pairs:
+                    if ell[b][n] != ht[j][ai]:
+                        raise WellDefinednessViolation(
+                            f"counit ill-defined: symbol {name!r}, tuple {ht!r}, gadget vertex {b!r}"
+                        )
     return _gamma_products(gx, central_apply(template, Y), assignment, k, lambda h: h)
 
 
@@ -602,11 +574,6 @@ def _place_column(hts: Sequence, j: int, ai: int):
     return map(itemgetter(ai), map(itemgetter(j), hts))
 
 
-def _first_difference(xs: Iterable, ys: Iterable) -> Optional[int]:
-    """The first position where two columns differ, or None."""
-    return next(itertools.compress(itertools.count(), map(ne, xs, ys)), None)
-
-
 def _gadget_witnesses(
     template: PultrTemplate, name: str, hts: Sequence, X: RelStructure, plan: tuple
 ) -> list:
@@ -619,53 +586,37 @@ def _gadget_witnesses(
     canonically-least homomorphism extending them.  `plan` is
     `_gluing_plan(template, name, a_index)`.
 
-    The agreements and, with nothing free, the known images and the image
-    of each gadget tuple in X are checked column-wise.  A failure raises
-    what checking the tuples one at a time, in order, raises first: the
-    first failing tuple, and on it the first failing check."""
+    With nothing free, the agreements, the signature, the known images and
+    the image of each gadget tuple in X are checked column-wise, and the
+    columns are the witnesses when all pass.  Otherwise the tuples are
+    checked one at a time, in order, by the agreements and then
+    `check_homomorphism` or the search, and the first failure raises."""
     pairs, agree, free, places, shapes = plan
     bt = template.B[name]
-    if not hts:
-        return [[] for _ in bt.domain]
-    at = {(j, ai): list(_place_column(hts, j, ai)) for j, ai, _ in pairs}
-    failures = []  # (first failing tuple, its error), in the order the checks run on a tuple
-    for p, q in agree:
-        n = _first_difference(at[p], at[q])
-        if n is not None:
-            error = WellDefinednessViolation(f"incompatible eps images while gluing {name!r}")
-            failures.append((n, error))
-    if free:
-        witnesses = []
-        for ht in hts[: min(n for n, _ in failures) if failures else len(hts)]:
-            forced = {b: ht[j][ai] for j, ai, b in pairs}
+    if not free:
+        at = {(j, ai): list(_place_column(hts, j, ai)) for j, ai, _ in pairs}
+        image = [at[p] for p in places]
+        if (
+            all(at[p] == at[q] for p, q in agree)
+            and bt.signature == X.signature
+            and all(map(X._index.__contains__, itertools.chain.from_iterable(image)))
+            and all(
+                X.relations[r].issuperset(zip(*map(image.__getitem__, ps)))
+                for r, positions in shapes
+                for ps in positions
+            )
+        ):
+            return image
+    witnesses = []
+    for ht in hts:
+        if any(ht[i][ai] != ht[j][aj] for (i, ai), (j, aj) in agree):
+            raise WellDefinednessViolation(f"incompatible eps images while gluing {name!r}")
+        forced = {b: ht[j][ai] for j, ai, b in pairs}
+        if free:
             h = next(_search_homomorphisms(bt, X, fixed=forced, limit=1), None)
-            if h is None:
-                raise WellDefinednessViolation(f"no gadget witness for {name!r} tuple")
-            witnesses.append(h)
-        if failures:
-            raise _first_failure(failures)
-        return [list(map(itemgetter(b), witnesses)) for b in bt.domain]
-    image = [at[p] for p in places]
-    if bt.signature is not X.signature and bt.signature != X.signature:
-        failures.append((0, SignatureMismatch("structures have different signatures")))
-        raise _first_failure(failures)
-    known = X._index
-    if not all(map(known.__contains__, itertools.chain.from_iterable(image))):
-        n = min(next((n for n, y in enumerate(col) if y not in known), len(hts)) for col in image)
-        y = next(col[n] for col in image if col[n] not in known)
-        failures.append((n, UnknownVertex(repr(y))))
-    for r, positions in shapes:
-        rel = X.relations[r]
-        for ps in positions:
-            if not rel.issuperset(zip(*map(image.__getitem__, ps))):
-                n = next(n for n, t in enumerate(zip(*map(image.__getitem__, ps))) if t not in rel)
-                error = WellDefinednessViolation(f"no gadget witness for {name!r} tuple")
-                failures.append((n, error))
-    if failures:
-        raise _first_failure(failures)
-    return image
-
-
-def _first_failure(failures: list) -> Exception:
-    """The error of the first failing tuple; on a tie, of the check run first."""
-    return min(failures, key=itemgetter(0))[1]
+        else:
+            h = forced if check_homomorphism(forced, bt, X) else None
+        if h is None:
+            raise WellDefinednessViolation(f"no gadget witness for {name!r} tuple")
+        witnesses.append(h)
+    return [list(map(itemgetter(b), witnesses)) for b in bt.domain]

@@ -602,7 +602,10 @@ def chromatic_number(G: RelStructure, cap: int):
 
     Exact search: vertices are coloured in descending Gaifman-degree order
     with new-colour symmetry breaking, which is sound for clique targets.
+    A cap below 1 raises ValueError.
     """
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
     sym = G.graph_symbol()
     adj = G.gaifman_adjacency()
     loops = any(a == b for (a, b) in G.relations[sym])
@@ -678,12 +681,11 @@ def independence_number(G: RelStructure, cap: Optional[int] = None) -> int:
     return min(best, target)
 
 
-def digraph(edges: Iterable[tuple], domain: Optional[Iterable[Vertex]] = None) -> RelStructure:
-    """Convenience constructor for a single-binary-symbol structure."""
+def digraph(edges: Iterable[tuple]) -> RelStructure:
+    """Convenience constructor for a single-binary-symbol structure on the
+    vertices of its edges, in order of first occurrence."""
     edges = [tuple(e) for e in edges]
-    if domain is None:
-        domain = dict.fromkeys(v for e in edges for v in e)
-    return RelStructure(GRAPH_SIGNATURE, domain, {"E": edges})
+    return RelStructure(GRAPH_SIGNATURE, dict.fromkeys(v for e in edges for v in e), {"E": edges})
 
 
 def relabel(X: RelStructure, prefix: str = "n") -> tuple[RelStructure, dict]:

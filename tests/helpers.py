@@ -539,20 +539,6 @@ def reference_is_faithful(template: PultrTemplate) -> bool:
     return True
 
 
-def reference_part_patterns(template: PultrTemplate, name: str, parts: dict) -> list:
-    """The gadget tuples of B_T grouped by symbol and part pattern: for a
-    pattern (the part i of each position), the A-indexes at each position
-    as one column over its tuples, so a tuple's image under glued labels is
-    labels[i][ai] position by position."""
-    part_of = {b: i for b, (i, _) in parts.items()}.__getitem__
-    ai_of = {b: ai for b, (_, ai) in parts.items()}.__getitem__
-    grouped: dict = {}
-    for rname, _ in template.rho.symbols:
-        for bt in template.B[name].relations[rname]:
-            grouped.setdefault((rname, tuple(map(part_of, bt))), []).append(tuple(map(ai_of, bt)))
-    return [(rname, pattern, list(zip(*ais))) for (rname, pattern), ais in grouped.items()]
-
-
 def reference_eta_apply(ctx) -> RelStructure:
     """The reduced digraph of the context's instance: vertices (x, z) for z
     in [2d]^n, an edge per constraint and per pair of z-strings whose

@@ -1,0 +1,119 @@
+"""Standing mutants: small breaks of the program that the tests must catch.
+
+Each mutant names a file, an exact text in it, the text that replaces it,
+and the tests that must fail once it is replaced.  Run
+
+    python tests/mutants.py [name ...]
+
+from the repository root.  Each mutant (all of them, or those named) is
+applied to a fresh copy of `src/` and `tests/` in a temporary directory,
+and its tests run there with pytest.  A mutant survives when one of its
+tests still passes; the script prints one line per mutant and exits 1 if
+any survives.  The run takes minutes, so the test suite only checks that
+each old text occurs exactly once (`tests/test_mutants.py`).
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from typing import NamedTuple
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    old: str
+    new: str
+    tests: tuple  # pytest node ids that must fail
+
+
+MUTANTS = (
+    Mutant(
+        "glued-check-always-true",
+        "src/chromagap/pultr.py",
+        "hom_cache[key] = glued in copies[name] or check_homomorphism(dict(zip(bt.domain, glued)), bt, Y)",
+        "hom_cache[key] = True",
+        ("tests/test_pultr.py::test_transfer_lambda_matches_reference",),
+    ),
+    Mutant(
+        "witness-fast-path-without-relation-check",
+        "src/chromagap/pultr.py",
+        "X.relations[r].issuperset(zip(*map(image.__getitem__, ps)))",
+        "True",
+        (
+            "tests/test_pultr.py::test_gadget_witness_matches_check_homomorphism_reference",
+            "tests/test_pultr.py::test_gadget_witnesses_match_the_reference_tuple_by_tuple",
+            "tests/test_pultr.py::test_gadget_witness_rejects_tuples_that_disagree_on_a_glued_vertex",
+        ),
+    ),
+    Mutant(
+        "witness-loop-without-agreement-test",
+        "src/chromagap/pultr.py",
+        "if any(ht[i][ai] != ht[j][aj] for (i, ai), (j, aj) in agree):",
+        "if False:",
+        (
+            "tests/test_pultr.py::test_gadget_witness_matches_check_homomorphism_reference",
+            "tests/test_pultr.py::test_gadget_witnesses_match_the_reference_tuple_by_tuple",
+            "tests/test_pultr.py::test_gadget_witness_rejects_tuples_that_disagree_on_a_glued_vertex",
+        ),
+    ),
+    Mutant(
+        "counit-check-skipped",
+        "src/chromagap/pultr.py",
+        "if not all(all(map(eq, ell[b], _place_column(hts, j, ai))) for j, ai, b in pairs):",
+        "if False:",
+        (
+            "tests/test_pultr.py::test_gamma_functor_matches_reference",
+            "tests/test_pultr.py::test_gamma_functor_names_the_first_tuple_in_canonical_order",
+        ),
+    ),
+)
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def failed_tests(mutant: Mutant) -> set:
+    """The node ids among the mutant's tests that fail on a mutated copy."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as copy:
+        for part in ("src", "tests"):
+            shutil.copytree(
+                os.path.join(ROOT, part),
+                os.path.join(copy, part),
+                ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"),
+            )
+        shutil.copy(os.path.join(ROOT, "pyproject.toml"), copy)
+        path = os.path.join(copy, mutant.path)
+        with open(path) as f:
+            text = f.read()
+        if text.count(mutant.old) != 1:
+            raise SystemExit(f"{mutant.name}: the old text does not occur exactly once in {mutant.path}")
+        with open(path, "w") as f:
+            f.write(text.replace(mutant.old, mutant.new))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *mutant.tests],
+            cwd=copy,
+            env=dict(os.environ, PYTHONPATH=os.path.join(copy, "src")),
+            capture_output=True,
+            text=True,
+        )
+    # `-rf` lists each failure as "FAILED <node id> - <message>"
+    return {line.split()[1] for line in proc.stdout.splitlines() if line.startswith("FAILED ")}
+
+
+def main(names: list) -> int:
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    survivors = 0
+    for mutant in chosen:
+        passing = [t for t in mutant.tests if t not in failed_tests(mutant)]
+        survivors += bool(passing)
+        print(f"{mutant.name}: " + (f"SURVIVED, still passing: {', '.join(passing)}" if passing else "killed"))
+    print(f"{len(chosen) - survivors} of {len(chosen)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -478,6 +478,21 @@ CLI_CASES = {
     "rho-transfer-ell-1": (
         ["rho-transfer", "{magic}", "--n", "1", "--ell", "1", "--strategy", "{strategy}"], *USAGE_ERROR
     ),
+    "rho-n-0": (["rho", "{magic}", "--n", "0", "--ell", "2"], *USAGE_ERROR),
+    "game-n-0": (["game", "{magic}", "--n", "0"], *USAGE_ERROR),
+    "rho-transfer-n-0": (
+        ["rho-transfer", "{magic}", "--n", "0", "--ell", "2", "--strategy", "{strategy}"], *USAGE_ERROR
+    ),
+    "isat-negative-t": (["isat", "{inst}", "--t", "-1"], *USAGE_ERROR),
+    "chromatic-cap-0": (["chromatic", "{c5}", "--cap", "0"], *USAGE_ERROR),
+    "chromatic-negative-cap": (["chromatic", "{c5}", "--cap", "-1"], *USAGE_ERROR),
+    "qverify-negative-k": (["qverify", "{c5}", "{k3}", "{c5_k3}", "--k", "-1"], *USAGE_ERROR),
+    "dmr-t-0": (["dmr", "{seed}", "--eps", "12", "--k", "1", "--t", "0"], *USAGE_ERROR),
+    "dmr-negative-k": (["dmr", "{seed}", "--eps", "12", "--k", "-3", "--t", "1"], *USAGE_ERROR),
+    "dmr-eps-0": (["dmr", "{seed}", "--eps", "0", "--k", "1", "--t", "1"], *USAGE_ERROR),
+    "dmr-negative-eps": (["dmr", "{seed}", "--eps", "-1", "--k", "1", "--t", "1"], *USAGE_ERROR),
+    "dmr-eps-zero-denominator": (["dmr", "{seed}", "--eps", "1/0", "--k", "1", "--t", "1"], *USAGE_ERROR),
+    "dmr-eps-no-number": (["dmr", "{seed}", "--eps", "twelve", "--k", "1", "--t", "1"], *USAGE_ERROR),
     "hom": (
         ["hom", "{c5}", "{k3}"],
         0,
@@ -684,7 +699,7 @@ def test_every_subcommand_exit_code_payload_and_out_files(case, cli_inputs, tmp_
 
 # defaulted parameters of the callables `chromagap` exports plus optional
 # flags of the command line, as last counted; lower it when one goes
-SETTABLE_VALUES = 39
+SETTABLE_VALUES = 38
 
 
 def test_settable_values_do_not_grow():

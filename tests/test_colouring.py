@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import os
@@ -35,6 +36,7 @@ from chromagap.relstruct import (
     ABOVE_CAP,
     GRAPH_SIGNATURE,
     RelStructure,
+    UnknownVertex,
     chromatic_number,
     clique,
     digraph,
@@ -443,30 +445,59 @@ def test_perfect_eta_transfer_never_builds_the_glued_targets_relations(monkeypat
         assert verify_assignment(eta, clique(4), coloured, 0).passed
 
 
-def test_eta_transfer_on_rho2_never_builds_part_patterns(monkeypatch):
+def test_eta_transfer_on_rho2_never_checks_a_glued_map(monkeypatch):
     """Every glued label tuple behind a nonzero product of the magic-square
     strategy's transfer on the rho2 instance is a copy of its gadget in the
-    glued target's block view, so no relation is probed and no symbol's part
-    patterns are built.  The same transfer onto the glued target rebuilt
-    without its view has to probe, and builds them."""
+    glued target's block view, so no map out of a gadget is checked.  The
+    same transfer onto the glued target rebuilt without its view has to
+    check, for every symbol."""
     from chromagap.dkkms import rho_quantum_transfer
 
     system, game = mermin_peres()
     rho2 = build_rho2(build_rho1(system, 1, 2))
     _, strategy = rho_quantum_transfer(system, 1, 2, game, rho1=rho2)
-    calls = []
-    part_patterns = pultr._part_patterns
-    monkeypatch.setattr(pultr, "_part_patterns", lambda *args: calls.append(args[1]) or part_patterns(*args))
+    checked = []
+    check = pultr.check_homomorphism
+
+    def counted(f, X, Y):
+        checked.append(X)
+        return check(f, X, Y)
+
+    monkeypatch.setattr(pultr, "check_homomorphism", counted)
+
+    def gadget_checks(template) -> collections.Counter:
+        return collections.Counter(name for X in checked for name, B in template.B.items() if X is B)
+
     eta, coloured, ctx = eta_quantum_transfer(rho2.instance, strategy, 0, check_input=False)
     assert len(ctx.symbols) == 15 and set(coloured.pvms) == set(eta.domain)
-    assert calls == []
+    assert gadget_checks(ctx.template) == {}
     inst = two_symbol_instance()
     s1, s2 = {"x": 0, "y": 0, "z": 1}, {"x": 2, "y": 3, "z": 2}
     split = QuantumAssignment(2, 0, {v: {s1[v]: STANDARD[0], s2[v]: STANDARD[1]} for v in inst.variables})
     small = eta_context(inst)
+    checked.clear()
     monkeypatch.setattr(pultr, "left_apply", lambda *args, **kwargs: without_view(left_apply(*args, **kwargs)))
     pultr.lambda_functor(small.template, small.variable_structure, small.target, split, 0)
-    assert sorted(set(calls)) == list(small.symbols)
+    assert sorted(gadget_checks(small.template)) == list(small.symbols)
+
+
+def test_eta_transfer_names_an_unknown_vertex_in_a_glued_label():
+    """A label that holds a vertex outside the glued target is no map into
+    it: the glued check raises UnknownVertex naming that vertex, as
+    `check_homomorphism` does, instead of dropping the tuple and reporting
+    the class as ill-defined.  The same labels without the bogus vertex
+    transfer."""
+    inst = two_symbol_instance()
+    ctx = eta_context(inst)
+    template, X, target = ctx.template, ctx.variable_structure, ctx.target
+    qy = pultr.lambda_quotient(template, target)
+    unit = pultr.adjunction_unit(template, target, qy)
+    Y = left_apply(template, target, quotient=qy)
+    labels = {x: unit[c] for x, c in {"x": 0, "y": 0, "z": 1}.items()}
+    assert pultr.transfer_lambda(template, X, Y, lift_classical(labels), 0).pvms
+    labels["x"] = ("bogus",) + labels["x"][1:]
+    with pytest.raises(UnknownVertex, match="'bogus'"):
+        pultr.transfer_lambda(template, X, Y, lift_classical(labels), 0)
 
 
 def test_import_leaves_numpy_unloaded():

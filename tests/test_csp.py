@@ -87,6 +87,13 @@ def test_isat_empty_predicate_drops_one_endpoint():
     assert isat_value(inst, 2) == Fraction(1, 2)
 
 
+def test_isat_rejects_a_negative_set_size():
+    inst = CspInstance(["x", "y"], [0, 1], [(("x", "y"), {(0, 1)})])
+    assert isat_value(inst, 0) == Fraction(1, 2)
+    with pytest.raises(ValueError, match="t must be >= 0"):
+        isat_value(inst, -1)
+
+
 def test_isat_monotone_in_t():
     rng = random.Random(2)
     for _ in range(6):

@@ -71,6 +71,13 @@ def test_no_legitimate_pairs_in_magic_square(magic):
     assert legitimate_tuples(system, 4) == []
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_legitimate_tuples_reject_a_length_below_one(magic, n):
+    system, _ = magic
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        legitimate_tuples(system, n)
+
+
 def test_legitimate_pairs_in_disjoint_system():
     system = XorSystem.from_equations(
         [(("a", "b", "c"), 0), (("d", "e", "f"), 1), (("a", "d", "g"), 0)]

@@ -134,6 +134,12 @@ def test_parameter_cascade_exact():
     assert params["m"] == math.ceil(2 / eps1) == 55296
 
 
+@pytest.mark.parametrize("eps, t", [(0, 1), (Fraction(-1, 2), 1), (Fraction(1, 2), 0), (12, -1)])
+def test_parameter_cascade_rejects_eps_at_most_zero_and_t_below_one(eps, t):
+    with pytest.raises(ValueError, match="need eps > 0 and t >= 1"):
+        pipeline_parameters(eps, t, 2)
+
+
 def test_pipeline_runs_with_desk_parameters():
     inst = d_to_1_instance(Fraction(1, 2), Fraction(1, 2))
     final, report, q = dmr_pipeline(inst, Fraction(12), 3, 1, classical_lift())

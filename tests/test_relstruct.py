@@ -353,6 +353,12 @@ def test_chromatic_above_cap():
     assert chromatic_number(clique(4), 3) is ABOVE_CAP
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_chromatic_number_rejects_a_cap_below_one(cap):
+    with pytest.raises(ValueError, match="cap must be >= 1"):
+        chromatic_number(RelStructure(GRAPH_SIGNATURE, [], {}), cap)
+
+
 def test_chromatic_ignores_orientation():
     rng = random.Random(11)
     for _ in range(10):
