@@ -22,6 +22,7 @@ from typing import Optional, Sequence
 
 from .csp import CspInstance, to_structures
 from .f2linalg import (
+    AmbientMismatch,
     F2Ambient,
     F2Functional,
     F2Subspace,
@@ -316,33 +317,40 @@ def build_rho1(
         t: [(system.equation_vector(i), system.equations[i][1]) for i in t]
         for t in tuples
     }
-
-    def extended(key, other_tuple) -> dict:
-        vertex = vertices[key]
-        out = {}
-        for a in alphabet:
-            out[a] = extend_functional(
-                labels[key][a],
-                eq_conditions[vertex.indices],
-                eq_conditions[other_tuple],
-            )
-        return out
-
     ext_cache: dict = {}
+    joint_cache: dict = {}
 
-    def get_ext(key, other_tuple):
+    def get_ext(key, other_tuple) -> list:
+        """The forced extension of each label to V + H_other, in alphabet order."""
         ck = (key, other_tuple)
         if ck not in ext_cache:
-            ext_cache[ck] = extended(key, other_tuple)
+            conditions = eq_conditions[vertices[key].indices]
+            ext_cache[ck] = [
+                extend_functional(labels[key][a], conditions, eq_conditions[other_tuple])
+                for a in alphabet
+            ]
         return ext_cache[ck]
+
+    def get_joint(key, other_tuple) -> F2Subspace:
+        ck = (key, other_tuple)
+        if ck not in joint_cache:
+            joint_cache[ck] = vertices[key].space.sum(h_spaces[other_tuple])
+        return joint_cache[ck]
+
+    def signatures(ext: list, joint: F2Subspace, overlap: F2Subspace) -> list:
+        """Each label's values on the overlap basis, read through its mask
+        once every extension is known to live on the joint space."""
+        if any(f.domain != joint for f in ext) or any(map(joint.reduce, overlap.basis)):
+            raise AmbientMismatch("label extension does not contain the overlap")
+        return [tuple((o & f.mask).bit_count() & 1 for o in overlap.basis) for f in ext]
 
     constraints = []
     tags = []
     for ia, ib in itertools.combinations(range(len(keys)), 2):
         ka, kb = keys[ia], keys[ib]
         va, vb = vertices[ka], vertices[kb]
-        joint_a = va.space.sum(h_spaces[vb.indices])
-        joint_b = vb.space.sum(h_spaces[va.indices])
+        joint_a = get_joint(ka, vb.indices)
+        joint_b = get_joint(kb, va.indices)
         total = va.space.sum(vb.space)
         if joint_a.dim == joint_b.dim == total.dim:
             tag = "1-to-1"
@@ -353,15 +361,13 @@ def build_rho1(
         overlap = joint_a.intersect(joint_b)
         ext_a = get_ext(ka, vb.indices)
         ext_b = get_ext(kb, va.indices)
-        allowed = set()
-        for a in alphabet:
-            for b in alphabet:
-                fa, fb = ext_a[a], ext_b[b]
-                if all(
-                    fa.evaluate_bits(bits) == fb.evaluate_bits(bits)
-                    for bits in overlap.basis
-                ):
-                    allowed.add((a, b))
+        # a label pair is allowed when the extensions agree on the overlap,
+        # that is when their signatures are equal
+        sig_a = signatures(ext_a, joint_a, overlap)
+        by_signature: dict = {}
+        for b, sig in zip(alphabet, signatures(ext_b, joint_b, overlap)):
+            by_signature.setdefault(sig, []).append(b)
+        allowed = {(a, b) for a, sig in zip(alphabet, sig_a) for b in by_signature.get(sig, ())}
         constraints.append(((ka, kb), allowed))
         tags.append(tag)
     inst = CspInstance(keys, alphabet, constraints)

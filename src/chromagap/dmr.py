@@ -279,7 +279,9 @@ def dmr_pipeline(
     """Chain the three stages with the exact parameter cascade; verify each
     stage's structural certificate, and when an assignment is tracked, run
     the verifier at the contracted levels (2k after the first two stages, k
-    after the collapse)."""
+    after the collapse).  A negative k raises ValueError."""
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     profile = classify_label_cover(inst)
     if profile.d_to_1 is None:
         raise NotDto1("the pipeline starts from a d-to-1 instance")

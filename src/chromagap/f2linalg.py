@@ -3,14 +3,15 @@
 Vectors are bitmasks over a fixed ambient coordinate list; subspaces carry a
 canonical reduced-row-echelon basis with strictly increasing pivots, so two
 equal subspaces always have identical basis tuples.  Linear functionals are
-stored by their values on that canonical basis and evaluated elsewhere by
-back-substitution.
+stored by their values on that canonical basis; a member vector's coordinate
+on a basis row is its bit at that row's pivot, so a functional evaluates as
+the parity of the vector masked by the pivots whose value is 1.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 
@@ -71,29 +72,29 @@ class F2Vector:
         return self.bits == 0
 
 
-def _pivot(bits: int) -> int:
-    """Index of the lowest set bit."""
-    return (bits & -bits).bit_length() - 1
+def _echelon(rows: Iterable[int]) -> dict[int, int]:
+    """Fully reduced echelon form of the rows, keyed by each row's pivot bit
+    (its lowest set bit).  Every pivot bit is set in its own row only, so
+    reducing a new row by the rows whose pivots it has is complete in any
+    order; a row that stays nonzero has its pivot cleared from the others."""
+    echelon: dict[int, int] = {}
+    for row in rows:
+        for p, e in echelon.items():
+            if row & p:
+                row ^= e
+        if row:
+            p = row & -row
+            for q, e in echelon.items():
+                if e & p:
+                    echelon[q] = e ^ row
+            echelon[p] = row
+    return echelon
 
 
 def _rref(rows: Iterable[int]) -> tuple[int, ...]:
     """Canonical reduced basis: pivots strictly increasing, each pivot bit
-    cleared from every other row.  In RREF a reducing pass in ascending pivot
-    order is complete, because rows only carry non-pivot bits besides their
-    own pivot."""
-    basis: list[int] = []
-    for row in rows:
-        for b in basis:
-            if (row >> _pivot(b)) & 1:
-                row ^= b
-        if row:
-            p = _pivot(row)
-            for i in range(len(basis)):
-                if (basis[i] >> p) & 1:
-                    basis[i] ^= row
-            basis.append(row)
-            basis.sort(key=_pivot)
-    return tuple(basis)
+    cleared from every other row."""
+    return tuple(e for _, e in sorted(_echelon(rows).items()))
 
 
 @dataclass(frozen=True)
@@ -102,6 +103,11 @@ class F2Subspace:
 
     ambient: F2Ambient
     basis: tuple[int, ...]
+    pivots: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    """The pivot bit (lowest set bit) of each basis row."""
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "pivots", tuple(b & -b for b in self.basis))
 
     @staticmethod
     def spanned_by(vectors: Sequence[F2Vector]) -> "F2Subspace":
@@ -126,8 +132,8 @@ class F2Subspace:
         return len(self.basis)
 
     def reduce(self, bits: int) -> int:
-        for b in self.basis:
-            if (bits >> _pivot(b)) & 1:
+        for p, b in zip(self.pivots, self.basis):
+            if bits & p:
                 bits ^= b
         return bits
 
@@ -135,16 +141,6 @@ class F2Subspace:
         if v.ambient != self.ambient:
             raise AmbientMismatch("vector in a different ambient space")
         return self.reduce(v.bits) == 0
-
-    def coordinates(self, bits: int) -> Optional[tuple[int, ...]]:
-        """Coefficients of bits over the basis, or None if outside the span."""
-        coeffs = []
-        for b in self.basis:
-            c = (bits >> _pivot(b)) & 1
-            coeffs.append(c)
-            if c:
-                bits ^= b
-        return tuple(coeffs) if bits == 0 else None
 
     def _check(self, other: "F2Subspace") -> None:
         if self.ambient != other.ambient:
@@ -155,22 +151,13 @@ class F2Subspace:
         return F2Subspace(self.ambient, _rref(self.basis + other.basis))
 
     def intersect(self, other: "F2Subspace") -> "F2Subspace":
-        """Zassenhaus: eliminate on the first block of [U|U; V|0]; rows whose
-        first block vanished carry an intersection basis in the second."""
+        """Zassenhaus: eliminate [U|U; V|0] with the first block in the low
+        bits; the rows whose pivot lies in the second block carry the
+        canonical basis of the intersection there."""
         self._check(other)
         n = self.ambient.dim
-        rows = [b | (b << n) for b in self.basis] + [b for b in other.basis]
-        echelon: list[int] = []
-        for row in rows:
-            for e in echelon:
-                if (row >> _pivot(e)) & 1:
-                    row ^= e
-            if row:
-                echelon.append(row)
-                echelon.sort(key=_pivot)
-        mask = (1 << n) - 1
-        inter = [e >> n for e in echelon if (e & mask) == 0]
-        return F2Subspace(self.ambient, _rref(inter))
+        echelon = _echelon([b | (b << n) for b in self.basis] + list(other.basis))
+        return F2Subspace(self.ambient, tuple(e >> n for p, e in sorted(echelon.items()) if p >> n))
 
     def equals(self, other: "F2Subspace") -> bool:
         self._check(other)
@@ -235,27 +222,27 @@ class F2Functional:
 
     domain: F2Subspace
     values: tuple[int, ...]
+    mask: int = field(init=False, repr=False, compare=False)
+    """The pivot bits of the basis rows whose value is 1."""
 
     def __post_init__(self) -> None:
         if len(self.values) != self.domain.dim:
             raise ValueError("one value bit per basis vector required")
         if any(v not in (0, 1) for v in self.values):
             raise ValueError("values must be bits")
+        mask = 0
+        for p, v in zip(self.domain.pivots, self.values):
+            if v:
+                mask |= p
+        object.__setattr__(self, "mask", mask)
 
     def evaluate(self, v: F2Vector) -> int:
-        coeffs = self.domain.coordinates(v.bits)
-        if coeffs is None:
-            raise AmbientMismatch("vector outside the functional's domain")
-        return sum(c & 1 for c, val in zip(coeffs, self.values) if val) & 1
+        return self.evaluate_bits(v.bits)
 
     def evaluate_bits(self, bits: int) -> int:
-        coeffs = self.domain.coordinates(bits)
-        if coeffs is None:
+        if self.domain.reduce(bits):
             raise AmbientMismatch("vector outside the functional's domain")
-        acc = 0
-        for c, val in zip(coeffs, self.values):
-            acc ^= c & val
-        return acc
+        return (bits & self.mask).bit_count() & 1
 
     def respects(self, conditions: Sequence[tuple[F2Vector, int]]) -> bool:
         """True iff the functional meets every (vector, bit) condition whose
@@ -272,32 +259,17 @@ def functional_from_constraints(
     """The unique functional on span(vectors) with the prescribed values.
 
     Raises ExtensionConflict when the (vector, bit) system is inconsistent.
+    Each value bit rides along above the ambient bits, so one elimination
+    gives the canonical basis and the values on it; a row reduced to its
+    value bit alone is an inconsistency.
     """
-    echelon: list[tuple[int, int]] = []
-    for bits, val in constraints:
-        for eb, ev in echelon:
-            if (bits >> _pivot(eb)) & 1:
-                bits ^= eb
-                val ^= ev
-        if bits == 0:
-            if val:
-                raise ExtensionConflict("inconsistent functional constraints")
-            continue
-        echelon.append((bits, val))
-        echelon.sort(key=lambda r: _pivot(r[0]))
-    space = F2Subspace(ambient, _rref(b for b, _ in echelon))
-
-    def value_on(bits: int) -> int:
-        acc = 0
-        for eb, ev in echelon:
-            if (bits >> _pivot(eb)) & 1:
-                bits ^= eb
-                acc ^= ev
-        if bits:
-            raise ExtensionConflict("basis vector escapes the echelon span")
-        return acc
-
-    return F2Functional(space, tuple(value_on(b) for b in space.basis))
+    n = ambient.dim
+    echelon = _echelon(bits | (val << n) for bits, val in constraints)
+    if max(echelon, default=0) >> n:
+        raise ExtensionConflict("inconsistent functional constraints")
+    rows = [e for _, e in sorted(echelon.items())]
+    low = (1 << n) - 1
+    return F2Functional(F2Subspace(ambient, tuple(e & low for e in rows)), tuple(e >> n for e in rows))
 
 
 def extend_functional(

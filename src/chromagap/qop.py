@@ -487,7 +487,10 @@ def verify_assignment(
     counted once, and per symbol and label lists each distinct tuple of
     projectors at a label tuple outside R(Y) is decided once; the sweep
     goes tuple by tuple only when a product is nonzero, to name witnesses.
+    A negative k raises ValueError.
     """
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     if set(assignment.pvms) != set(X.domain):
         raise KeyMismatch("assignment keys differ from the variable domain")
     for fam in assignment.pvms.values():

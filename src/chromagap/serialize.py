@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any
+from typing import Any, Collection
 
 from .csp import CspInstance
 from .qop import GQ, PMatrix, QuantumAssignment
@@ -36,16 +36,26 @@ def decode_id(value: Any) -> Any:
     raise ValueError(f"not an identifier: {value!r}")
 
 
+def _sorted_encoded(tuples: Collection[tuple]) -> list:
+    """The tuples encoded, in the order of the JSON texts of their encodings.
+    Each identifier is encoded and dumped once; a tuple's text is its
+    members' texts joined as `json.dumps` joins a list."""
+    codes: dict = {}
+    for t in tuples:
+        for v in t:
+            if v not in codes:
+                code = encode_id(v)
+                codes[v] = (code, json.dumps(code, sort_keys=True))
+    keyed = sorted(tuples, key=lambda t: "[" + ", ".join([codes[v][1] for v in t]) + "]")
+    return [[codes[v][0] for v in t] for t in keyed]
+
+
 def structure_to_dict(s: RelStructure) -> dict:
     return {
         "signature": [{"name": n, "arity": a} for n, a in s.signature.symbols],
         "domain": [encode_id(v) for v in s.domain],
         "relations": {
-            name: sorted(
-                ([encode_id(v) for v in t] for t in s.relations[name]),
-                key=lambda t: json.dumps(t, sort_keys=True),
-            )
-            for name, _ in s.signature.symbols
+            name: _sorted_encoded(s.relations[name]) for name, _ in s.signature.symbols
         },
     }
 
@@ -67,10 +77,7 @@ def instance_to_dict(inst: CspInstance) -> dict:
         "constraints": [
             {
                 "scope": [encode_id(v) for v in c.scope],
-                "allowed": sorted(
-                    ([encode_id(a) for a in t] for t in c.allowed),
-                    key=lambda t: json.dumps(t, sort_keys=True),
-                ),
+                "allowed": _sorted_encoded(c.allowed),
                 "weight": str(c.weight),
             }
             for c in inst.constraints

@@ -17,13 +17,21 @@ the closed form replaces where the eps maps partition the gadgets.  The
 reference graph walks are the per-caller BFS loops that the shared
 Gaifman BFS in `relstruct` replaced, and the reference builders (line
 digraph, relabelling, Gaifman adjacency, Gamma products, gadget witness)
-are those from before structures kept a canonical tuple order.
+are those from before structures kept a canonical tuple order.  The
+reference GF(2) layer (`reference_rref`, `reference_intersect`,
+`reference_functional_from_constraints`, `reference_evaluate_bits`) is the
+elimination from before it was keyed by pivot and evaluation from before
+pivot masks, and `reference_build_rho1` compares every label pair of every
+rho1 constraint on the overlap basis with it.  The reference encoders
+(`reference_structure_to_dict`, `reference_instance_to_dict`) sort tuples
+by one `json.dumps` each.
 """
 
 from __future__ import annotations
 
 import gc
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -33,9 +41,18 @@ from fractions import Fraction
 
 from typing import Mapping, Optional, Sequence
 
-from chromagap import colouring, pultr, qop, relstruct
+from chromagap import colouring, dkkms, pultr, qop, relstruct
 from chromagap.csp import CspInstance, classify_label_cover
+from chromagap.f2linalg import (
+    AmbientMismatch,
+    ExtensionConflict,
+    F2Ambient,
+    F2Functional,
+    F2Subspace,
+    RespectViolation,
+)
 from chromagap.qop import PMatrix, QuantumAssignment
+from chromagap.serialize import encode_id
 from chromagap.relstruct import (
     GRAPH_SIGNATURE,
     INFINITY,
@@ -1336,3 +1353,213 @@ def reference_gadget_witness(template: PultrTemplate, name: str, ht: tuple, X: R
     for h in relstruct._search_homomorphisms(bt, X, fixed=forced, limit=1):
         return h
     raise pultr.WellDefinednessViolation(f"no gadget witness for {name!r} tuple")
+
+
+# -- reference GF(2) layer ---------------------------------------------------------
+# The elimination, Zassenhaus intersection, functional construction and
+# evaluation as they were before the pivot-keyed elimination: echelon lists
+# re-sorted after every row, the intersection and the functional each reduced
+# twice, and evaluation by back-substitution over the basis.  The reference
+# rho1 build compares every label pair on the overlap basis with them.
+
+
+def _reference_pivot(bits: int) -> int:
+    return (bits & -bits).bit_length() - 1
+
+
+def reference_rref(rows) -> tuple:
+    basis: list = []
+    for row in rows:
+        for b in basis:
+            if (row >> _reference_pivot(b)) & 1:
+                row ^= b
+        if row:
+            p = _reference_pivot(row)
+            for i in range(len(basis)):
+                if (basis[i] >> p) & 1:
+                    basis[i] ^= row
+            basis.append(row)
+            basis.sort(key=_reference_pivot)
+    return tuple(basis)
+
+
+def reference_intersect(U: F2Subspace, V: F2Subspace) -> F2Subspace:
+    if U.ambient != V.ambient:
+        raise AmbientMismatch("subspaces in different ambient spaces")
+    n = U.ambient.dim
+    rows = [b | (b << n) for b in U.basis] + list(V.basis)
+    echelon: list = []
+    for row in rows:
+        for e in echelon:
+            if (row >> _reference_pivot(e)) & 1:
+                row ^= e
+        if row:
+            echelon.append(row)
+            echelon.sort(key=_reference_pivot)
+    mask = (1 << n) - 1
+    return F2Subspace(U.ambient, reference_rref(e >> n for e in echelon if (e & mask) == 0))
+
+
+def reference_functional_from_constraints(constraints, ambient: F2Ambient) -> F2Functional:
+    echelon: list = []
+    for bits, val in constraints:
+        for eb, ev in echelon:
+            if (bits >> _reference_pivot(eb)) & 1:
+                bits ^= eb
+                val ^= ev
+        if bits == 0:
+            if val:
+                raise ExtensionConflict("inconsistent functional constraints")
+            continue
+        echelon.append((bits, val))
+        echelon.sort(key=lambda r: _reference_pivot(r[0]))
+    space = F2Subspace(ambient, reference_rref(b for b, _ in echelon))
+
+    def value_on(bits: int) -> int:
+        acc = 0
+        for eb, ev in echelon:
+            if (bits >> _reference_pivot(eb)) & 1:
+                bits ^= eb
+                acc ^= ev
+        if bits:
+            raise ExtensionConflict("basis vector escapes the echelon span")
+        return acc
+
+    return F2Functional(space, tuple(value_on(b) for b in space.basis))
+
+
+def reference_evaluate_bits(psi: F2Functional, bits: int) -> int:
+    acc = 0
+    for b, val in zip(psi.domain.basis, psi.values):
+        c = (bits >> _reference_pivot(b)) & 1
+        if c:
+            bits ^= b
+        acc ^= c & val
+    if bits:
+        raise AmbientMismatch("vector outside the functional's domain")
+    return acc
+
+
+def reference_build_rho1(system, n: int, ell: int):
+    """`dkkms.build_rho1` with every label built and extended by the
+    reference functional construction, and every label pair of every
+    constraint compared on each overlap basis vector in turn."""
+    if ell < 2:
+        raise ValueError("ell must be >= 2")
+    reg = dkkms.is_regular(system, 2)
+    if not reg.regular:
+        raise dkkms.NotRegular(repr(reg))
+    ambient = system.ambient()
+    tuples = dkkms.legitimate_tuples(system, n)
+    h_spaces = {t: F2Subspace.spanned_by([system.equation_vector(i) for i in t]) for t in tuples}
+    eq_bits = {t: [(system.equation_vector(i).bits, system.equations[i][1]) for i in t] for t in tuples}
+    vertices: dict = {}
+    for t in tuples:
+        if h_spaces[t].dim != n:
+            raise dkkms.NotRegular(f"equation vectors of {t} are dependent")
+        coord = F2Subspace.spanned_by([ambient.unit(v) for v in dkkms.tuple_variables(system, t)])
+        for low in dkkms.enumerate_subspaces(coord, ell, avoid=h_spaces[t]):
+            vertex = dkkms.RhoVertex(t, low, low.sum(h_spaces[t]))
+            vertices[vertex.key] = vertex
+    keys = sorted(vertices)
+    alphabet = tuple(range(2**ell))
+    labels = {
+        key: {
+            a: reference_functional_from_constraints(
+                [(b, (a >> j) & 1) for j, b in enumerate(vertices[key].low_space.basis)]
+                + eq_bits[vertices[key].indices],
+                ambient,
+            )
+            for a in alphabet
+        }
+        for key in keys
+    }
+
+    def extended(key, other_tuple) -> dict:
+        out = {}
+        for a, psi in labels[key].items():
+            for bits, val in eq_bits[vertices[key].indices]:
+                if reference_evaluate_bits(psi, bits) != val:
+                    raise RespectViolation("functional violates its declared side conditions")
+            out[a] = reference_functional_from_constraints(
+                list(zip(psi.domain.basis, psi.values)) + eq_bits[other_tuple], ambient
+            )
+        return out
+
+    constraints = []
+    tags = []
+    for ka, kb in itertools.combinations(keys, 2):
+        va, vb = vertices[ka], vertices[kb]
+        joint_a = va.space.sum(h_spaces[vb.indices])
+        joint_b = vb.space.sum(h_spaces[va.indices])
+        total = va.space.sum(vb.space)
+        if joint_a.dim == joint_b.dim == total.dim:
+            tag = "1-to-1"
+        elif joint_a.dim == joint_b.dim == total.dim - 1:
+            tag = "2-to-2"
+        else:
+            continue
+        overlap = reference_intersect(joint_a, joint_b)
+        ext_a = extended(ka, vb.indices)
+        ext_b = extended(kb, va.indices)
+        allowed = set()
+        for a in alphabet:
+            for b in alphabet:
+                if all(
+                    reference_evaluate_bits(ext_a[a], bits) == reference_evaluate_bits(ext_b[b], bits)
+                    for bits in overlap.basis
+                ):
+                    allowed.add((a, b))
+        constraints.append(((ka, kb), allowed))
+        tags.append(tag)
+    inst = CspInstance(keys, alphabet, constraints)
+    return dkkms.RhoInstance(system, n, ell, inst, vertices, tuple(tags), labels)
+
+
+def random_regular_system(rng: random.Random, equations: int, variables: int):
+    """A regular 3XOR system: each variable in at most two equations, any two
+    equations sharing at most one variable; variable names z0, z1, ..."""
+    pool = [f"z{j}" for j in range(variables)]
+    while True:
+        eqs = [(tuple(rng.sample(pool, 3)), rng.randint(0, 1)) for _ in range(equations)]
+        system = dkkms.XorSystem.from_equations(eqs)
+        if dkkms.is_regular(system, 2).regular:
+            return system
+
+
+# -- reference encoders ----------------------------------------------------------
+# `serialize.structure_to_dict` and `serialize.instance_to_dict` as they were
+# before the sort keys were joined from per-identifier texts: one
+# `json.dumps` of each encoded tuple as its sort key.
+
+
+def reference_structure_to_dict(s: RelStructure) -> dict:
+    return {
+        "signature": [{"name": n, "arity": a} for n, a in s.signature.symbols],
+        "domain": [encode_id(v) for v in s.domain],
+        "relations": {
+            name: sorted(
+                ([encode_id(v) for v in t] for t in s.relations[name]),
+                key=lambda t: json.dumps(t, sort_keys=True),
+            )
+            for name, _ in s.signature.symbols
+        },
+    }
+
+
+def reference_instance_to_dict(inst: CspInstance) -> dict:
+    return {
+        "variables": [encode_id(v) for v in inst.variables],
+        "alphabet": [encode_id(a) for a in inst.alphabet],
+        "constraints": [
+            {
+                "scope": [encode_id(v) for v in c.scope],
+                "allowed": sorted(
+                    ([encode_id(a) for a in t] for t in c.allowed),
+                    key=lambda t: json.dumps(t, sort_keys=True),
+                ),
+                "weight": str(c.weight),
+            }
+            for c in inst.constraints
+        ],
+    }

@@ -71,6 +71,35 @@ MUTANTS = (
             "tests/test_pultr.py::test_gamma_functor_names_the_first_tuple_in_canonical_order",
         ),
     ),
+    Mutant(
+        "rho-signature-reads-only-the-first-overlap-vector",
+        "src/chromagap/dkkms.py",
+        "for o in overlap.basis) for f in ext]",
+        "for o in overlap.basis[:1]) for f in ext]",
+        (
+            "tests/test_dkkms.py::test_build_rho1_matches_reference_on_magic_square",
+            "tests/test_dkkms.py::test_build_rho1_matches_reference_on_random_regular_systems",
+            "tests/test_dkkms.py::test_build_rho1_matches_reference_on_pairs_of_equations",
+        ),
+    ),
+    Mutant(
+        "elimination-keeps-the-new-pivot-in-earlier-rows",
+        "src/chromagap/f2linalg.py",
+        "echelon[q] = e ^ row",
+        "pass",
+        (
+            "tests/test_f2linalg.py::test_elimination_matches_the_reference_on_random_inputs",
+            "tests/test_f2linalg.py::test_canonical_rref_under_random_generators",
+            "tests/test_dkkms.py::test_build_rho1_matches_reference_on_magic_square",
+        ),
+    ),
+    Mutant(
+        "rho-domain-check-dropped",
+        "src/chromagap/dkkms.py",
+        "if any(f.domain != joint for f in ext) or any(map(joint.reduce, overlap.basis)):",
+        "if False:",
+        ("tests/test_dkkms.py::test_build_rho1_rejects_extensions_off_the_joint_space",),
+    ),
 )
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

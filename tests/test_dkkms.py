@@ -1,9 +1,12 @@
 import itertools
+import json
+import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from chromagap import dkkms
 from chromagap.csp import classify_label_cover, sat_value, to_structures
 from chromagap.dkkms import (
     AllConstraintsDiscarded,
@@ -20,7 +23,7 @@ from chromagap.dkkms import (
     tuple_variables,
     verify_game_assignment,
 )
-from chromagap.f2linalg import F2Subspace, extend_functional
+from chromagap.f2linalg import AmbientMismatch, F2Subspace, extend_functional
 from chromagap.qop import (
     KeyMismatch,
     QuantumAssignment,
@@ -29,6 +32,8 @@ from chromagap.qop import (
     mermin_peres,
     verify_assignment,
 )
+from chromagap.serialize import instance_to_dict
+from helpers import random_regular_system, reference_build_rho1
 
 
 @pytest.fixture(scope="module")
@@ -314,3 +319,66 @@ def test_extension_lemma_exhaustive_small(magic):
                 assert count == 1
                 checked += 1
     assert checked == 6 * 6 * 4
+
+
+# -- build_rho1 against the reference pair loop ----------------------------------
+
+
+def assert_rho1_equal(rho, ref):
+    assert json.dumps(instance_to_dict(rho.instance), sort_keys=True) == json.dumps(
+        instance_to_dict(ref.instance), sort_keys=True
+    )
+    assert rho.tags == ref.tags
+    assert rho.labels.keys() == ref.labels.keys()
+    for key, fam in rho.labels.items():
+        assert [(f.domain.basis, f.values) for f in fam.values()] == [
+            (f.domain.basis, f.values) for f in ref.labels[key].values()
+        ]
+
+
+def test_build_rho1_matches_reference_on_magic_square(magic):
+    system, _ = magic
+    for ell in (2, 3):
+        assert_rho1_equal(build_rho1(system, 1, ell), reference_build_rho1(system, 1, ell))
+
+
+def test_build_rho1_matches_reference_on_random_regular_systems():
+    rng = random.Random(25)
+    tags = []
+    for i in range(12):
+        system = random_regular_system(rng, 3 + i % 2, 9 + i % 3)
+        rho = build_rho1(system, 1, 2)
+        assert_rho1_equal(rho, reference_build_rho1(system, 1, 2))
+        tags += rho.tags
+    assert tags.count("1-to-1") >= 20 and tags.count("2-to-2") >= 20
+
+
+def test_build_rho1_matches_reference_on_pairs_of_equations(monkeypatch):
+    """n = 2 with ell = 2 and 3 (alphabet 8).  Each tuple has hundreds of
+    low spaces, so both builds read the same seeded sample of four per
+    tuple."""
+    full = dkkms.enumerate_subspaces
+
+    def sampled(restriction, dim, avoid=None):
+        spaces = full(restriction, dim, avoid)
+        rng = random.Random(repr((restriction.basis, avoid.basis)))
+        return sorted(rng.sample(spaces, min(4, len(spaces))), key=lambda s: s.basis)
+
+    monkeypatch.setattr(dkkms, "enumerate_subspaces", sampled)
+    rng = random.Random(2)
+    for ell in (2, 3, 2, 3, 2, 3):
+        system = random_regular_system(rng, 4, 12)
+        while len(legitimate_tuples(system, 2)) < 2:
+            system = random_regular_system(rng, 4, 12)
+        rho = build_rho1(system, 2, ell)
+        assert len(rho.instance.alphabet) == 2**ell and rho.instance.constraints
+        assert_rho1_equal(rho, reference_build_rho1(system, 2, ell))
+
+
+def test_build_rho1_rejects_extensions_off_the_joint_space(magic, monkeypatch):
+    """An extension that does not reach V + H_other fails the once-per-side
+    domain check instead of being read through its mask."""
+    system, _ = magic
+    monkeypatch.setattr(dkkms, "extend_functional", lambda psi, respected, new: psi)
+    with pytest.raises(AmbientMismatch, match="does not contain the overlap"):
+        build_rho1(system, 1, 2)

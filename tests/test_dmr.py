@@ -167,3 +167,9 @@ def test_pipeline_requires_d_to_1():
     not_bip = CspInstance(["x"], [0], [(("x", "x"), {(0, 0)})])
     with pytest.raises(NotDto1):
         dmr_pipeline(not_bip, Fraction(12), 1, 1)
+
+
+def test_pipeline_rejects_a_negative_level():
+    inst = d_to_1_instance(Fraction(1, 2), Fraction(1, 2))
+    with pytest.raises(ValueError, match="k must be >= 0, got -3"):
+        dmr_pipeline(inst, Fraction(12), -3, 1, classical_lift())

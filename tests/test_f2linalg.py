@@ -12,9 +12,16 @@ from chromagap.f2linalg import (
     F2Subspace,
     F2Vector,
     RespectViolation,
+    _rref,
     enumerate_subspaces,
     extend_functional,
     functional_from_constraints,
+)
+from helpers import (
+    reference_evaluate_bits,
+    reference_functional_from_constraints,
+    reference_intersect,
+    reference_rref,
 )
 
 AMB3 = F2Ambient(("x", "y", "z"))
@@ -181,3 +188,45 @@ def test_canonical_rref_under_random_generators():
         assert space.basis == again.basis
         for v in space.vectors():
             assert space.contains(v)
+
+
+def test_elimination_matches_the_reference_on_random_inputs():
+    """The pivot-keyed elimination against the parent's re-sorting one:
+    equal canonical bases, intersections, functionals and values, and the
+    same errors on inconsistent constraints and on vectors outside the
+    domain."""
+    rng = random.Random(25)
+    conflicts = outside = inside = 0
+    for _ in range(400):
+        n = rng.randint(1, 10)
+        amb = F2Ambient(tuple(f"v{i}" for i in range(n)))
+        rows = [rng.randrange(1 << n) for _ in range(rng.randint(0, n + 2))]
+        # some rows are sums of earlier ones, so that values can conflict
+        for _ in range(rng.randint(0, 3) if rows else 0):
+            rows.append(rng.choice(rows) ^ rng.choice(rows))
+        assert _rref(rows) == reference_rref(rows)
+        U = F2Subspace(amb, _rref(rows[: len(rows) // 2]))
+        V = F2Subspace(amb, _rref(rows[len(rows) // 2 :]))
+        assert U.intersect(V).basis == reference_intersect(U, V).basis
+        constraints = [(r, rng.randint(0, 1)) for r in rows]
+        try:
+            expected = reference_functional_from_constraints(constraints, amb)
+        except ExtensionConflict:
+            conflicts += 1
+            with pytest.raises(ExtensionConflict):
+                functional_from_constraints(constraints, amb)
+            continue
+        psi = functional_from_constraints(constraints, amb)
+        assert (psi.domain.basis, psi.values) == (expected.domain.basis, expected.values)
+        for _ in range(8):
+            bits = rng.randrange(1 << n)
+            try:
+                value = reference_evaluate_bits(psi, bits)
+            except AmbientMismatch:
+                outside += 1
+                with pytest.raises(AmbientMismatch):
+                    psi.evaluate_bits(bits)
+                continue
+            inside += 1
+            assert psi.evaluate_bits(bits) == psi.evaluate(F2Vector(amb, bits)) == value
+    assert conflicts >= 100 and outside >= 300 and inside >= 300

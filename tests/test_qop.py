@@ -482,3 +482,9 @@ def test_verify_assignment_tells_apart_families_that_differ_in_labels_only():
         ("E", ("v1", "v2"), ("k1", "k1")),
     ]
     assert report.products_checked == 4
+
+
+def test_verify_assignment_rejects_a_negative_level():
+    X = digraph([("a", "b")])
+    with pytest.raises(ValueError, match="k must be >= 0, got -1"):
+        verify_assignment(X, clique(2), lift_classical({"a": "k0", "b": "k1"}), -1)

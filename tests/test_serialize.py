@@ -2,6 +2,7 @@
 rational matrix entries written as [re, im] pairs of rational strings."""
 
 import json
+import random
 from fractions import Fraction
 from re import escape
 
@@ -9,14 +10,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chromagap.csp import CspInstance
 from chromagap.qop import GQ, PMatrix, QuantumAssignment
+from chromagap.relstruct import RelStructure, Signature
 from chromagap.serialize import (
     assignment_from_dict,
     assignment_to_dict,
     decode_id,
     encode_id,
+    instance_to_dict,
     structure_from_dict,
+    structure_to_dict,
 )
+from helpers import reference_instance_to_dict, reference_structure_to_dict
 
 ids = st.recursive(
     st.one_of(st.integers(-20, 20), st.text(max_size=3)),
@@ -87,3 +93,47 @@ def test_structure_from_dict_rejects_a_non_identifier_vertex(bad):
     d = {"signature": [{"name": "E", "arity": 2}], "domain": [1, bad, 2], "relations": {"E": [[1, 2]]}}
     with pytest.raises(ValueError, match=escape(repr(bad))):
         structure_from_dict(d)
+
+
+def mixed_ids(rng: random.Random, count: int) -> list:
+    """Distinct identifiers mixing strings, integers on both sides of 10
+    (JSON text order is not numeric order there) and nested tuples."""
+    out: list = []
+    while len(out) < count:
+        pick = rng.randrange(4)
+        if pick == 0:
+            v = rng.choice(["a", "b", "x1", "x10", "é", 'q"'])
+        elif pick == 1:
+            v = rng.randint(-3, 120)
+        elif pick == 2:
+            v = (rng.choice(["k", 7, 12]), rng.randint(0, 11))
+        else:
+            v = (rng.choice(["k", 3]), (rng.randint(9, 11), rng.choice(["m", ()])))
+        if v not in out:
+            out.append(v)
+    return out
+
+
+def test_encoders_match_the_reference_json_text():
+    rng = random.Random(25)
+    for _ in range(120):
+        domain = mixed_ids(rng, rng.randint(1, 7))
+        sig = Signature((("E", 2), ("T", 3)))
+        relations = {
+            name: {tuple(rng.choice(domain) for _ in range(arity)) for _ in range(rng.randint(0, 12))}
+            for name, arity in sig.symbols
+        }
+        X = RelStructure(sig, domain, relations)
+        assert json.dumps(structure_to_dict(X), sort_keys=True) == json.dumps(
+            reference_structure_to_dict(X), sort_keys=True
+        )
+        alphabet = mixed_ids(rng, rng.randint(1, 6))
+        constraints = [((), {()})]
+        for _ in range(rng.randint(0, 5)):
+            scope = tuple(rng.choice(domain) for _ in range(rng.randint(1, 3)))
+            allowed = {tuple(rng.choice(alphabet) for _ in scope) for _ in range(rng.randint(1, 10))}
+            constraints.append((scope, allowed))
+        inst = CspInstance(domain, alphabet, constraints)
+        assert json.dumps(instance_to_dict(inst), sort_keys=True) == json.dumps(
+            reference_instance_to_dict(inst), sort_keys=True
+        )
