@@ -730,11 +730,11 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list] = None) -> int:
     """Run one subcommand: 0 for success, 1 for a negative verdict, 2 for a
-    malformed input file; argparse exits with 2 on a usage error."""
+    malformed input file or a vertexless rho; argparse exits 2 on a usage error."""
     args = _parser().parse_args(argv)
     try:
         return args.run(args)
-    except InputError as exc:
+    except (InputError, dkkms.NoVertices) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

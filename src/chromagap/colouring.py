@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 from .csp import CspInstance, DtoDCertificate, classify_label_cover, to_structures
 from .pultr import (
@@ -141,17 +141,6 @@ def build_transition_matrix(d: int) -> TransitionMatrix:
 # -- the reduction ----------------------------------------------------------
 
 
-def _digit(z: int, position: int, base: int) -> int:
-    return (z // base**position) % base
-
-
-def _blocks(z: int, perm: Sequence[int], d: int, base: int) -> tuple:
-    m = len(perm) // d
-    return tuple(
-        tuple(_digit(z, perm[d * i + j], base) for j in range(d)) for i in range(m)
-    )
-
-
 @dataclass
 class EtaContext:
     """Shared data of one reduction run: the d-to-d certificate, the
@@ -201,23 +190,29 @@ def eta_context(inst: CspInstance, *, budget: Optional[int] = None) -> EtaContex
 
     z_all = range(base**n)
     A = RelStructure._trusted(rho, tuple(z_all), {"E": []})
+    # the digit of every z at place p, one column per place, for all symbols;
+    # the block at offset i in starts covers the places perm[i : i + d]
+    places = list(zip(*itertools.product(range(base), repeat=n)))[::-1]
+    starts = range(0, n - d + 1, d)
     gadgets: dict = {}
     eps: dict = {}
     for name, (mu, nu) in mu_nu.items():
-        # z' is paired with z when each of its nu-blocks is a disjoint
-        # partner of z's mu-block at the same place; listed by z, then z'
-        by_blocks: dict = {}
-        for zp in z_all:
-            by_blocks.setdefault(_blocks(zp, nu, d, base), []).append(zp)
-        pairs = []
-        for z in z_all:
-            choices = [partners[a] for a in _blocks(z, mu, d, base)]
-            zps = [zp for bs in itertools.product(*choices) for zp in by_blocks.get(bs, ())]
-            pairs += [(z, zp) for zp in sorted(zps)]
+        # z' is paired with z when each of its nu-blocks is a disjoint partner
+        # of z's mu-block at the same offset, listed by z, then z'; nu permutes
+        # the places, so z' sums its blocks' values, and worth[k][a] holds the
+        # value of block k for each partner of a
+        worth = [
+            {a: [sum(x * base**p for x, p in zip(b, nu[i : i + d])) for b in partners[a]] for a in partners}
+            for i in starts
+        ]
+        mu_blocks = zip(*[zip(*map(places.__getitem__, mu[i : i + d])) for i in starts])
         # one tuple per vertex, shared by the domain, the edges and the eps maps:
         # an equal copy per edge costs memory and a full compare on every lookup
         left, right = [(1, z) for z in z_all], [(2, z) for z in z_all]
-        edges = [(left[z], right[zp]) for z, zp in pairs]  # in canonical order
+        edges: list = []  # in canonical order
+        for z, zb in enumerate(mu_blocks):
+            zps = sorted(map(sum, itertools.product(*map(dict.__getitem__, worth, zb))))
+            edges += zip(itertools.repeat(left[z]), map(right.__getitem__, zps))
         gadgets[name] = RelStructure._trusted(rho, (*left, *right), {"E": edges})
         eps[name] = (dict(zip(z_all, left)), dict(zip(z_all, right)))
     template = PultrTemplate(rho, target.signature, A, gadgets, eps)
@@ -254,31 +249,37 @@ def eta_apply(ctx: EtaContext) -> RelStructure:
 
 def xi_colouring(ctx: EtaContext) -> tuple[dict, RelStructure, LambdaQuotient]:
     """The canonical 2d-colouring of the glued target: a class containing the
-    copy vertex z^(y) gets colour z(y).  Well-definedness is checked on every
-    member of every class, and the result is verified as a homomorphism."""
+    copy vertex z^(y) gets colour z(y).  Each label y has one colour column,
+    z -> k{digit of z at y's place}: the copy of A over y reads it, and so
+    does a gadget vertex (part, z) over yt with y = yt[part - 1].  Every tag's
+    colour is compared with its class head's in one pass, so every member
+    of every class is checked; the first ill-defined class in class order
+    is named with its sorted colours.  The result is verified as a
+    homomorphism."""
     base = 2 * ctx.d
-    alpha_index = {a: i for i, a in enumerate(ctx.instance.alphabet)}
-    quotient = lambda_quotient(ctx.template, ctx.target)
-    lam_target = left_apply(ctx.template, ctx.target, quotient=quotient)
-    k2d = clique(base)
+    template, target = ctx.template, ctx.target
+    quotient = lambda_quotient(template, target)
+    lam_target = left_apply(template, target, quotient=quotient)
+    names = [f"k{c}" for c in range(base)]
+    z_all = template.A.domain  # range(base**n), so a column is indexed by z
+    column = {y: [names[z // base**i % base] for z in z_all] for i, y in enumerate(ctx.instance.alphabet)}
+    # in the quotient's tag order: A's copies by y, then per symbol the gadget
+    # copies by tuple, each in its gadget's domain order
+    colours = [c for y in target.domain for c in column[y]]
+    for name in template.tau.names():
+        bdom = template.B[name].domain
+        part_of, at = [part - 1 for part, _ in bdom], [z for _, z in bdom]
+        for yt in target.ordered(name):
+            cols = list(map(column.__getitem__, yt))
+            colours += map(list.__getitem__, map(cols.__getitem__, part_of), at)
 
-    def colour_of_tag(tag) -> str:
-        if tag[0] == "A":
-            _, y, z = tag
-            return f"k{_digit(z, alpha_index[y], base)}"
-        _, name, yt, b = tag
-        part, z = b
-        return f"k{_digit(z, alpha_index[yt[part - 1]], base)}"
-
-    xi: dict = {}
-    for class_name, members in quotient.classes().items():
-        colours = {colour_of_tag(t) for t in members}
-        if len(colours) != 1:
-            raise VerificationFailure(
-                f"colouring ill-defined on class {class_name!r}: {sorted(colours)}"
-            )
-        xi[class_name] = colours.pop()
-    if not check_homomorphism(xi, lam_target, k2d):
+    heads = quotient.class_of_id  # each tag's class head, the class's least tag id
+    if colours != list(map(colours.__getitem__, heads)):
+        head = min(h for c, h in zip(colours, heads) if c != colours[h])
+        found = sorted({c for c, h in zip(colours, heads) if h == head})
+        raise VerificationFailure(f"colouring ill-defined on class {quotient.class_name[head]!r}: {found}")
+    xi = {quotient.class_name[h]: colours[h] for h in dict.fromkeys(heads)}
+    if not check_homomorphism(xi, lam_target, clique(base)):
         raise VerificationFailure("canonical colouring is not a homomorphism")
     return xi, lam_target, quotient
 

@@ -43,6 +43,10 @@ class AllConstraintsDiscarded(Exception):
     pass
 
 
+class NoVertices(Exception):
+    pass
+
+
 @dataclass(frozen=True)
 class XorSystem:
     """Boolean equations x + y + z = b over an ordered variable set."""
@@ -283,6 +287,7 @@ def build_rho1(
     tuple's coordinate space meeting H_u trivially; two vertices are joined
     when their spaces satisfy one of the two dimension conditions, and a
     label pair is allowed when the forced extensions agree on the overlap.
+    Without vertices (ell > 2n leaves none) it raises NoVertices.
     """
     if ell < 2:
         raise ValueError("ell must be >= 2")
@@ -303,6 +308,8 @@ def build_rho1(
         for low in enumerate_subspaces(coord, ell, avoid=h_space):
             vertex = RhoVertex(t, low, low.sum(h_space))
             vertices[vertex.key] = vertex
+    if not vertices:
+        raise NoVertices(f"no {n}-tuple of equations has a low space of dimension {ell} avoiding its H_u")
     keys = sorted(vertices)
     alphabet = tuple(range(2**ell))
     labels = {

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add, eq, itemgetter
+from operator import add, eq, getitem, itemgetter
 from typing import Hashable, Mapping, Optional, Sequence
 
 from .qop import PMatrix, QuantumAssignment, _ProductCache, compose_sandwich
@@ -202,9 +202,11 @@ class LambdaQuotient:
     """The glued-copy quotient underlying the left functor.
 
     Tags are ("A", x, a) for copy vertices of A and ("B", T, xt, b) for copy
-    vertices of gadgets, enumerated A's first; `class_of_id` gives each tag
-    id its class's least tag id, and each class is named by that least tag,
-    or by a renaming of it (the eta digraph's (x, z))."""
+    vertices of gadgets: A's first, by x and a in domain order, then per
+    symbol by xt in canonical order and b in B_T's domain order.
+    `class_of_id` gives each tag id its class's least tag id, and each class
+    is named by that least tag, or by a renaming of it (the eta digraph's
+    (x, z))."""
 
     tags: list
     tag_ids: dict
@@ -213,13 +215,6 @@ class LambdaQuotient:
 
     def cls(self, tag) -> Hashable:
         return self.class_name[self.class_of_id[self.tag_ids[tag]]]
-
-    def classes(self) -> dict:
-        """Each class name with its member tags in tag order."""
-        members: dict = {}
-        for tag, i in self.tag_ids.items():
-            members.setdefault(self.class_name[self.class_of_id[i]], []).append(tag)
-        return members
 
 
 def lambda_quotient(template: PultrTemplate, X: RelStructure) -> LambdaQuotient:
@@ -266,12 +261,8 @@ def lambda_quotient(template: PultrTemplate, X: RelStructure) -> LambdaQuotient:
                         tag_ids[("B", name, xt, maps[j][a])],
                     )
     class_of_id = [uf.find(i) for i in range(len(tags))]
-    class_name: dict = {}
-    for i, tag in enumerate(tags):
-        root = class_of_id[i]
-        if root not in class_name:
-            class_name[root] = tag  # first tag in enumeration order is least
-    return LambdaQuotient(tags, tag_ids, class_of_id, class_name)
+    # a root is its class's least tag id, so roots come in tag order
+    return LambdaQuotient(tags, tag_ids, class_of_id, {root: tags[root] for root in dict.fromkeys(class_of_id)})
 
 
 def left_apply(
@@ -304,7 +295,7 @@ def left_apply(
             for at in A.ordered(rname):
                 images += zip(*[map(itemgetter(A.index(a)), groups[0][1]) for a in at])
             for bt, maps in groups[1:]:
-                flat = [bt.index(b) for btuple in bt.ordered(rname) for b in btuple]
+                flat = list(map(bt._index.__getitem__, itertools.chain.from_iterable(bt.ordered(rname))))
                 for m in maps if flat else ():
                     images += zip(*[map(m.__getitem__, flat)] * arity)
             relations[rname] = frozenset(images)
@@ -347,8 +338,7 @@ def transfer_gamma(
     canonical order; the factors' pairwise commutators are rechecked exactly
     before any product is trusted (CompatibilityTooLow on failure).
     """
-    report = template_predicates(template)
-    if not report.connected:
+    if not template_predicates(template).connected:
         raise NotConnected("transfer towards the central functor needs a connected template")
     q = lambda_quotient(template, X)
     gy = central_apply(template, Y)
@@ -401,21 +391,26 @@ def transfer_lambda(
 
     Copy vertices of A get fibre sums over their hom-labels; copy vertices of
     gadgets get sums of gadget products over glued label tuples that form
-    homomorphisms B_T -> Y.  Every member of a quotient class is computed
-    independently and compared exactly; a mismatch raises
-    WellDefinednessViolation naming the class.
+    homomorphisms B_T -> Y.  Families are built per source, not per tag:
+    the family of x for A's copy over x, and per tau-tuple and part the part
+    sums its gadget tags read.  A source's labels are read as one column per
+    A index; a column without repeats pairs them with the source's projectors
+    (interned by exact equality), and a repeated value sums through a memo.
+    Every member of every quotient class is compared exactly with the
+    class's least tag; the first class in class order with a disagreeing
+    member raises WellDefinednessViolation naming it and that member.
 
     A glued label tuple that is a copy of B_T in Y's block view is a
     homomorphism by construction; any other is decided by
-    `check_homomorphism`, once per tuple.
+    `check_homomorphism`, once per tuple.  `quotient`, if given, must be
+    `lambda_quotient(template, X)`, its classes renamed or not.
     """
     # a gadget vertex as (part i, A-index of its eps_i preimage)
     parts = template.eps_parts
     if parts is None or not _is_faithful(template):
         raise NotFaithful("transfer towards the left functor needs a faithful template")
     q = quotient if quotient is not None else lambda_quotient(template, X)
-    a_index = {a: i for i, a in enumerate(template.A.domain)}
-    dim = assignment.dim
+    n_a = len(template.A.domain)
     hom_cache: dict = {}
     # per symbol, the copies of B_T in Y's block view: glued labels that form
     # a map B_T -> Y by construction
@@ -423,65 +418,68 @@ def transfer_lambda(
         name: {m for g, maps in Y._blocks or () if g is template.B[name] for m in maps}
         for name in template.tau.names()
     }
+    # per symbol, the part and the A-index of each gadget vertex in domain order
+    where = {name: list(zip(*map(parts[name].__getitem__, template.B[name].domain))) or [(), ()]
+             for name in template.tau.names()}
 
     def glued_is_hom(name: str, labels: tuple) -> bool:
         key = (name, labels)
         if key not in hom_cache:
-            bt = template.B[name]
-            glued = tuple(labels[i][ai] for i, ai in map(parts[name].__getitem__, bt.domain))
+            bt, (part_of, offset) = template.B[name], where[name]
+            glued = tuple(map(getitem, map(labels.__getitem__, part_of), offset))
             hom_cache[key] = glued in copies[name] or check_homomorphism(dict(zip(bt.domain, glued)), bt, Y)
         return hom_cache[key]
 
-    scope_sums: dict = {}
+    cache = _ProductCache()  # products and sums, each computed once
+    zero = PMatrix.zeros(assignment.dim)
+    interned: dict = {zero: zero}  # one object per projector value
 
-    def part_sums(name: str, xt: tuple) -> list:
-        """Per part i of the gadget glued along xt: each label h of xt[i]
-        with the sum of the scope-ordered products over the glued label
-        tuples that carry h there and form homomorphisms B_T -> Y.  The
-        glued label tuples are multiplied once per tau-tuple, and checked
-        only where the product is nonzero."""
-        found = scope_sums.get((name, xt))
-        if found is None:
+    def families(source: Mapping) -> list:
+        """Per A index ai, the family of a copy vertex that reads `source`:
+        its projectors grouped by the value h[ai] of each label h, summed,
+        the zero sums dropped; an empty source gives empty families."""
+        kept = [(h, m) for h, m in zip(source, map(interned.setdefault, source.values(), source.values()))
+                if m is not zero]
+        labels, mats = zip(*kept) if kept else ((), ())
+        out = list(map(dict, map(zip, list(zip(*labels)) or [()] * n_a, itertools.repeat(mats))))
+        for ai in [ai for ai, size in enumerate(map(len, out)) if size < len(mats)]:  # a repeated value
+            fam = {}
+            for y, m in zip(map(itemgetter(ai), labels), mats):
+                fam[y] = cache.plus(fam[y], m) if y in fam else m
+            out[ai] = {y: m for y, m in fam.items() if not m.is_zero()}
+        return out
+
+    # in the quotient's tag order: A's copies by x, then per symbol the
+    # gadget copies by tuple, each in its gadget's domain order
+    fam_of_tag: list = []
+    for x in X.domain:
+        fam_of_tag += map(families(assignment.pvms[x]).__getitem__, range(n_a))
+    for name in template.tau.names():
+        part_of, offset = where[name]
+        for xt in X.ordered(name):
+            # the part sums: per part i, each label h of xt[i] with the sum of
+            # the scope-ordered products over the glued label tuples that carry
+            # h there and form homomorphisms B_T -> Y; a zero product adds
+            # nothing, so its glued labels go untested
             fams = [assignment.pvms[xj] for xj in xt]
-            found = [{} for _ in xt]
+            found: list = [{} for _ in xt]
             for labels in itertools.product(*fams):
                 prod = fams[0][labels[0]]
                 for fam, h in zip(fams[1:], labels[1:]):
-                    prod = prod @ fam[h]
-                # a zero product adds nothing, so its glued labels go untested
-                if prod.is_zero() or not glued_is_hom(name, labels):
-                    continue
-                for sums, h in zip(found, labels):
-                    sums[h] = sums[h] + prod if h in sums else prod
-            scope_sums[(name, xt)] = found
-        return found
+                    prod = cache.product(prod, fam[h])
+                if not prod.is_zero() and glued_is_hom(name, labels):
+                    for part, h in zip(found, labels):
+                        part[h] = cache.plus(part[h], prod) if h in part else prod
+            per_part = list(map(families, found))
+            fam_of_tag += map(getitem, map(per_part.__getitem__, part_of), offset)
 
-    def member_family(tag) -> dict:
-        # the family of a copy vertex over a: sums of its source family
-        # grouped by the value h(a) of each label h
-        if tag[0] == "A":
-            _, x, a = tag
-            source, ai = assignment.pvms[x], a_index[a]
-        else:
-            _, name, xt, b = tag
-            i_b, ai = parts[name][b]
-            source = part_sums(name, xt)[i_b]
-        fam: dict = {}
-        for h, m in source.items():
-            y = h[ai]
-            fam[y] = fam[y] + m if y in fam else m
-        return {y: m for y, m in fam.items() if not m.is_zero()}
-
-    pvms: dict = {}
-    for class_name, members in q.classes().items():
-        first = member_family(members[0])
-        for other in members[1:]:
-            if member_family(other) != first:
-                raise WellDefinednessViolation(
-                    f"class {class_name!r}: members {members[0]!r} and {other!r} disagree"
-                )
-        pvms[class_name] = first
-    return QuantumAssignment(dim, k, pvms)
+    heads = q.class_of_id  # each tag's class head, the class's least tag id
+    if fam_of_tag != list(map(fam_of_tag.__getitem__, heads)):
+        head, other = min((h, i) for i, (fam, h) in enumerate(zip(fam_of_tag, heads)) if fam != fam_of_tag[h])
+        raise WellDefinednessViolation(
+            f"class {q.class_name[head]!r}: members {q.tags[head]!r} and {q.tags[other]!r} disagree"
+        )
+    return QuantumAssignment(assignment.dim, k, {q.class_name[h]: fam_of_tag[h] for h in dict.fromkeys(heads)})
 
 
 def adjunction_unit(template: PultrTemplate, Y: RelStructure, quotient: LambdaQuotient) -> dict:

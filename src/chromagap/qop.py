@@ -316,6 +316,11 @@ class PvmReport:
 def verify_pvm(family: Sequence[PMatrix]) -> PvmReport:
     """Exact projector-family check: Hermitian, idempotent, mutually
     orthogonal, and summing to the identity."""
+    return _pvm_report(family, _ProductCache())
+
+
+def _pvm_report(family: Sequence[PMatrix], cache: "_ProductCache") -> PvmReport:
+    """`verify_pvm` with its products read through `cache`, shared by families."""
     if not family:
         raise DimMismatch("empty family")
     dim = family[0].dim
@@ -327,12 +332,12 @@ def verify_pvm(family: Sequence[PMatrix]) -> PvmReport:
         if not m.is_hermitian():
             report.hermitian = False
             report.issues.append(("hermitian", i))
-        if not (m @ m == m):
+        if not (cache.product(m, m) == m):
             report.idempotent = False
             report.issues.append(("idempotent", i))
     for i, m in enumerate(family):
         for j in range(i + 1, len(family)):
-            if not (m @ family[j]).is_zero():
+            if not cache.product_is_zero(m, family[j]):
                 report.orthogonal = False
                 report.issues.append(("orthogonal", i, j))
     if not matrix_sum(family, dim).is_identity():
@@ -346,7 +351,8 @@ class QuantumAssignment:
 
     `pvms[x][y]` is the projector for labelling variable x with y; labels not
     present are the zero projector.  `k` is the declared compatibility level;
-    verification, not construction, decides whether it holds.
+    verification, not construction, decides whether it holds.  Zero
+    projectors are dropped and dimensions checked once per projector object.
     """
 
     __slots__ = ("dim", "k", "pvms")
@@ -354,14 +360,14 @@ class QuantumAssignment:
     def __init__(self, dim: int, k: int, pvms: Mapping[Hashable, Mapping[Hashable, PMatrix]]) -> None:
         self.dim = dim
         self.k = k
+        distinct = {id(m): m for fam in pvms.values() for m in fam.values()}
+        zeros = {i for i, m in distinct.items() if m.is_zero()}
         self.pvms = {
-            x: {y: m for y, m in fam.items() if not m.is_zero()}
+            x: {y: m for y, m in fam.items() if id(m) not in zeros} if zeros else dict(fam)
             for x, fam in pvms.items()
         }
-        for fam in self.pvms.values():
-            for m in fam.values():
-                if m.dim != dim:
-                    raise DimMismatch("projector dimension differs from declared dim")
+        if any(m.dim != dim for i, m in distinct.items() if i not in zeros):
+            raise DimMismatch("projector dimension differs from declared dim")
 
     def renamed(self, mapping: Mapping) -> "QuantumAssignment":
         """The same family objects under the keys mapping[x], not filtered or checked again."""
@@ -414,18 +420,26 @@ class VerificationReport:
 
 
 class _ProductCache:
-    """Memoised pairwise products, zero-tests of products, and commutators;
-    content-hashed, so structurally shared projectors are handled once."""
+    """Memoised pairwise products, sums, zero-tests of products, and
+    commutators; content-hashed, so structurally shared projectors are
+    handled once."""
 
     def __init__(self) -> None:
         self.prod: dict = {}
         self.comm: dict = {}
         self.mul: dict = {}
+        self.add: dict = {}
 
     def product(self, a: PMatrix, b: PMatrix) -> PMatrix:
         hit = self.mul.get((a, b))
         if hit is None:
             hit = self.mul[a, b] = a @ b
+        return hit
+
+    def plus(self, a: PMatrix, b: PMatrix) -> PMatrix:
+        hit = self.add.get((a, b))
+        if hit is None:
+            hit = self.add[a, b] = a + b
         return hit
 
     def product_is_zero(self, a: PMatrix, b: PMatrix) -> bool:
@@ -502,12 +516,13 @@ def verify_assignment(
     # PVM check and its issue indexes read; one PVM check per projector list
     given: dict = {}
     gids = [given.setdefault(tuple(fam.items()), len(given)) for fam in assignment.pvms.values()]
+    cache = _ProductCache()
     pvm_reports: dict = {}
     reports = []
     for items in given:
         mats = tuple(m for _, m in items)
         if mats and mats not in pvm_reports:
-            pvm_reports[mats] = verify_pvm(mats)
+            pvm_reports[mats] = _pvm_report(mats, cache)
         reports.append(pvm_reports.get(mats))  # None for an empty family
     pvm_ok = all(rep is not None and rep.passed for rep in reports)
     pvm_issues = []
@@ -520,7 +535,6 @@ def verify_assignment(
             elif not rep.passed:
                 pvm_issues.append((x, list(rep.issues)))
 
-    cache = _ProductCache()
     product_violations: list[Violation] = []
 
     def full_sweep():
@@ -703,15 +717,17 @@ def compose_sandwich(
     W[x][y] = sum of Q[f(x)][y'] over y' with g(y') = y.
 
     Sums run inside a single PVM, so outputs are projectors and the
-    compatibility level of the input carries over unchanged.
+    compatibility level of the input carries over unchanged.  Each sum of a
+    partial sum and a projector is computed once per call, as one object.
     """
     out: dict = {}
+    cache = _ProductCache()
     for x, xp in f.items():
         fam = assignment.pvms[xp]
         acc: dict = {}
         for yp, m in fam.items():
             y = g[yp]
-            acc[y] = acc[y] + m if y in acc else m
+            acc[y] = cache.plus(acc[y], m) if y in acc else m
         out[x] = acc
     return QuantumAssignment(assignment.dim, assignment.k if k is None else k, out)
 

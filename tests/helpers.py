@@ -9,11 +9,12 @@ reference homomorphism search scans every candidate list in full, the
 reference Gamma functor builds the whole quotient Lambda Gamma X (it shares
 only the product routine, through `transfer_gamma`, with `gamma_functor`),
 and the reference eta-stage layers (faithful transfer, left functor,
-verifier, eta pair lists) work tag by tag, vertex by vertex and tuple by
-tuple.  The per-tuple references (homomorphism check, faithfulness test,
-part patterns, eta digraph) are those from before the column passes and
-the unvalidated builds, and the reference quotient is the union-find that
-the closed form replaces where the eps maps partition the gadgets.  The
+canonical colouring, composition, verifier, eta pair lists) work tag by
+tag, vertex by vertex and tuple by tuple.  The per-tuple references
+(homomorphism check, faithfulness test, part patterns, eta digraph) are
+those from before the column passes and the unvalidated builds, and the
+reference quotient is the union-find that the closed form replaces where
+the eps maps partition the gadgets.  The
 reference graph walks are the per-caller BFS loops that the shared
 Gaifman BFS in `relstruct` replaced, and the reference builders (line
 digraph, relabelling, Gaifman adjacency, Gamma products, gadget witness)
@@ -639,7 +640,7 @@ def reference_gamma_functor(
         return ell[b]
 
     counit: dict = {}
-    for class_name, members in q.classes().items():
+    for class_name, members in quotient_classes(q).items():
         images = {counit_of_tag(t) for t in members}
         if len(images) != 1:
             raise pultr.WellDefinednessViolation(
@@ -680,12 +681,22 @@ def gamma_product_for_map(
 
 
 # -- reference eta-stage layers --------------------------------------------------
-# The left functor, the faithful transfer, the verifier and the eta pair
-# lists as they were before the eta stage did its work once per scope and
-# once per distinct family: per-vertex class lookups, per-tag label products
-# behind a hash-keyed cache, one PVM check per variable, a per-tuple product
-# sweep, and an all-pairs block test.  Names are read `pultr.`-, `qop.`- and
+# The left functor, the faithful transfer, the canonical colouring, the
+# composition, the verifier and the eta pair lists as they were before the
+# eta stage did its work once per scope, per source and per distinct family:
+# per-vertex class lookups, per-tag families and colours over the quotient's
+# classes, per-tag label products behind a hash-keyed cache, every sum
+# computed afresh, one PVM check per variable, a per-tuple product sweep,
+# and an all-pairs block test.  Names are read `pultr.`-, `qop.`- and
 # `relstruct.`-qualified, so the helpers they call are the library's own.
+
+
+def quotient_classes(q: LambdaQuotient) -> dict:
+    """Each class name of the quotient with its member tags in tag order."""
+    members: dict = {}
+    for tag, i in q.tag_ids.items():
+        members.setdefault(q.class_name[q.class_of_id[i]], []).append(tag)
+    return members
 
 
 def _faithful_parts(template: PultrTemplate, name: str) -> dict:
@@ -779,7 +790,7 @@ def reference_transfer_lambda(
         return {y: m for y, m in fam.items() if not m.is_zero()}
 
     pvms: dict = {}
-    for class_name, members in q.classes().items():
+    for class_name, members in quotient_classes(q).items():
         first = member_family(members[0])
         for other in members[1:]:
             if member_family(other) != first:
@@ -788,6 +799,51 @@ def reference_transfer_lambda(
                 )
         pvms[class_name] = first
     return QuantumAssignment(dim, k, pvms)
+
+
+def reference_xi_colouring(ctx) -> tuple:
+    """The canonical 2d-colouring of the glued target, tag by tag: every
+    member of every class gets its colour from its own tag, and a class
+    whose members disagree raises naming its sorted colours."""
+    base = 2 * ctx.d
+    alpha_index = {a: i for i, a in enumerate(ctx.instance.alphabet)}
+    quotient = pultr.lambda_quotient(ctx.template, ctx.target)
+    lam_target = pultr.left_apply(ctx.template, ctx.target, quotient=quotient)
+    k2d = relstruct.clique(base)
+
+    def colour_of_tag(tag) -> str:
+        if tag[0] == "A":
+            _, y, z = tag
+            return f"k{digit(z, alpha_index[y], base)}"
+        _, name, yt, b = tag
+        part, z = b
+        return f"k{digit(z, alpha_index[yt[part - 1]], base)}"
+
+    xi: dict = {}
+    for class_name, members in quotient_classes(quotient).items():
+        colours = {colour_of_tag(t) for t in members}
+        if len(colours) != 1:
+            raise qop.VerificationFailure(
+                f"colouring ill-defined on class {class_name!r}: {sorted(colours)}"
+            )
+        xi[class_name] = colours.pop()
+    if not relstruct.check_homomorphism(xi, lam_target, k2d):
+        raise qop.VerificationFailure("canonical colouring is not a homomorphism")
+    return xi, lam_target, quotient
+
+
+def reference_compose_sandwich(f: Mapping, assignment: QuantumAssignment, g: Mapping, *, k=None) -> QuantumAssignment:
+    """W[x][y] = sum of Q[f(x)][y'] over y' with g(y') = y, every sum
+    computed afresh."""
+    out: dict = {}
+    for x, xp in f.items():
+        fam = assignment.pvms[xp]
+        acc: dict = {}
+        for yp, m in fam.items():
+            y = g[yp]
+            acc[y] = acc[y] + m if y in acc else m
+        out[x] = acc
+    return QuantumAssignment(assignment.dim, assignment.k if k is None else k, out)
 
 
 def reference_lambda_quotient(template: PultrTemplate, X: RelStructure) -> LambdaQuotient:
@@ -953,6 +1009,20 @@ def reference_verify_assignment(
     )
 
 
+def digit(z: int, position: int, base: int) -> int:
+    """The base-`base` digit of z at `position`."""
+    return (z // base**position) % base
+
+
+def reference_blocks(z: int, perm: Sequence[int], d: int, base: int) -> tuple:
+    """The d-blocks of z under perm, digit by digit: block i holds the
+    base-`base` digits of z at the places perm[d*i : d*i + d]."""
+    m = len(perm) // d
+    return tuple(
+        tuple(digit(z, perm[d * i + j], base) for j in range(d)) for i in range(m)
+    )
+
+
 def reference_eta_pair_lists(ctx) -> dict:
     """The (z, z') pairs of every symbol of an eta context, from the
     all-pairs test of its permuted d-blocks."""
@@ -967,8 +1037,8 @@ def reference_eta_pair_lists(ctx) -> dict:
     z_all = range(base**n)
     pair_lists: dict = {}
     for name, (mu, nu) in ctx.mu_nu.items():
-        mu_blocks = [colouring._blocks(z, mu, d, base) for z in z_all]
-        nu_blocks = [colouring._blocks(zp, nu, d, base) for zp in z_all]
+        mu_blocks = [reference_blocks(z, mu, d, base) for z in z_all]
+        nu_blocks = [reference_blocks(zp, nu, d, base) for zp in z_all]
         pairs = [
             (z, zp)
             for z, zb in enumerate(mu_blocks)
@@ -1018,10 +1088,10 @@ def reference_eta_context(inst: CspInstance, *, budget: Optional[int] = None) ->
     for (mu, nu), name in pair_to_symbol.items():
         by_blocks: dict = {}
         for zp in z_all:
-            by_blocks.setdefault(colouring._blocks(zp, nu, d, base), []).append(zp)
+            by_blocks.setdefault(reference_blocks(zp, nu, d, base), []).append(zp)
         pairs = []
         for z in z_all:
-            choices = [partners[a] for a in colouring._blocks(z, mu, d, base)]
+            choices = [partners[a] for a in reference_blocks(z, mu, d, base)]
             zps = [zp for bs in itertools.product(*choices) for zp in by_blocks.get(bs, ())]
             pairs += [(z, zp) for zp in sorted(zps)]
         left, right = [(1, z) for z in z_all], [(2, z) for z in z_all]

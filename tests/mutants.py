@@ -72,6 +72,24 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "transfer-compares-only-a-tag-members",
+        "src/chromagap/pultr.py",
+        "if fam_of_tag != list(map(fam_of_tag.__getitem__, heads)):",
+        "if fam_of_tag[: n_a * len(X.domain)] != list(map(fam_of_tag.__getitem__, heads[: n_a * len(X.domain)])):",
+        (
+            "tests/test_pultr.py::test_transfer_lambda_matches_reference",
+            "tests/test_pultr.py::test_transfer_lambda_names_the_first_class_not_the_first_bad_tag",
+            "tests/test_pultr.py::test_transfer_lambda_reads_an_empty_part_source_as_empty_families",
+        ),
+    ),
+    Mutant(
+        "xi-colouring-skips-gadget-tags",
+        "src/chromagap/colouring.py",
+        "if colours != list(map(colours.__getitem__, heads)):",
+        "if colours[: len(target.domain) * len(z_all)] != list(map(colours.__getitem__, heads[: len(target.domain) * len(z_all)])):",
+        ("tests/test_colouring.py::test_xi_colouring_matches_the_tag_by_tag_reference",),
+    ),
+    Mutant(
         "rho-signature-reads-only-the-first-overlap-vector",
         "src/chromagap/dkkms.py",
         "for o in overlap.basis) for f in ext]",

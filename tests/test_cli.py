@@ -224,6 +224,19 @@ def test_rho_transfer_command(tmp_path, capsys):
     assert reloaded.dim == 4 and len(reloaded.pvms) == 24
 
 
+@pytest.mark.parametrize("command", ["rho", "rho-transfer"])
+def test_rho_without_vertices_exits_2_with_one_error_line(command, cli_inputs, capsys):
+    """ell > 2n leaves no low space avoiding H_u, so there is no rho
+    instance: exit 2, nothing on stdout and one `error:` line naming the
+    empty build, not a traceback; ell = 2n still builds."""
+    extra = ["--strategy", cli_inputs["strategy"]] if command == "rho-transfer" else []
+    assert run([command, cli_inputs["magic"], "--n", "1", "--ell", "3", *extra]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: no 1-tuple of equations has a low space of dimension 3 avoiding its H_u\n"
+    assert run([command, cli_inputs["magic"], "--n", "1", "--ell", "2", *extra]) == 0
+
+
 def test_dmr_command(tmp_path, capsys):
     pred = {("a0", "b0"), ("a1", "b0")}
     inst = CspInstance(

@@ -46,6 +46,8 @@ from chromagap.relstruct import (
 from helpers import (
     all_pairs_template_predicates,
     block_images,
+    digit,
+    quotient_classes,
     random_digraph,
     reference_eta_apply,
     reference_eta_context,
@@ -53,6 +55,7 @@ from helpers import (
     reference_left_apply,
     reference_line_digraph,
     reference_transfer_lambda,
+    reference_xi_colouring,
     without_view,
 )
 
@@ -271,9 +274,7 @@ def test_eta_equals_left_functor_on_small_instance():
     eta = eta_apply(ctx)
     lam = left_apply(ctx.template, ctx.variable_structure)
     rename = {}
-    for class_name, members in __import__("chromagap.pultr", fromlist=["lambda_quotient"]).lambda_quotient(
-        ctx.template, ctx.variable_structure
-    ).classes().items():
+    for class_name, members in quotient_classes(pultr.lambda_quotient(ctx.template, ctx.variable_structure)).items():
         a_tags = [t for t in members if t[0] == "A"]
         assert len(a_tags) == 1
         rename[class_name] = (a_tags[0][1], a_tags[0][2])
@@ -290,6 +291,39 @@ def test_xi_colouring_is_well_defined_homomorphism():
     xi, lam_target, _ = xi_colouring(ctx)
     # image uses all 2d colours
     assert set(xi.values()) == {f"k{i}" for i in range(4)}
+
+
+def _xi_outcome(colour, ctx):
+    """The colouring in class order with the quotient's tags, heads and
+    class names, or the type and message of the exception raised."""
+    try:
+        xi, lam_target, q = colour(ctx)
+    except Exception as exc:  # compared by type and message across the two paths
+        return type(exc), str(exc)
+    return list(xi.items()), lam_target.domain, q.tags, q.class_of_id, list(q.class_name.items())
+
+
+def test_xi_colouring_matches_the_tag_by_tag_reference():
+    """The colour columns give the reference's colouring on small instances
+    and on the rho2 instance; with the eps maps of every symbol swapped, a
+    gadget vertex reads the other end's digit and the colouring is
+    ill-defined, and with the last two labels of the alphabet swapped the
+    colouring is well defined but not a homomorphism: the same error and
+    message either way."""
+    system, _ = mermin_peres()
+    contexts = [eta_context(inst) for inst in (full_d2_instance(), two_symbol_instance())]
+    contexts.append(eta_context(build_rho2(build_rho1(system, 1, 2)).instance))
+    template = contexts[1].template
+    swapped = dataclasses.replace(template, eps={name: maps[::-1] for name, maps in template.eps.items()})
+    inst = contexts[1].instance
+    swapped_labels = CspInstance(inst.variables, (0, 1, 3, 2), [(c.scope, c.allowed) for c in inst.constraints])
+    contexts.append(dataclasses.replace(contexts[1], template=swapped))
+    contexts.append(dataclasses.replace(contexts[1], instance=swapped_labels))
+    got = [_xi_outcome(xi_colouring, ctx) for ctx in contexts]
+    assert got == [_xi_outcome(reference_xi_colouring, ctx) for ctx in contexts]
+    assert got[3] == (VerificationFailure, "colouring ill-defined on class ('A', 0, 1): ['k0', 'k1']")
+    assert got[4] == (VerificationFailure, "canonical colouring is not a homomorphism")
+    assert not any(isinstance(out[0], type) for out in got[:3])
 
 
 def test_eta_quantum_transfer_of_classical_lift_matches_xi_composition():
@@ -619,7 +653,7 @@ def _split_colouring(rng, inst, eta, p, q) -> QuantumAssignment:
     s1, s2 = rng.sample(solutions, 2) if len(solutions) > 1 else rng.sample(maps, 2)
     pvms = {}
     for x, z in eta.domain:
-        c1, c2 = (f"k{colouring._digit(z, s[x], 4)}" for s in (s1, s2))
+        c1, c2 = (f"k{digit(z, s[x], 4)}" for s in (s1, s2))
         pvms[(x, z)] = {c1: p, c2: q} if c1 != c2 else {c1: p + q}
     return QuantumAssignment(2, 0, pvms)
 

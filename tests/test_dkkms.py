@@ -337,9 +337,14 @@ def assert_rho1_equal(rho, ref):
 
 
 def test_build_rho1_matches_reference_on_magic_square(magic):
+    """ell = 2 matches the reference; at ell = 3 > 2n the reference build is
+    empty and build_rho1 raises NoVertices instead."""
     system, _ = magic
-    for ell in (2, 3):
-        assert_rho1_equal(build_rho1(system, 1, ell), reference_build_rho1(system, 1, ell))
+    assert_rho1_equal(build_rho1(system, 1, 2), reference_build_rho1(system, 1, 2))
+    empty = reference_build_rho1(system, 1, 3)
+    assert not empty.instance.variables and not empty.instance.constraints
+    with pytest.raises(dkkms.NoVertices, match="no 1-tuple of equations has a low space of dimension 3 "):
+        build_rho1(system, 1, 3)
 
 
 def test_build_rho1_matches_reference_on_random_regular_systems():

@@ -42,6 +42,7 @@ from helpers import (
     all_pairs_template_predicates,
     block_images,
     gamma_product_for_map,
+    quotient_classes,
     random_digraph,
     random_faithful_template,
     random_template,
@@ -688,6 +689,61 @@ def test_transfer_lambda_matches_reference():
     assert {"WellDefinednessViolation", "diagonal", "mixed"} <= kinds
 
 
+def _arc_template() -> PultrTemplate:
+    """A is one vertex and B_E one arc from its first copy to its second:
+    faithful, and Lambda X is X with its vertices renamed."""
+    rho = GRAPH_SIGNATURE
+    A = RelStructure(rho, ["a"], {"E": []})
+    B = RelStructure(rho, [(0, "a"), (1, "a")], {"E": [((0, "a"), (1, "a"))]})
+    return PultrTemplate(rho, rho, A, {"E": B}, {"E": ({"a": (0, "a")}, {"a": (1, "a")})})
+
+
+def test_transfer_lambda_names_the_first_class_not_the_first_bad_tag():
+    """On x0 -> x1 and x2 -> x1 into the arc a -> b, x2 at b puts a nonzero
+    product off the arc, so the copy over (x2, x1) disagrees with both x2
+    and x1.  Its member in x2's class comes first in tag order, but x1's
+    class comes first in class order: the error names x1's class and that
+    class's first disagreeing member, a gadget tag, as the reference does.
+    The classical case leaves both part sources of the copy empty."""
+    template = _arc_template()
+    X = digraph([("x0", "x1"), ("x2", "x1")])
+    Y = digraph([("a", "b")])
+    identity = PMatrix.identity(2)
+    (h0, h1) = HADAMARD
+    cases = [
+        {"x0": {("a",): identity}, "x1": {("b",): identity}, "x2": {("b",): identity}},
+        {"x0": {("a",): identity}, "x1": {("b",): identity}, "x2": {("b",): h0, ("a",): h1}},
+    ]
+    message = (
+        "class ('A', 'x1', 'a'): members ('A', 'x1', 'a') and "
+        "('B', 'E', ('x2', 'x1'), (1, 'a')) disagree"
+    )
+    for pvms in cases:
+        assignment = QuantumAssignment(2, 1, pvms)
+        expected = _lambda_outcome(reference_transfer_lambda, template, X, Y, assignment, 1)
+        assert expected == (WellDefinednessViolation, message)
+        assert _lambda_outcome(transfer_lambda, template, X, Y, assignment, 1) == expected
+
+
+def test_transfer_lambda_reads_an_empty_part_source_as_empty_families():
+    """A vertex with no labels leaves every part source of its copies
+    empty, so each A index reads an empty family: the transfer goes through
+    when the other end has no labels either, and otherwise names the other
+    end's class, both as the reference does."""
+    template = _arc_template()
+    X = digraph([("x0", "x1")])
+    Y = digraph([("a", "b")])
+    identity = PMatrix.identity(2)
+    empty = QuantumAssignment(2, 1, {"x0": {}, "x1": {}})
+    expected = _lambda_outcome(reference_transfer_lambda, template, X, Y, empty, 1)
+    assert expected[2] == [(("A", "x0", "a"), []), (("A", "x1", "a"), [])]
+    assert _lambda_outcome(transfer_lambda, template, X, Y, empty, 1) == expected
+    half = QuantumAssignment(2, 1, {"x0": {}, "x1": {("b",): identity}})
+    expected = _lambda_outcome(reference_transfer_lambda, template, X, Y, half, 1)
+    assert expected[0] is WellDefinednessViolation and "class ('A', 'x1', 'a')" in expected[1]
+    assert _lambda_outcome(transfer_lambda, template, X, Y, half, 1) == expected
+
+
 def test_left_apply_matches_reference():
     """Equal domains in order, equal relations, and the same iteration order
     of every relation, on random connected, faithful and edged templates."""
@@ -938,7 +994,7 @@ def _assert_same_quotient(got, want):
     assert list(got.tag_ids.items()) == list(want.tag_ids.items())
     assert got.class_of_id == want.class_of_id
     assert list(got.class_name.items()) == list(want.class_name.items())
-    assert list(got.classes().items()) == list(want.classes().items())
+    assert list(quotient_classes(got).items()) == list(quotient_classes(want).items())
 
 
 def test_closed_form_quotient_matches_union_find_reference():
@@ -1138,7 +1194,7 @@ def test_quotient_classes_are_in_tag_order():
     template = random_faithful_template(random.Random(83))
     X = _random_tau_structure(random.Random(89), template, 4)
     q = lambda_quotient(template, X)
-    classes = q.classes()
+    classes = quotient_classes(q)
     fresh: dict = {}
     for tag in q.tags:
         fresh.setdefault(q.cls(tag), []).append(tag)

@@ -8,6 +8,7 @@ from chromagap.csp import CspInstance, classify_label_cover, to_structures
 from chromagap.dkkms import game_csp, verify_game_assignment
 from chromagap.qop import (
     GQ,
+    DimMismatch,
     PMatrix,
     QuantumAssignment,
     cleanup_bipartite,
@@ -29,6 +30,7 @@ from chromagap.relstruct import (
 from helpers import (
     random_digraph,
     random_structure,
+    reference_compose_sandwich,
     reference_verify_assignment,
     run_under_hash_seeds,
     structure_with_hom_from,
@@ -231,6 +233,53 @@ def test_compose_collapsing_labels_keeps_pvm(magic):
     for fam in out.pvms.values():
         assert verify_pvm(list(fam.values())).passed
         assert fam[0].is_identity()
+
+
+def test_quantum_assignment_drops_zero_projectors_and_checks_dimensions():
+    """Zero projectors are dropped in order, whatever their dimension, and
+    the families are copies of the caller's; a nonzero projector of another
+    dimension raises DimMismatch, also when several families share it."""
+    one = PMatrix.identity(2)
+    given = {"x": {"a": one, "b": PMatrix.zeros(2), "c": one}, "y": {"d": PMatrix.zeros(3)}, "z": {"e": one}}
+    qa = QuantumAssignment(2, 0, given)
+    assert [(x, list(fam.items())) for x, fam in qa.pvms.items()] == [
+        ("x", [("a", one), ("c", one)]), ("y", []), ("z", [("e", one)])
+    ]
+    kept = QuantumAssignment(2, 0, {"z": given["z"]})
+    assert kept.pvms == {"z": {"e": one}} and kept.pvms["z"] is not given["z"]
+    wrong = PMatrix.identity(3)
+    with pytest.raises(DimMismatch, match="projector dimension differs from declared dim"):
+        QuantumAssignment(2, 0, {"x": {"a": one}, "y": {"b": wrong}, "z": {"c": wrong}})
+
+
+def test_compose_sandwich_matches_the_reference_on_repeated_and_cancelling_sums():
+    """Sources shared by several variables, labels collapsed onto few, and
+    families that hold a matrix and its negative: the memoised sums give the
+    reference's families in order, a sum that cancels is dropped, and a
+    repeated sum is one object."""
+    rng = random.Random(53)
+    half = Fraction(1, 2)
+    pool = [diag(1, 0), diag(0, 1), PMatrix.from_rows([[half, half], [half, half]]), PMatrix.identity(2)]
+    pool += [m.scale(GQ(-1)) for m in pool]
+    cancelled = shared = 0
+    for _ in range(60):
+        sources = {f"s{i}": {f"y{j}": rng.choice(pool) for j in range(rng.randint(0, 5))} for i in range(3)}
+        assignment = QuantumAssignment(2, 1, sources)
+        f = {f"x{i}": rng.choice(sorted(sources)) for i in range(6)}
+        g = {f"y{j}": rng.choice(["a", "b"]) for j in range(5)}
+        got = compose_sandwich(f, assignment, g, k=0)
+        want = reference_compose_sandwich(f, assignment, g, k=0)
+        assert (got.dim, got.k) == (want.dim, want.k) == (2, 0)
+        assert [(x, list(fam.items())) for x, fam in got.pvms.items()] == [
+            (x, list(fam.items())) for x, fam in want.pvms.items()
+        ]
+        cancelled += sum(len(set(map(g.get, sources[f[x]]))) > len(got.pvms[x]) for x in f)
+        by_source = {}
+        for x, xp in f.items():
+            first = by_source.setdefault(xp, got.pvms[x])
+            assert all(first[y] is m for y, m in got.pvms[x].items())
+            shared += first is not got.pvms[x] and len(sources[xp]) > len(first)
+    assert cancelled >= 10 and shared >= 10
 
 
 def test_compose_preserves_perfectness_on_random_triples():
