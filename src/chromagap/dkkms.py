@@ -15,7 +15,9 @@ over satisfying assignments theta whose induced functional restricts to psi.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -27,9 +29,9 @@ from .f2linalg import (
     F2Functional,
     F2Subspace,
     F2Vector,
+    RespectViolation,
+    eliminate_with_values,
     enumerate_subspaces,
-    extend_functional,
-    functional_from_constraints,
 )
 from .qop import QuantumAssignment, VerificationFailure, VerificationReport, verify_assignment
 from .relstruct import SizeBudgetExceeded
@@ -265,22 +267,25 @@ class RhoInstance:
     alphabet letter a by its bits on the low space's canonical basis."""
 
 
-def _vertex_functional(
-    system: XorSystem, vertex: RhoVertex, letter: int
-) -> F2Functional:
-    constraints = []
-    for j, basis_vec in enumerate(vertex.low_space.basis):
-        constraints.append((basis_vec, (letter >> j) & 1))
-    for i in vertex.indices:
-        constraints.append((system.equation_vector(i).bits, system.equations[i][1]))
-    return functional_from_constraints(constraints, system.ambient())
+def _word_of(domain: F2Subspace, words: Sequence[int], bits: int) -> int:
+    """The value word of a domain member: the sum of its basis rows' words."""
+    return functools.reduce(operator.xor, (w for p, w in zip(domain.pivots, words) if bits & p), 0)
 
 
-def build_rho1(
-    system: XorSystem,
-    n: int,
-    ell: int,
-) -> RhoInstance:
+def _extend_labels(domain: F2Subspace, words: Sequence[int], respected: list, new_rows: list) -> tuple:
+    """`extend_functional` for all labels of a vertex, given by the value
+    words of the domain's basis rows, in one elimination.  RespectViolation
+    unless each respected row whose vector is in the domain has its own word
+    there: a value is one bit for all letters only with letter coefficients 0."""
+    n = domain.ambient.dim
+    for row in respected:
+        bits = row & ((1 << n) - 1)
+        if not domain.reduce(bits) and _word_of(domain, words, bits) != row >> n:
+            raise RespectViolation("functional violates its declared side conditions")
+    return eliminate_with_values([b | w << n for b, w in zip(domain.basis, words)] + new_rows, domain.ambient)
+
+
+def build_rho1(system: XorSystem, n: int, ell: int) -> RhoInstance:
     """First reduction stage: the tagged 1-to-1 / 2-to-2 label-cover instance.
 
     Vertices are (tuple, L) pairs with L an ell-dimensional subspace of the
@@ -288,6 +293,13 @@ def build_rho1(
     when their spaces satisfy one of the two dimension conditions, and a
     label pair is allowed when the forced extensions agree on the overlap.
     Without vertices (ell > 2n leaves none) it raises NoVertices.
+
+    A label is affine in its letter a, so one elimination gives all labels
+    of a vertex, and one per (vertex, other tuple) all their extensions:
+    each row carries an (ell + 1)-bit value word, bit j the coefficient of
+    letter bit j and bit ell the constant.  A pair's tag, joint spaces and
+    overlap are found once per pair of (tuple, space), the signatures once
+    per (vertex, other tuple, overlap).
     """
     if ell < 2:
         raise ValueError("ell must be >= 2")
@@ -296,15 +308,13 @@ def build_rho1(
         raise NotRegular(repr(reg))
     ambient = system.ambient()
     tuples = legitimate_tuples(system, n)
+    h_spaces = {}
     vertices: dict = {}
     for t in tuples:
-        h_vecs = [system.equation_vector(i) for i in t]
-        h_space = F2Subspace.spanned_by(h_vecs)
+        h_space = h_spaces[t] = F2Subspace.spanned_by([system.equation_vector(i) for i in t])
         if h_space.dim != n:
             raise NotRegular(f"equation vectors of {t} are dependent")
-        coord = F2Subspace.spanned_by(
-            [ambient.unit(v) for v in tuple_variables(system, t)]
-        )
+        coord = F2Subspace.spanned_by([ambient.unit(v) for v in tuple_variables(system, t)])
         for low in enumerate_subspaces(coord, ell, avoid=h_space):
             vertex = RhoVertex(t, low, low.sum(h_space))
             vertices[vertex.key] = vertex
@@ -312,68 +322,69 @@ def build_rho1(
         raise NoVertices(f"no {n}-tuple of equations has a low space of dimension {ell} avoiding its H_u")
     keys = sorted(vertices)
     alphabet = tuple(range(2**ell))
-    labels = {
-        key: {a: _vertex_functional(system, vertices[key], a) for a in alphabet}
-        for key in keys
+    selectors = [a | 1 << ell for a in alphabet]
+    word_at = ambient.dim  # the value word's lowest bit in a row
+    eq_rows = {
+        t: [system.equation_vector(i).bits | system.equations[i][1] << (word_at + ell) for i in t] for t in tuples
     }
+    solved = []  # per vertex: its space, the value words on its basis, its conditions
+    labels = {}
+    for key in keys:
+        vertex = vertices[key]
+        low_rows = [b | 1 << (word_at + j) for j, b in enumerate(vertex.low_space.basis)]
+        domain, words = eliminate_with_values(low_rows + eq_rows[vertex.indices], ambient)
+        solved.append((domain, words, eq_rows[vertex.indices]))
+        labels[key] = {
+            a: F2Functional(domain, tuple((w & s).bit_count() & 1 for w in words))
+            for a, s in zip(alphabet, selectors)
+        }
 
-    h_spaces = {
-        t: F2Subspace.spanned_by([system.equation_vector(i) for i in t]) for t in tuples
-    }
-    eq_conditions = {
-        t: [(system.equation_vector(i), system.equations[i][1]) for i in t]
-        for t in tuples
-    }
-    ext_cache: dict = {}
-    joint_cache: dict = {}
+    ext_cache, sig_cache, pair_cache = {}, {}, {}
 
-    def get_ext(key, other_tuple) -> list:
-        """The forced extension of each label to V + H_other, in alphabet order."""
-        ck = (key, other_tuple)
-        if ck not in ext_cache:
-            conditions = eq_conditions[vertices[key].indices]
-            ext_cache[ck] = [
-                extend_functional(labels[key][a], conditions, eq_conditions[other_tuple])
-                for a in alphabet
-            ]
-        return ext_cache[ck]
+    def signatures(i, other_tuple, joint: F2Subspace, overlap: F2Subspace) -> tuple:
+        """Each label's values on the overlap basis, read from its extension
+        to V + H_other once that is the joint space; the letters by them."""
+        ck = (i, other_tuple, overlap.basis)
+        if ck not in sig_cache:
+            if (i, other_tuple) not in ext_cache:
+                ext_cache[i, other_tuple] = _extend_labels(*solved[i], eq_rows[other_tuple])
+            ext_domain, ext_words = ext_cache[i, other_tuple]
+            if ext_domain != joint or any(map(joint.reduce, overlap.basis)):
+                raise AmbientMismatch("label extension does not contain the overlap")
+            o_words = [_word_of(ext_domain, ext_words, o) for o in overlap.basis]
+            sigs = [tuple((w & s).bit_count() & 1 for w in o_words) for s in selectors]
+            by_signature: dict = {}
+            for a, sig in zip(alphabet, sigs):
+                by_signature.setdefault(sig, []).append(a)
+            sig_cache[ck] = sigs, by_signature
+        return sig_cache[ck]
 
-    def get_joint(key, other_tuple) -> F2Subspace:
-        ck = (key, other_tuple)
-        if ck not in joint_cache:
-            joint_cache[ck] = vertices[key].space.sum(h_spaces[other_tuple])
-        return joint_cache[ck]
+    def space_pair(va: RhoVertex, vb: RhoVertex) -> Optional[tuple]:
+        joint_a = va.space.sum(h_spaces[vb.indices])
+        joint_b = vb.space.sum(h_spaces[va.indices])
+        total = va.space.sum(vb.space)
+        if joint_a.dim == joint_b.dim == total.dim:
+            return "1-to-1", joint_a, joint_b, joint_a.intersect(joint_b)
+        if joint_a.dim == joint_b.dim == total.dim - 1:
+            return "2-to-2", joint_a, joint_b, joint_a.intersect(joint_b)
+        return None
 
-    def signatures(ext: list, joint: F2Subspace, overlap: F2Subspace) -> list:
-        """Each label's values on the overlap basis, read through its mask
-        once every extension is known to live on the joint space."""
-        if any(f.domain != joint for f in ext) or any(map(joint.reduce, overlap.basis)):
-            raise AmbientMismatch("label extension does not contain the overlap")
-        return [tuple((o & f.mask).bit_count() & 1 for o in overlap.basis) for f in ext]
-
+    space_ids: dict = {}
+    sids = [space_ids.setdefault((k[0], vertices[k].space.basis), len(space_ids)) for k in keys]
     constraints = []
     tags = []
     for ia, ib in itertools.combinations(range(len(keys)), 2):
         ka, kb = keys[ia], keys[ib]
-        va, vb = vertices[ka], vertices[kb]
-        joint_a = get_joint(ka, vb.indices)
-        joint_b = get_joint(kb, va.indices)
-        total = va.space.sum(vb.space)
-        if joint_a.dim == joint_b.dim == total.dim:
-            tag = "1-to-1"
-        elif joint_a.dim == joint_b.dim == total.dim - 1:
-            tag = "2-to-2"
-        else:
+        sk = (sids[ia], sids[ib])
+        if sk not in pair_cache:
+            pair_cache[sk] = space_pair(vertices[ka], vertices[kb])
+        if pair_cache[sk] is None:
             continue
-        overlap = joint_a.intersect(joint_b)
-        ext_a = get_ext(ka, vb.indices)
-        ext_b = get_ext(kb, va.indices)
+        tag, joint_a, joint_b, overlap = pair_cache[sk]
         # a label pair is allowed when the extensions agree on the overlap,
         # that is when their signatures are equal
-        sig_a = signatures(ext_a, joint_a, overlap)
-        by_signature: dict = {}
-        for b, sig in zip(alphabet, signatures(ext_b, joint_b, overlap)):
-            by_signature.setdefault(sig, []).append(b)
+        sig_a, _ = signatures(ia, kb[0], joint_a, overlap)
+        _, by_signature = signatures(ib, ka[0], joint_b, overlap)
         allowed = {(a, b) for a, sig in zip(alphabet, sig_a) for b in by_signature.get(sig, ())}
         constraints.append(((ka, kb), allowed))
         tags.append(tag)

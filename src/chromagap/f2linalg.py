@@ -6,6 +6,11 @@ equal subspaces always have identical basis tuples.  Linear functionals are
 stored by their values on that canonical basis; a member vector's coordinate
 on a basis row is its bit at that row's pivot, so a functional evaluates as
 the parity of the vector masked by the pivots whose value is 1.
+
+Prescribed values ride as a word of value columns above each row's ambient
+bits (`eliminate_with_values`), so one elimination solves a family of
+functionals whose values are affine in a parameter, one column per
+parameter bit and one for the constant, for every parameter value at once.
 """
 
 from __future__ import annotations
@@ -253,23 +258,26 @@ class F2Functional:
         return True
 
 
-def functional_from_constraints(
-    constraints: Sequence[tuple[int, int]], ambient: F2Ambient
-) -> F2Functional:
-    """The unique functional on span(vectors) with the prescribed values.
-
-    Raises ExtensionConflict when the (vector, bit) system is inconsistent.
-    Each value bit rides along above the ambient bits, so one elimination
-    gives the canonical basis and the values on it; a row reduced to its
-    value bit alone is an inconsistency.
-    """
+def eliminate_with_values(rows: Iterable[int], ambient: F2Ambient) -> tuple[F2Subspace, tuple[int, ...]]:
+    """The span of the rows' ambient bits and, per canonical basis row, the
+    word of value columns the elimination carried along: the values forced
+    on that row.  A row reduced to value bits alone is a dependence whose
+    values disagree in some column: ExtensionConflict."""
     n = ambient.dim
-    echelon = _echelon(bits | (val << n) for bits, val in constraints)
+    echelon = _echelon(rows)
     if max(echelon, default=0) >> n:
         raise ExtensionConflict("inconsistent functional constraints")
     rows = [e for _, e in sorted(echelon.items())]
     low = (1 << n) - 1
-    return F2Functional(F2Subspace(ambient, tuple(e & low for e in rows)), tuple(e >> n for e in rows))
+    return F2Subspace(ambient, tuple(e & low for e in rows)), tuple(e >> n for e in rows)
+
+
+def functional_from_constraints(constraints: Sequence[tuple[int, int]], ambient: F2Ambient) -> F2Functional:
+    """The unique functional on span(vectors) with the prescribed values:
+    `eliminate_with_values` with one value column.  Raises ExtensionConflict
+    when the (vector, bit) system is inconsistent."""
+    n = ambient.dim
+    return F2Functional(*eliminate_with_values((bits | (val << n) for bits, val in constraints), ambient))
 
 
 def extend_functional(

@@ -36,11 +36,10 @@ def decode_id(value: Any) -> Any:
     raise ValueError(f"not an identifier: {value!r}")
 
 
-def _sorted_encoded(tuples: Collection[tuple]) -> list:
+def _sorted_encoded(tuples: Collection[tuple], codes: dict) -> list:
     """The tuples encoded, in the order of the JSON texts of their encodings.
-    Each identifier is encoded and dumped once; a tuple's text is its
-    members' texts joined as `json.dumps` joins a list."""
-    codes: dict = {}
+    Each identifier is encoded and dumped once into `codes`, which calls may
+    share; a tuple's text is its members' texts joined as `json.dumps` would."""
     for t in tuples:
         for v in t:
             if v not in codes:
@@ -55,7 +54,7 @@ def structure_to_dict(s: RelStructure) -> dict:
         "signature": [{"name": n, "arity": a} for n, a in s.signature.symbols],
         "domain": [encode_id(v) for v in s.domain],
         "relations": {
-            name: _sorted_encoded(s.relations[name]) for name, _ in s.signature.symbols
+            name: _sorted_encoded(s.relations[name], {}) for name, _ in s.signature.symbols
         },
     }
 
@@ -71,13 +70,16 @@ def structure_from_dict(d: dict) -> RelStructure:
 
 
 def instance_to_dict(inst: CspInstance) -> dict:
+    """Each variable and label is encoded once per call."""
+    variables = {v: encode_id(v) for v in inst.variables}
+    labels: dict = {}
     return {
-        "variables": [encode_id(v) for v in inst.variables],
+        "variables": list(variables.values()),
         "alphabet": [encode_id(a) for a in inst.alphabet],
         "constraints": [
             {
-                "scope": [encode_id(v) for v in c.scope],
-                "allowed": _sorted_encoded(c.allowed),
+                "scope": [variables[v] for v in c.scope],
+                "allowed": _sorted_encoded(c.allowed, labels),
                 "weight": str(c.weight),
             }
             for c in inst.constraints

@@ -92,8 +92,8 @@ MUTANTS = (
     Mutant(
         "rho-signature-reads-only-the-first-overlap-vector",
         "src/chromagap/dkkms.py",
-        "for o in overlap.basis) for f in ext]",
-        "for o in overlap.basis[:1]) for f in ext]",
+        "for o in overlap.basis]",
+        "for o in overlap.basis[:1]]",
         (
             "tests/test_dkkms.py::test_build_rho1_matches_reference_on_magic_square",
             "tests/test_dkkms.py::test_build_rho1_matches_reference_on_random_regular_systems",
@@ -114,9 +114,27 @@ MUTANTS = (
     Mutant(
         "rho-domain-check-dropped",
         "src/chromagap/dkkms.py",
-        "if any(f.domain != joint for f in ext) or any(map(joint.reduce, overlap.basis)):",
+        "if ext_domain != joint or any(map(joint.reduce, overlap.basis)):",
         "if False:",
         ("tests/test_dkkms.py::test_build_rho1_rejects_extensions_off_the_joint_space",),
+    ),
+    Mutant(
+        "rho-signature-cache-keyed-without-the-overlap",
+        "src/chromagap/dkkms.py",
+        "ck = (i, other_tuple, overlap.basis)",
+        "ck = (i, other_tuple)",
+        ("tests/test_dkkms.py::test_build_rho1_matches_reference_on_pairs_of_equations",),
+    ),
+    Mutant(
+        "rho-equation-rows-drop-the-constant",
+        "src/chromagap/dkkms.py",
+        "system.equation_vector(i).bits | system.equations[i][1] << (word_at + ell)",
+        "system.equation_vector(i).bits",
+        (
+            "tests/test_dkkms.py::test_build_rho1_matches_reference_on_magic_square",
+            "tests/test_dkkms.py::test_build_rho1_matches_reference_on_random_regular_systems",
+            "tests/test_dkkms.py::test_build_rho1_matches_reference_on_pairs_of_equations",
+        ),
     ),
 )
 

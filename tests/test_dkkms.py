@@ -23,7 +23,7 @@ from chromagap.dkkms import (
     tuple_variables,
     verify_game_assignment,
 )
-from chromagap.f2linalg import AmbientMismatch, F2Subspace, extend_functional
+from chromagap.f2linalg import AmbientMismatch, F2Subspace, RespectViolation, extend_functional
 from chromagap.qop import (
     KeyMismatch,
     QuantumAssignment,
@@ -382,8 +382,59 @@ def test_build_rho1_matches_reference_on_pairs_of_equations(monkeypatch):
 
 def test_build_rho1_rejects_extensions_off_the_joint_space(magic, monkeypatch):
     """An extension that does not reach V + H_other fails the once-per-side
-    domain check instead of being read through its mask."""
+    domain check instead of being read through its value words."""
     system, _ = magic
-    monkeypatch.setattr(dkkms, "extend_functional", lambda psi, respected, new: psi)
+    monkeypatch.setattr(dkkms, "_extend_labels", lambda domain, words, respected, new_rows: (domain, words))
     with pytest.raises(AmbientMismatch, match="does not contain the overlap"):
         build_rho1(system, 1, 2)
+
+
+def test_extend_labels_matches_extend_functional_letter_by_letter(magic):
+    """The one-elimination extension of a vertex's labels against
+    `extend_functional` run once per label: the same extended basis and,
+    letter by letter, the same values.  A respected condition whose word
+    differs from its value bit times the constant column (its bit flipped,
+    or a letter coefficient set) raises RespectViolation, as
+    `extend_functional` does for at least one letter."""
+    system, _ = magic
+    rho1 = build_rho1(system, 1, 2)
+    ell = rho1.ell
+    n = system.ambient().dim
+    conditions = {
+        t: [(system.equation_vector(i), system.equations[i][1]) for i in t]
+        for t in legitimate_tuples(system, 1)
+    }
+
+    def rows(conds, extra=0):
+        return [v.bits | (b << ell ^ extra) << n for v, b in conds]
+
+    checked = 0
+    for key, vertex in list(rho1.vertices.items())[::3]:
+        fam = rho1.labels[key]
+        domain = fam[0].domain
+        # a label's values are affine in its letter: recover the value words
+        words = [
+            sum((fam[1 << j].values[i] ^ fam[0].values[i]) << j for j in range(ell)) | fam[0].values[i] << ell
+            for i in range(domain.dim)
+        ]
+        own = conditions[vertex.indices]
+        for other, new in conditions.items():
+            ext_domain, ext_words = dkkms._extend_labels(domain, words, rows(own), rows(new))
+            for a, psi in fam.items():
+                out = extend_functional(psi, own, new)
+                assert out.domain.basis == ext_domain.basis
+                assert out.values == tuple((w & (a | 1 << ell)).bit_count() & 1 for w in ext_words)
+                checked += 1
+        for extra in (1 << ell, 1, 2):
+            with pytest.raises(RespectViolation):
+                dkkms._extend_labels(domain, words, rows(own, extra), [])
+            violated = []
+            for a, psi in fam.items():
+                flip = (extra & (a | 1 << ell)).bit_count() & 1
+                try:
+                    extend_functional(psi, [(v, b ^ flip) for v, b in own], [])
+                except RespectViolation:
+                    violated.append(a)
+                assert (a in violated) == bool(flip)
+            assert violated
+    assert checked == 8 * 6 * 4

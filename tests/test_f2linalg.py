@@ -13,6 +13,7 @@ from chromagap.f2linalg import (
     F2Vector,
     RespectViolation,
     _rref,
+    eliminate_with_values,
     enumerate_subspaces,
     extend_functional,
     functional_from_constraints,
@@ -230,3 +231,45 @@ def test_elimination_matches_the_reference_on_random_inputs():
             inside += 1
             assert psi.evaluate_bits(bits) == psi.evaluate(F2Vector(amb, bits)) == value
     assert conflicts >= 100 and outside >= 300 and inside >= 300
+
+
+def test_value_columns_match_the_reference_letter_by_letter():
+    """One elimination with ell + 1 value columns against the reference
+    functional construction run once per letter a, whose prescribed values
+    are the parities of the row words masked by a | 1 << ell: the same
+    basis, letter a's values read from the words the same way, and
+    ExtensionConflict exactly when some letter's system raises it."""
+    rng = random.Random(7)
+    consistent = every_letter = some_letters = 0
+    for _ in range(300):
+        ell = rng.randint(1, 3)
+        n = rng.randint(1, 8)
+        amb = F2Ambient(tuple(f"v{i}" for i in range(n)))
+        rows = [rng.randrange(1 << n) for _ in range(rng.randint(0, n + 1))]
+        # some rows are sums of earlier ones, so that values can conflict
+        for _ in range(rng.randint(0, 3) if rows else 0):
+            rows.append(rng.choice(rows) ^ rng.choice(rows))
+        words = [rng.randrange(1 << (ell + 1)) for _ in rows]
+        expected = {}
+        for a in range(2**ell):
+            selector = a | 1 << ell
+            try:
+                expected[a] = reference_functional_from_constraints(
+                    [(r, (w & selector).bit_count() & 1) for r, w in zip(rows, words)], amb
+                )
+            except ExtensionConflict:
+                pass
+        if len(expected) < 2**ell:
+            if expected:
+                some_letters += 1
+            else:
+                every_letter += 1
+            with pytest.raises(ExtensionConflict):
+                eliminate_with_values([r | w << n for r, w in zip(rows, words)], amb)
+            continue
+        consistent += 1
+        domain, out = eliminate_with_values([r | w << n for r, w in zip(rows, words)], amb)
+        for a, psi in expected.items():
+            assert domain.basis == psi.domain.basis
+            assert tuple((w & (a | 1 << ell)).bit_count() & 1 for w in out) == psi.values
+    assert consistent >= 60 and every_letter >= 60 and some_letters >= 100

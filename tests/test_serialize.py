@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chromagap.csp import CspInstance
-from chromagap.qop import GQ, PMatrix, QuantumAssignment
+from chromagap.dkkms import build_rho1, build_rho2
+from chromagap.qop import GQ, PMatrix, QuantumAssignment, mermin_peres
 from chromagap.relstruct import RelStructure, Signature
 from chromagap.serialize import (
     assignment_from_dict,
@@ -22,7 +23,7 @@ from chromagap.serialize import (
     structure_from_dict,
     structure_to_dict,
 )
-from helpers import reference_instance_to_dict, reference_structure_to_dict
+from helpers import random_regular_system, reference_instance_to_dict, reference_structure_to_dict
 
 ids = st.recursive(
     st.one_of(st.integers(-20, 20), st.text(max_size=3)),
@@ -137,3 +138,18 @@ def test_encoders_match_the_reference_json_text():
         assert json.dumps(instance_to_dict(inst), sort_keys=True) == json.dumps(
             reference_instance_to_dict(inst), sort_keys=True
         )
+
+
+def test_instance_encoder_matches_the_reference_on_rho_instances():
+    """The instance encoder, which encodes each variable and label once per
+    call, on the reduction's instances: nested-tuple vertex keys shared by
+    many scopes, and integer labels shared by every constraint."""
+    rng = random.Random(7)
+    systems = [mermin_peres()[0]] + [random_regular_system(rng, 3, 9) for _ in range(4)]
+    for system in systems:
+        rho1 = build_rho1(system, 1, 2)
+        assert "2-to-2" in rho1.tags
+        for inst in (rho1.instance, build_rho2(rho1).instance):
+            assert json.dumps(instance_to_dict(inst), sort_keys=True) == json.dumps(
+                reference_instance_to_dict(inst), sort_keys=True
+            )
