@@ -315,7 +315,7 @@ def pipeline_machinery(
             f"line-digraph-{step}",
             {
                 "vertices": len(current_x.domain),
-                "edges": len(current_x.relations["E"]),
+                "edges": current_x.count("E"),
                 "level": k_next,
                 "verification": check.summary(),
             },
@@ -512,7 +512,7 @@ def _linedigraph(args) -> int:
         X = colouring.line_digraph(X)
     if args.out:
         serialize.dump(serialize.structure_to_dict(X), args.out)
-    _print({"vertices": len(X.domain), "edges": len(X.relations[X.graph_symbol()])})
+    _print({"vertices": len(X.domain), "edges": X.count(X.graph_symbol())})
     return 0
 
 

@@ -50,16 +50,35 @@ class SpectralCertificationFailure(Exception):
 
 
 def line_digraph(X: RelStructure) -> RelStructure:
-    """Vertices are the edges of X; (e, f) is an edge when e ends where f
-    starts."""
+    """Vertices are the edges of X, in canonical order; (e, f) is an edge
+    when e ends where f starts.  The edges through a vertex b of X are all
+    of in(b) x out(b), so the block view holds one copy per vertex b with
+    both, in X's domain order: the complete bipartite digraph from in(b) to
+    out(b), each list in canonical order.  Copies of one shape (|in|, |out|)
+    share one gadget on 0, ..., |in| + |out| - 1, and no edge lies in two
+    copies.  The edge list is built on first read, in canonical order."""
     sym = X.graph_symbol()
     edges = X.ordered(sym)
     by_tail: dict = {}
+    by_head: dict = {}
     for e in edges:
         by_tail.setdefault(e[0], []).append(e)
-    # edges in canonical order give the (e, f) pairs in canonical order
-    new_edges = [(e, f) for e in edges for f in by_tail.get(e[1], ())]
-    return RelStructure._trusted(X.signature, edges, {sym: new_edges})
+        by_head.setdefault(e[1], []).append(e)
+    groups: dict = {}  # (|in|, |out|) -> the copies of that shape
+    for b in X.domain:
+        if b in by_head and b in by_tail:
+            ins, outs = by_head[b], by_tail[b]
+            groups.setdefault((len(ins), len(outs)), []).append((*ins, *outs))
+    blocks = []
+    for (p, q), maps in groups.items():
+        product = [(i, j) for i in range(p) for j in range(p, p + q)]
+        blocks.append((RelStructure._trusted(X.signature, tuple(range(p + q)), {sym: product}), maps))
+
+    def new_edges() -> dict:
+        # edges in canonical order give the (e, f) pairs in canonical order
+        return {sym: [(e, f) for e in edges for f in by_tail.get(e[1], ())]}
+
+    return RelStructure._trusted(X.signature, edges, new_edges, blocks, disjoint=True)
 
 
 def alpha_beta(n: int) -> tuple[int, int]:

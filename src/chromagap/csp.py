@@ -54,6 +54,7 @@ class CspInstance:
         self.variables = tuple(dict.fromkeys(variables))
         self.alphabet = tuple(dict.fromkeys(alphabet))
         self._var_index = {v: i for i, v in enumerate(self.variables)}
+        letters = set(self.alphabet)
         raw = []
         for scope, allowed in constraints:
             scope = tuple(scope)
@@ -65,12 +66,11 @@ class CspInstance:
                 if len(t) != len(scope):
                     raise ValueError("allowed tuple arity does not match scope")
                 for a in t:
-                    if a not in self.alphabet:
+                    if a not in letters:
                         raise ValueError(f"allowed entry {a!r} not in alphabet")
             raw.append((scope, allowed))
         if weights is None:
-            n = len(raw)
-            ws = [Fraction(1, n) for _ in raw] if n else []
+            ws = [Fraction(1, len(raw))] * len(raw) if raw else []
         else:
             ws = [Fraction(w) for w in weights]
             if len(ws) != len(raw):

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add, eq, getitem, itemgetter
+from operator import add, getitem, itemgetter
 from typing import Hashable, Mapping, Optional, Sequence
 
 from .qop import PMatrix, QuantumAssignment, _ProductCache, compose_sandwich
@@ -521,7 +521,8 @@ def gamma_functor(
     the counit (A, h, a) -> h(a), (B, T, ht, b) -> ell(b) for a gadget
     witness ell of ht is well defined iff ell(eps_j(a)) == ht[j](a) on
     every pair; the class of (A, h, a) then carries the family of h(a).
-    Both sides of every pair are compared as columns over the tuples; only
+    Both sides of every pair are compared as columns over the tuples, the
+    place columns read once and shared with the gadget witnesses; only
     when a pair differs are the tuples read one by one, so the error names
     the first tuple in canonical order that breaks a pair.
     `gamma_x`, if given, must equal central_apply(template, X); otherwise
@@ -534,9 +535,10 @@ def gamma_functor(
     for name, _ in template.tau.symbols:
         plan = _gluing_plan(template, name, a_index)
         hts = gx.ordered(name)
-        ell = dict(zip(template.B[name].domain, _gadget_witnesses(template, name, hts, X, plan)))
         pairs = plan[0]
-        if not all(all(map(eq, ell[b], _place_column(hts, j, ai))) for j, ai, b in pairs):
+        at = _place_columns(hts, pairs)
+        ell = dict(zip(template.B[name].domain, _gadget_witnesses(template, name, hts, X, plan, at)))
+        if not all(ell[b] == at[j, ai] for j, ai, b in pairs):
             for n, ht in enumerate(hts):
                 for j, ai, b in pairs:
                     if ell[b][n] != ht[j][ai]:
@@ -567,13 +569,14 @@ def _gluing_plan(template: PultrTemplate, name: str, a_index: dict) -> tuple:
     return pairs, agree, free, [first.get(b) for b in bt.domain], shapes
 
 
-def _place_column(hts: Sequence, j: int, ai: int):
-    """ht[j][ai] over the tau-tuples ht in hts, as an iterator."""
-    return map(itemgetter(ai), map(itemgetter(j), hts))
+def _place_columns(hts: Sequence, pairs: Sequence) -> dict:
+    """Per place (j, ai) of the gluing pairs, the list of ht[j][ai] over
+    the tau-tuples ht in hts."""
+    return {(j, ai): list(map(itemgetter(ai), map(itemgetter(j), hts))) for j, ai, _ in pairs}
 
 
 def _gadget_witnesses(
-    template: PultrTemplate, name: str, hts: Sequence, X: RelStructure, plan: tuple
+    template: PultrTemplate, name: str, hts: Sequence, X: RelStructure, plan: tuple, at: Optional[dict] = None
 ) -> list:
     """Gadget witnesses for the tau-tuples hts of Gamma X, as one column per
     gadget vertex in B_T's domain order: entry n of the column of b is
@@ -582,7 +585,8 @@ def _gadget_witnesses(
     Vertices covered by eps images are forced; the rest are found by a
     search per tuple with the forced values fixed, so each witness is the
     canonically-least homomorphism extending them.  `plan` is
-    `_gluing_plan(template, name, a_index)`.
+    `_gluing_plan(template, name, a_index)`; `at`, if given, must be
+    `_place_columns(hts, plan[0])`.
 
     With nothing free, the agreements, the signature, the known images and
     the image of each gadget tuple in X are checked column-wise, and the
@@ -592,7 +596,7 @@ def _gadget_witnesses(
     pairs, agree, free, places, shapes = plan
     bt = template.B[name]
     if not free:
-        at = {(j, ai): list(_place_column(hts, j, ai)) for j, ai, _ in pairs}
+        at = at if at is not None else _place_columns(hts, pairs)
         image = [at[p] for p in places]
         if (
             all(at[p] == at[q] for p, q in agree)

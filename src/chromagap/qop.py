@@ -25,7 +25,7 @@ from math import gcd, lcm
 from operator import getitem, itemgetter
 from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
-from .relstruct import RelStructure, _columns, gaifman_balls
+from .relstruct import RelStructure, _columns, gaifman_balls, product_sides
 
 
 class DimMismatch(Exception):
@@ -565,9 +565,22 @@ def verify_assignment(
     groups = X._blocks
     for s, arity in X.signature.symbols:
         counts = keys[s] = Counter()
-        # copies whose sizes add up to the relation's are disjoint, as they union to it
-        if groups and sum(len(g.relations[s]) * len(ms) for g, ms in groups) == len(X.relations[s]):
+        # copies are disjoint when the view says so, or when their sizes add up
+        # to the relation's, as they union to it
+        if X._disjoint or (
+            groups is not None and sum(len(g.relations[s]) * len(ms) for g, ms in groups) == len(X.relations[s])
+        ):
             for gadget, maps in groups:
+                # a view known disjoint (a line digraph's) is tested for product
+                # gadgets; on others the test would cost a pass over each gadget
+                sides = X._disjoint and arity == 2 and product_sides(gadget, s)
+                if sides:
+                    # a copy of P x Q holds each pair of a P id and a Q id as often
+                    # as the product of their counts; copies with equal ids count once
+                    for ids, copies in Counter(map(tuple, map(map, itertools.repeat(fid.__getitem__), maps))).items():
+                        left, right = (Counter(map(ids.__getitem__, side)) for side in sides)
+                        counts.update({(a, b): copies * ca * cb for a, ca in left.items() for b, cb in right.items()})
+                    continue
                 places = [list(map(gadget._index.__getitem__, c)) for c in _columns(gadget.scan(s), arity)]
                 for m in maps:
                     ids = list(map(fid.__getitem__, m))

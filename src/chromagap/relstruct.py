@@ -91,11 +91,16 @@ class RelStructure:
     A structure glued from gadget copies may keep them as `_blocks`: one
     list of groups (gadget, maps), each map one copy's vertices in the
     gadget's domain order; for every symbol, the images of the gadgets'
-    tuples union, overlapping or not, to the relation.  `relations` may be
-    deferred: `_trusted` then takes a builder, a callable run on their first
-    read (see `_Deferred`)."""
+    tuples union, overlapping or not, to the relation.  `_disjoint` records
+    that no tuple lies in two copies (a line digraph's view); False means
+    unknown.  `relations` may be deferred: `_trusted` then takes a builder,
+    a callable run on their first read (see `_Deferred`); a builder that
+    lists a symbol's tuples in canonical order saves `ordered` its sort,
+    and `ordered` reads that list without freezing the relations."""
 
-    __slots__ = ("signature", "domain", "relations", "_index", "_ordered", "_gaifman", "_supports", "_blocks")
+    __slots__ = (
+        "signature", "domain", "relations", "_index", "_ordered", "_gaifman", "_supports", "_blocks", "_disjoint"
+    )
 
     def __init__(
         self,
@@ -124,21 +129,23 @@ class RelStructure:
         self._gaifman: Optional[dict] = None
         self._supports: dict = {}
         self._blocks: Optional[list] = None
+        self._disjoint = False
 
     @classmethod
     def _trusted(
-        cls, signature: Signature, domain: tuple, tuples: Mapping, blocks: Optional[list] = None
+        cls, signature: Signature, domain: tuple, tuples: Mapping, blocks: Optional[list] = None, disjoint: bool = False
     ) -> "RelStructure":
         """A structure from checked parts, not checked again: `domain` without
         repeats; per symbol, tuples over it of its arity, as a list in canonical
         tuple order without repeats, or as a set in any order (frozen by insertion,
         so it iterates as the public constructor's would; `ordered` sorts it),
         or a builder of them; `blocks`, if given, the gadget copies every
-        symbol's tuples are made of."""
+        symbol's tuples are made of, `disjoint` whether no two share a tuple."""
         self = cls.__new__(_Deferred if callable(tuples) else cls)
         self.signature, self.domain = signature, domain
         self._index = {v: i for i, v in enumerate(domain)}
-        self._ordered, self._gaifman, self._supports, self._blocks = {}, None, {}, blocks
+        self._ordered, self._gaifman, self._supports = {}, None, {}
+        self._blocks, self._disjoint = blocks, disjoint
         if callable(tuples):
             self._build = tuples
         else:
@@ -150,7 +157,7 @@ class RelStructure:
         for name in self.signature.names():
             ts = tuples[name]
             if not isinstance(ts, (set, frozenset)):
-                ts = self._ordered[name] = tuple(ts)
+                ts = self._ordered.setdefault(name, tuple(ts))
             self.relations[name] = ts if type(ts) is frozenset else frozenset(iter(ts))
         return self.relations
 
@@ -164,7 +171,8 @@ class RelStructure:
         return v in self._index
 
     def ordered(self, name: str) -> tuple:
-        """The tuples of `name` in the canonical tuple order, sorted on first use."""
+        """The tuples of `name` in the canonical tuple order, sorted on first
+        use unless a deferred build listed them in that order."""
         if name not in self._ordered:
             ix = self._index.__getitem__
             ts = sorted(self.relations[name], key=lambda t: tuple(map(ix, t)))
@@ -173,7 +181,15 @@ class RelStructure:
 
     def scan(self, name: str) -> Iterable[tuple]:
         """Tuples of `name` in any order; the sorted list if built, as it reads faster."""
-        return self._ordered.get(name, self.relations[name])
+        ts = self._ordered.get(name)
+        return self.relations[name] if ts is None else ts
+
+    def count(self, name: str) -> int:
+        """The number of tuples of `name`; summed over the copies when they
+        are known disjoint, so a deferred build does not run for it."""
+        if self._disjoint:
+            return sum(len(g.relations[name]) * len(maps) for g, maps in self._blocks)
+        return len(self.relations[name])
 
     def all_tuples(self) -> Iterable[tuple[str, tuple]]:
         for name in self.signature.names():
@@ -249,9 +265,20 @@ class RelStructure:
 
 class _Deferred(RelStructure):
     """Relations built on first read, which falls through to `__getattr__`;
-    a subclass, so that attribute reads on other structures stay specialised."""
+    a subclass, so that attribute reads on other structures stay specialised.
+    A symbol the builder lists is ordered from its output without freezing
+    the relations; the builder runs once either way."""
 
     __slots__ = ("_build",)
+
+    def ordered(self, name: str) -> tuple:
+        if self._build is not None and name not in self._ordered:
+            tuples = self._build()
+            for n, ts in tuples.items():
+                if not isinstance(ts, (set, frozenset)):
+                    tuples[n] = self._ordered[n] = tuple(ts)
+            self._build = lambda: tuples
+        return RelStructure.ordered(self, name)
 
     def __getattr__(self, name: str):
         if name != "relations":
@@ -579,13 +606,46 @@ def symmetrize(D: RelStructure) -> RelStructure:
     return RelStructure(D.signature, D.domain, {sym: edges})
 
 
+def product_sides(gadget: RelStructure, name: str) -> Optional[tuple]:
+    """(P, Q), the domain indexes at the first and at the second position
+    of the binary relation `name` of `gadget`, each in order of first
+    occurrence, when that relation is exactly P x Q (a complete bipartite
+    digraph from P to Q); else None."""
+    ix = gadget._index.__getitem__
+    sides = [list(dict.fromkeys(map(ix, c))) for c in _columns(gadget.scan(name), 2)]
+    return tuple(sides) if len(sides[0]) * len(sides[1]) == len(gadget.relations[name]) else None
+
+
 def is_bipartite(G: RelStructure) -> bool:
     """Whether the graph G has a homomorphism to K2: BFS depths over lists
     of neighbour indexes, taken from each unvisited vertex in domain order,
-    must differ in parity across every edge (so a loop rules it out)."""
-    edges = G.scan(G.graph_symbol())
-    heads, tails = (list(map(G._index.__getitem__, c)) for c in _columns(edges, 2))
-    adj: list = [[] for _ in G.domain]
+    must differ in parity across every edge (so a loop rules it out).
+
+    When every gadget of G's block view is a complete bipartite digraph
+    P x Q (`product_sides`), the BFS runs on the side graph instead: per
+    copy, a node joined to its P vertices, a node joined to its Q vertices,
+    and an edge between the two.  A 2-colouring of it gives each copy's P
+    vertices one colour and its Q vertices the other, so it exists iff G's
+    does, and it has an edge per copy vertex, not per edge of G."""
+    sym = G.graph_symbol()
+    sides = [product_sides(g, sym) for g, _ in G._blocks or ()]
+    if G._blocks is None or None in sides:
+        edges = G.scan(sym)
+        heads, tails = (list(map(G._index.__getitem__, c)) for c in _columns(edges, 2))
+        n = len(G.domain)
+    else:
+        heads, tails, n = [], [], len(G.domain)
+        ix = G._index.__getitem__
+        for (_, maps), (p_side, q_side) in zip(G._blocks, sides):
+            p_nodes, q_nodes = range(n, n + 2 * len(maps), 2), range(n + 1, n + 2 * len(maps), 2)
+            for positions, nodes in ((p_side, p_nodes), (q_side, q_nodes)):
+                for at in positions:
+                    heads += map(ix, map(itemgetter(at), maps))
+                    tails += nodes
+            heads += p_nodes
+            tails += q_nodes
+            n += 2 * len(maps)
+    adj: list = [[] for _ in range(n)]
     for i, j in zip(heads, tails):
         adj[i].append(j)
         adj[j].append(i)
@@ -691,12 +751,18 @@ def digraph(edges: Iterable[tuple]) -> RelStructure:
 def relabel(X: RelStructure, prefix: str = "n") -> tuple[RelStructure, dict]:
     """Rename vertices to compact prefix+index strings (domain order);
     returns the renamed structure and the old-to-new map.  Deeply nested
-    vertex names from iterated constructions stay cheap this way."""
+    vertex names from iterated constructions stay cheap this way.  The
+    block view's copies are renamed with it, and the renamed relations are
+    built on first read."""
     mapping = {v: f"{prefix}{i}" for i, v in enumerate(X.domain)}
     image = mapping.__getitem__
-    # the renaming keeps every domain index, so it keeps the tuple order
-    ordered = {
-        n: list(zip(*(map(image, column) for column in _columns(X.ordered(n), arity))))
-        for n, arity in X.signature.symbols
-    }
-    return RelStructure._trusted(X.signature, tuple(mapping.values()), ordered), mapping
+
+    def ordered() -> dict:
+        # the renaming keeps every domain index, so it keeps the tuple order
+        return {
+            n: list(zip(*(map(image, column) for column in _columns(X.ordered(n), arity))))
+            for n, arity in X.signature.symbols
+        }
+
+    blocks = None if X._blocks is None else [(g, [tuple(map(image, m)) for m in maps]) for g, maps in X._blocks]
+    return RelStructure._trusted(X.signature, tuple(mapping.values()), ordered, blocks, X._disjoint), mapping

@@ -16,7 +16,10 @@ those from before the column passes and the unvalidated builds, and the
 reference quotient is the union-find that the closed form replaces where
 the eps maps partition the gadgets.  The
 reference graph walks are the per-caller BFS loops that the shared
-Gaifman BFS in `relstruct` replaced, and the reference builders (line
+Gaifman BFS in `relstruct` replaced, and `reference_is_bipartite` is the
+edge-by-edge bipartite test from before line digraphs kept their copies.
+`reference_instance_error` is the `CspInstance` check from before the
+alphabet was read as a set.  The reference builders (line
 digraph, relabelling, Gaifman adjacency, Gamma products, gadget witness)
 are those from before structures kept a canonical tuple order.  The
 reference GF(2) layer (`reference_rref`, `reference_intersect`,
@@ -1126,7 +1129,26 @@ def reference_eta_context(inst: CspInstance, *, budget: Optional[int] = None) ->
 # -- reference graph walks --------------------------------------------------
 # The per-caller BFS loops that `relstruct.is_bipartite`, `_bfs_distances`
 # and `gaifman_balls` replaced, kept as they were (the CspInstance methods
-# as functions of the instance).
+# as functions of the instance), and the edge-by-edge BFS of `is_bipartite`
+# from before it read a line digraph's copies.
+
+
+def reference_is_bipartite(G: RelStructure) -> bool:
+    """Whether the graph G has a homomorphism to K2: BFS depths over lists
+    of neighbour indexes, taken from each unvisited vertex in domain order,
+    must differ in parity across every edge (so a loop rules it out)."""
+    edges = G.scan(G.graph_symbol())
+    heads, tails = (list(map(G._index.__getitem__, c)) for c in relstruct._columns(edges, 2))
+    adj: list = [[] for _ in G.domain]
+    for i, j in zip(heads, tails):
+        adj[i].append(j)
+        adj[j].append(i)
+    depth: dict = {}
+    for i in range(len(adj)):
+        if i not in depth:
+            depth.update(relstruct._bfs_distances(adj, i))
+    at = depth.__getitem__
+    return all((a - b) % 2 for a, b in zip(map(at, heads), map(at, tails)))
 
 
 def reference_gaifman_distance(X: RelStructure, u: Vertex, v: Vertex):
@@ -1322,6 +1344,28 @@ def random_csp_instance(rng: random.Random, arity: int, max_variables: int = 6) 
         constraints.append((scope, allowed))
     weights = [rng.randint(1, 3) for _ in constraints]
     return CspInstance(variables, alphabet, constraints, weights)
+
+
+def reference_instance_error(variables, alphabet, constraints) -> Optional[str]:
+    """The ValueError message of the `CspInstance` scope and allowed-tuple
+    checks as they were before the alphabet was read as a set: each entry is
+    looked up by a scan of the alphabet tuple, the allowed tuples in the
+    iteration order of their frozenset; None when every check passes."""
+    var_index = {v: i for i, v in enumerate(dict.fromkeys(variables))}
+    alphabet = tuple(dict.fromkeys(alphabet))
+    for scope, allowed in constraints:
+        scope = tuple(scope)
+        for v in scope:
+            if v not in var_index:
+                return f"scope entry {v!r} is not a variable"
+        allowed = frozenset(tuple(t) for t in allowed)
+        for t in allowed:
+            if len(t) != len(scope):
+                return "allowed tuple arity does not match scope"
+            for a in t:
+                if a not in alphabet:
+                    return f"allowed entry {a!r} not in alphabet"
+    return None
 
 
 # -- reference builders ----------------------------------------------------------

@@ -64,7 +64,7 @@ MUTANTS = (
     Mutant(
         "counit-check-skipped",
         "src/chromagap/pultr.py",
-        "if not all(all(map(eq, ell[b], _place_column(hts, j, ai))) for j, ai, b in pairs):",
+        "if not all(ell[b] == at[j, ai] for j, ai, b in pairs):",
         "if False:",
         (
             "tests/test_pultr.py::test_gamma_functor_matches_reference",
@@ -134,6 +134,33 @@ MUTANTS = (
             "tests/test_dkkms.py::test_build_rho1_matches_reference_on_magic_square",
             "tests/test_dkkms.py::test_build_rho1_matches_reference_on_random_regular_systems",
             "tests/test_dkkms.py::test_build_rho1_matches_reference_on_pairs_of_equations",
+        ),
+    ),
+    Mutant(
+        "product-count-drops-a-side-multiplicity",
+        "src/chromagap/qop.py",
+        "counts.update({(a, b): copies * ca * cb for a, ca in left.items() for b, cb in right.items()})",
+        "counts.update({(a, b): copies * ca for a, ca in left.items() for b, cb in right.items()})",
+        ("tests/test_colouring.py::test_verify_assignment_on_line_digraphs_matches_the_references",),
+    ),
+    Mutant(
+        "side-graph-drops-the-link-between-p-and-q",
+        "src/chromagap/relstruct.py",
+        "heads += p_nodes\n            tails += q_nodes",
+        "pass",
+        (
+            "tests/test_colouring.py::test_line_digraph_copies_and_their_readers_match_the_references",
+            "tests/test_relstruct.py::test_is_bipartite_matches_k2_search",
+        ),
+    ),
+    Mutant(
+        "relabel-keeps-the-old-maps",
+        "src/chromagap/relstruct.py",
+        "[(g, [tuple(map(image, m)) for m in maps]) for g, maps in X._blocks]",
+        "X._blocks",
+        (
+            "tests/test_colouring.py::test_line_digraph_copies_and_their_readers_match_the_references",
+            "tests/test_cli.py::test_machinery_pipeline_never_builds_the_relabelled_second_line_digraph",
         ),
     ),
 )

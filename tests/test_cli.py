@@ -195,6 +195,65 @@ def test_linedigraph_command(tmp_path, capsys):
     assert out["vertices"] == 36 and out["edges"] == 108
 
 
+def test_linedigraph_command_counts_edges_from_the_copies(tmp_path, capsys, monkeypatch):
+    """The printed edge count of the last line digraph is read from its
+    copies, so its edges are built only for --out; the payload and the
+    written structure are those of the public-constructor reference, on
+    K4 and on a digraph with a loop, a source and a sink."""
+    from chromagap import colouring
+    from helpers import reference_line_digraph
+
+    made = []
+    real = colouring.line_digraph
+
+    def capturing(X):
+        made.append(real(X))
+        return made[-1]
+
+    monkeypatch.setattr(colouring, "line_digraph", capturing)
+    for i, X in enumerate([clique(4), digraph([("s", "a"), ("a", "a"), ("a", "b"), ("b", "a"), ("b", "t")])]):
+        source = write(str(tmp_path), f"x{i}.json", serialize.structure_to_dict(X))
+        expected = reference_line_digraph(reference_line_digraph(X))
+        for out in (None, os.path.join(str(tmp_path), f"d{i}.json")):
+            made.clear()
+            assert run(["linedigraph", source, "--iterate", "2"] + (["--out", out] if out else [])) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload == {"vertices": len(expected.domain), "edges": len(expected.relations["E"])}
+            assert len(made) == 2 and (getattr(made[-1], "_build", None) is None) == bool(out)
+            if out:
+                assert serialize.load(out) == serialize.structure_to_dict(expected)
+
+
+def test_machinery_pipeline_never_builds_the_relabelled_second_line_digraph(monkeypatch):
+    """The second line digraph of the thm14 chain, relabelled, is verified
+    twice, 2-coloured and counted from its copies: its edges are never
+    built, and the report still counts 333,072 of them.  Before the
+    relabelling, the transfer reads its edges as a list only, so their set
+    is never frozen."""
+    from chromagap import colouring
+
+    relabelled, made = {}, []
+    real_relabel, real_line_digraph = cli.relabel, colouring.line_digraph
+
+    def capturing_relabel(X, prefix="n"):
+        out = relabelled[prefix] = real_relabel(X, prefix)
+        return out
+
+    def capturing_line_digraph(X):
+        made.append(real_line_digraph(X))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "relabel", capturing_relabel)
+    monkeypatch.setattr(colouring, "line_digraph", capturing_line_digraph)
+    report = cli.pipeline_machinery(2, 0)
+    assert report.verdict == "ledger 10->4->1; verified 3-colouring witness"
+    assert report.stages[3].details["edges"] == 333_072
+    second, _ = relabelled["d2_"]
+    assert getattr(second, "_build", None) is not None and not second._ordered
+    [unrenamed] = [D for D in made if len(D.domain) == 18_576]
+    assert getattr(unrenamed, "_build", None) is not None and len(unrenamed._ordered["E"]) == 333_072
+
+
 def test_rho_and_game_commands(tmp_path, capsys):
     system, _ = mermin_peres()
     spath = os.path.join(str(tmp_path), "magic.xor")

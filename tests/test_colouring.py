@@ -41,6 +41,9 @@ from chromagap.relstruct import (
     clique,
     digraph,
     find_homomorphism,
+    is_bipartite,
+    product_sides,
+    relabel,
     symmetrize,
 )
 from helpers import (
@@ -52,8 +55,11 @@ from helpers import (
     reference_eta_apply,
     reference_eta_context,
     reference_eta_pair_lists,
+    reference_is_bipartite,
     reference_left_apply,
     reference_line_digraph,
+    reference_relabel,
+    reference_verify_assignment,
     reference_transfer_lambda,
     reference_xi_colouring,
     without_view,
@@ -99,6 +105,122 @@ def test_line_digraph_matches_reference():
         assert list(got.ordered("E")) == sorted(expected.relations["E"], key=lambda t: tuple(map(index, t)))
         seen_loop |= any(a == b for a, b in X.relations["E"])
     assert seen_loop
+
+
+def _unbuilt(X: RelStructure) -> bool:
+    """Whether X's relation sets are deferred and not yet built."""
+    return getattr(X, "_build", None) is not None
+
+
+def _with_source_sink_and_isolated(rng: random.Random) -> RelStructure:
+    """A random digraph, loops allowed, with a source, a sink and an
+    isolated vertex added, in shuffled domain order."""
+    X = random_digraph(rng, 6, 12)
+    edges = set(X.relations["E"]) | {("src", rng.choice(X.domain)), (rng.choice(X.domain), "snk")}
+    names = [*X.domain, "src", "snk", "iso"]
+    rng.shuffle(names)
+    return RelStructure(GRAPH_SIGNATURE, names, {"E": edges})
+
+
+def test_line_digraph_copies_and_their_readers_match_the_references():
+    """Random digraphs with loops, a source, a sink and an isolated vertex,
+    and their first and second line digraphs.  The block view holds one
+    copy per vertex b with in- and out-edges, in domain order: in(b), then
+    out(b), each in canonical order, on a complete bipartite gadget.  The
+    copies cover the reference's edges without overlap, and `count` reads
+    their number without building the edges.  `relabel` renames the copies
+    and defers its relations, which match the reference's.  `is_bipartite`
+    gives the edge-by-edge reference's verdict on the line digraph and on
+    its relabelling, before either builds its edges, and on the structure
+    without its view; both verdicts occur at every depth."""
+    rng = random.Random(53)
+    shapes: set = set()
+    verdicts: collections.Counter = collections.Counter()
+    for _ in range(40):
+        X = _with_source_sink_and_isolated(rng)
+        for depth in (1, 2):
+            got, expected = line_digraph(X), reference_line_digraph(X)
+            assert got.domain == expected.domain and got._disjoint and _unbuilt(got)
+            assert got.count("E") == len(expected.relations["E"]) and _unbuilt(got)
+            middles = [b for b in X.domain if any(e[1] == b for e in got.domain) and any(e[0] == b for e in got.domain)]
+            copies = {}
+            for gadget, maps in got._blocks:
+                p_side, q_side = product_sides(gadget, "E")
+                assert (p_side, q_side) == (list(range(len(p_side))), list(range(len(p_side), len(gadget.domain))))
+                shapes.add((len(p_side), len(q_side)))
+                for m in maps:
+                    b = m[0][1]
+                    assert list(m) == [e for e in got.domain if e[1] == b] + [e for e in got.domain if e[0] == b]
+                    copies[b] = m
+            assert sorted(copies, key=X.index) == middles
+            images = block_images(got, "E")
+            assert len(images) == len(set(images)) and set(images) == expected.relations["E"]
+
+            renamed, mapping = relabel(got, "r")
+            ref_renamed, ref_mapping = reference_relabel(expected, "r")
+            verdict = reference_is_bipartite(expected)
+            assert is_bipartite(got) == is_bipartite(renamed) == verdict
+            assert _unbuilt(got) and _unbuilt(renamed) and renamed._disjoint
+            assert mapping == ref_mapping and set(block_images(renamed, "E")) == ref_renamed.relations["E"]
+            assert renamed.domain == ref_renamed.domain and renamed.relations == ref_renamed.relations
+            assert is_bipartite(without_view(got)) == verdict
+            verdicts[depth, verdict] += 1
+            X = got
+    assert min(verdicts[depth, v] for depth in (1, 2) for v in (True, False)) >= 3, verdicts
+    assert len(shapes) >= 3, shapes
+
+
+def _broken_at_one_vertex(D: RelStructure, Y: RelStructure, assignment: QuantumAssignment) -> QuantumAssignment:
+    """The assignment with the family of the tail e of D's first edge (e, f)
+    replaced by the identity on one label h of Y, chosen so that (h, h') is
+    outside Y's relation for a label h' of f: a nonzero forbidden product."""
+    e, f = D.ordered("E")[0]
+    h = next(h for h in Y.domain if any((h, hf) not in Y.relations["E"] for hf in assignment.pvms[f]))
+    return QuantumAssignment(assignment.dim, assignment.k, {**assignment.pvms, e: {h: PMatrix.identity(2)}})
+
+
+def test_verify_assignment_on_line_digraphs_matches_the_references():
+    """Classical lifts, of homomorphisms and of random maps, and dim-2
+    assignments transferred once and twice from Hadamard-basis splits over
+    two 4-colourings, one of them broken at one vertex so that a product is
+    nonzero and the witnesses must agree: on first and second line
+    digraphs, the same report at levels 0 and 1 as the tuple-by-tuple
+    reference and as the verifier on the structure without its view.  A
+    passing classical check leaves the line digraph's edges unbuilt."""
+    rng = random.Random(61)
+    K4 = clique(4)
+    shift = {f"k{i}": f"k{(i + 1) % 4}" for i in range(4)}  # an automorphism of K4 without fixed points
+    kinds: set = set()
+    for case in range(40):
+        X = _with_source_sink_and_isolated(rng)
+        if case % 2 == 0:
+            Y = [clique(3), line_digraph(clique(3))][case % 4 // 2]
+            D = line_digraph(X)
+            f = find_homomorphism(reference_line_digraph(X), Y) if case % 8 < 4 else None
+            f = f or {v: rng.choice(Y.domain) for v in D.domain}
+            runs = [(D, Y, lift_classical(f), "classical")]
+        else:
+            X = RelStructure(GRAPH_SIGNATURE, X.domain, {"E": [e for e in X.relations["E"] if e[0] != e[1]]})
+            f = find_homomorphism(X, K4)
+            splits = QuantumAssignment(2, 10, {x: {f[x]: HADAMARD[0], shift[f[x]]: HADAMARD[1]} for x in X.domain})
+            D, DY = line_digraph(X), line_digraph(K4)
+            once = linedigraph_quantum_transfer(X, K4, splits, 4, gamma_x=D)
+            DD = line_digraph(D)
+            twice = linedigraph_quantum_transfer(D, DY, once, 1, gamma_x=DD)
+            runs = [(D, DY, once, "dim 2"), (DD, line_digraph(DY), twice, "dim 2")]
+            if D.relations["E"]:
+                runs.append((D, DY, _broken_at_one_vertex(D, DY, once), "broken"))
+        for D, Y, assignment, kind in runs:
+            for k in (0, 1):
+                got = verify_assignment(D, Y, assignment, k)
+                if kind == "classical" and got.passed and k == 0:  # the first read of D
+                    assert _unbuilt(D)
+                    kinds.add("unbuilt")
+                assert got == reference_verify_assignment(D, Y, assignment, k)
+                assert got == verify_assignment(without_view(D), Y, assignment, k)
+                assert kind != "broken" or got.product_violations
+                kinds.add((kind, got.passed))
+    assert kinds == {("classical", True), ("classical", False), ("dim 2", True), ("broken", False), "unbuilt"}, kinds
 
 
 def test_alpha_beta_values():

@@ -22,6 +22,7 @@ from helpers import (
     random_csp_instance,
     reference_augment_k,
     reference_bipartite_split,
+    reference_instance_error,
 )
 
 
@@ -63,6 +64,43 @@ def test_sat_single_equation():
     allowed = {b for b in itertools.product((0, 1), repeat=3) if sum(b) % 2 == 1}
     inst = CspInstance(["x", "y", "z"], [0, 1], [(("x", "y", "z"), allowed)])
     assert sat_value(inst) == 1
+
+
+def test_constructor_checks_match_the_tuple_scan_reference():
+    """Random constraint lists with bad scope entries, wrong arities and
+    several letters outside the alphabet (strings, floats, None, a tuple):
+    the same ValueError message as the tuple-scan reference, so the same bad
+    entry is named first, or the same accepted instance.  Letters equal to
+    an alphabet entry of another type (True for 1, 2.0 for 2) are in it.
+    Default weights are one shared Fraction(1, n)."""
+    rng = random.Random(47)
+    alphabet = [0, 1, 2, "a"]
+    strays = ["b", 3.5, None, (0, 1), -1]
+    kinds: set = set()
+    for _ in range(300):
+        variables = [f"x{i}" for i in range(rng.randint(1, 4))]
+        constraints = []
+        for _ in range(rng.randint(0, 4)):
+            arity = rng.randint(1, 3)
+            scope = [rng.choice(variables + ["ghost"] * (rng.random() < 0.05)) for _ in range(arity)]
+            letters = alphabet + [True, 2.0] + strays * (rng.random() < 0.3)
+            allowed = {
+                tuple(rng.choice(letters) for _ in range(arity + (rng.random() < 0.03)))
+                for _ in range(rng.randint(1, 6))
+            }
+            constraints.append((scope, allowed))
+        expected = reference_instance_error(variables, alphabet, constraints)
+        try:
+            inst = CspInstance(variables, alphabet, constraints)
+        except ValueError as exc:
+            assert str(exc) == expected
+            kinds.add(" ".join(expected.split()[:2]))
+            continue
+        assert expected is None
+        weights = [c.weight for c in inst.constraints]
+        assert all(w is weights[0] for w in weights) and sum(weights) == (1 if weights else 0)
+        kinds.add("accepted")
+    assert kinds == {"scope entry", "allowed tuple", "allowed entry", "accepted"}, kinds
 
 
 def test_sat_weights_reject_zero():

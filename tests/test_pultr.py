@@ -231,7 +231,7 @@ def _tuple_by_tuple(witness):
     """The column form of a one-tuple gadget witness routine: it is run on
     each tuple in order, so the first tuple that fails raises."""
 
-    def witnesses(template, name, hts, X, plan):
+    def witnesses(template, name, hts, X, plan, at=None):
         ells = [witness(template, name, ht, X, plan) for ht in hts]
         return [[ell[b] for ell in ells] for b in template.B[name].domain]
 
@@ -521,8 +521,8 @@ def _wrong_witness_at(vertex):
     vertex, where each names another vertex of X."""
     real = pultr._gadget_witnesses
 
-    def witnesses(template, name, hts, X, plan):
-        columns = list(real(template, name, hts, X, plan))
+    def witnesses(template, name, hts, X, plan, at=None):
+        columns = list(real(template, name, hts, X, plan, at))
         at = template.B[name].index(vertex)
         columns[at] = [next(v for v in X.domain if v != y) for y in columns[at]]
         return columns

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from chromagap import relstruct
 from chromagap.colouring import line_digraph
 from chromagap.relstruct import (
     ABOVE_CAP,
@@ -43,6 +44,7 @@ from helpers import (
     reference_relabel,
     reference_search_homomorphisms,
     run_under_hash_seeds,
+    without_view,
 )
 
 C5 = digraph([(f"v{i}", f"v{(i + 1) % 5}") for i in range(5)])
@@ -261,6 +263,10 @@ def _two_sided_digraph(rng: random.Random, n: int, inside: int) -> RelStructure:
     return RelStructure(GRAPH_SIGNATURE, dom, {"E": edges})
 
 
+def _unexpected_sort(*args, **kwargs):
+    raise AssertionError("sorted called")
+
+
 def _k2_search(G: RelStructure) -> bool:
     """Whether symmetrize(G) -> K2 exists, by the homomorphism search with
     vertices in BFS order and the first vertex of each component fixed (K2
@@ -286,7 +292,8 @@ def test_is_bipartite_matches_k2_search():
     against the homomorphism search to K2 of their symmetrisation; then
     graphs of 200 or more tuple-named vertices, built by the constructor
     and through `_trusted` (line digraphs, relabelled copies), in both
-    verdicts, with the Gaifman adjacency left unbuilt and nothing sorted."""
+    verdicts, with the Gaifman adjacency left unbuilt and nothing sorted;
+    a line digraph's edges are not even built."""
     rng = random.Random(8)
     K2 = clique(2)
     kinds = {"loop": 0, "isolated": 0, "components": 0, "bipartite": 0, "odd": 0}
@@ -304,9 +311,11 @@ def test_is_bipartite_matches_k2_search():
     large: dict = {}
 
     def check(built: str, H: RelStructure) -> None:
-        ordered = dict(H._ordered)
-        got = is_bipartite(H)
-        assert H._gaifman is None and H._ordered == ordered
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(relstruct, "sorted", _unexpected_sort, raising=False)
+            got = is_bipartite(H)
+        assert H._gaifman is None
+        assert getattr(H, "_build", None) is not None or not H._disjoint
         assert got == _k2_search(H)
         assert len(H.domain) >= 200
         large[built, got] = large.get((built, got), 0) + 1
@@ -586,6 +595,32 @@ def test_ordered_is_the_tuples_sorted_by_domain_index():
             seen_loop |= any(len(set(t)) < len(t) for t in X.relations[name])
         assert list(X.all_tuples()) == [(n, t) for n in X.signature.names() for t in X.ordered(n)]
     assert seen_loop
+
+
+def test_ordered_reads_a_deferred_list_without_sorting(monkeypatch):
+    """A deferred build that lists a symbol's tuples in canonical order,
+    a line digraph's or a hand-made one's, is ordered (and scanned) as
+    listed with no sort and without freezing the relations; the builder
+    runs once, and the ordered tuple stays the same object once the
+    relations are read.  A deferred set is sorted by domain index as
+    before."""
+    listed = [("a", "b"), ("b", "a"), ("b", "c")]
+    runs = []
+
+    def build() -> dict:
+        runs.append(1)
+        return {"E": list(listed)}
+
+    X = RelStructure._trusted(GRAPH_SIGNATURE, ("a", "b", "c"), build)
+    D = line_digraph(C5)
+    monkeypatch.setattr(relstruct, "sorted", _unexpected_sort, raising=False)
+    first = X.ordered("E")
+    assert first == tuple(listed) and X.scan("E") is first and getattr(X, "_build", None) is not None
+    assert X.relations["E"] == set(listed) and X.ordered("E") is first and runs == [1]
+    assert D.ordered("E") == _fresh_sort(without_view(D), "E")
+    monkeypatch.undo()
+    Y = RelStructure._trusted(GRAPH_SIGNATURE, ("c", "b", "a"), lambda: {"E": set(listed)})
+    assert Y.ordered("E") == (("b", "c"), ("b", "a"), ("a", "b"))
 
 
 def test_relabel_matches_reference():
