@@ -36,6 +36,7 @@ from .relstruct import (
     enumerate_homomorphisms,
     find_homomorphism,
     is_connected,
+    product_sides,
 )
 
 
@@ -352,12 +353,28 @@ def _gamma_products(
     X: RelStructure, gy: RelStructure, assignment: QuantumAssignment, k: int, copies
 ) -> QuantumAssignment:
     """W[x, h] for x in X and h in gy: the product, in the canonical order
-    of A, of the families of the variables copies(x) at the labels of h."""
+    of A, of the families of the variables copies(x) at the labels of h.
+
+    The families of the source's table are interned by equal items, one id
+    per distinct items.  Each distinct tuple of family ids is checked for
+    commutation and multiplied out once, at its first vertex in domain
+    order, so CompatibilityTooLow names the first vertex whose copy
+    projectors do not commute.  Vertices with equal tuples share one output
+    family, read-only as every family is."""
     cache = _ProductCache()
     commuting: set = set()  # the sets of copy projectors already checked
     index = gy._index  # label tuples over present labels, in gy's order
+    ids: dict = {}  # a family's items -> its family id
+    id_of = [ids.setdefault(tuple(fam.items()), len(ids)) for fam in assignment.families]
+    fid = dict(zip(assignment.pvms, map(id_of.__getitem__, assignment.family_ids)))
+    del ids, id_of
+    built: dict = {}  # a tuple of family ids -> its output family
     pvms: dict = {}
     for x in X.domain:
+        key = tuple(map(fid.__getitem__, copies(x)))
+        if key in built:
+            pvms[x] = built[key]
+            continue
         fams = [assignment.pvms[v] for v in copies(x)]
         mats = frozenset(m for fam in fams for m in fam.values())
         if mats not in commuting:
@@ -367,14 +384,13 @@ def _gamma_products(
                     f"declared level {assignment.k} is insufficient"
                 )
             commuting.add(mats)
-        fam_out: dict = {}
+        fam_out = built[key] = pvms[x] = {}
         for _, h in sorted((index[h], h) for h in itertools.product(*fams) if h in index):
             prod: Optional[PMatrix] = None
             for fam, y in zip(fams, h):
                 prod = fam[y] if prod is None else cache.product(prod, fam[y])
             if prod is not None:  # QuantumAssignment drops the zero products
                 fam_out[h] = prod
-        pvms[x] = fam_out
     return QuantumAssignment(assignment.dim, k, pvms)
 
 
@@ -521,10 +537,14 @@ def gamma_functor(
     the counit (A, h, a) -> h(a), (B, T, ht, b) -> ell(b) for a gadget
     witness ell of ht is well defined iff ell(eps_j(a)) == ht[j](a) on
     every pair; the class of (A, h, a) then carries the family of h(a).
-    Both sides of every pair are compared as columns over the tuples, the
-    place columns read once and shared with the gadget witnesses; only
-    when a pair differs are the tuples read one by one, so the error names
-    the first tuple in canonical order that breaks a pair.
+    When Gamma X has a block view of complete bipartite copies and no
+    gadget vertex is free, the gluing is checked per copy (`_copies_glue`):
+    the witness of every tuple is then its forced values, so the counit is
+    well defined.  Otherwise, or when a copy fails, both sides of every
+    pair are compared as columns over the tuples, the place columns read
+    once and shared with the gadget witnesses; only when a pair differs are
+    the tuples read one by one, so the error names the first tuple in
+    canonical order that breaks a pair.
     `gamma_x`, if given, must equal central_apply(template, X); otherwise
     Gamma X is built by an unbounded homomorphism enumeration.
     """
@@ -534,6 +554,8 @@ def gamma_functor(
     a_index = {a: i for i, a in enumerate(template.A.domain)}
     for name, _ in template.tau.symbols:
         plan = _gluing_plan(template, name, a_index)
+        if _copies_glue(template, name, gx, X, plan):
+            continue
         hts = gx.ordered(name)
         pairs = plan[0]
         at = _place_columns(hts, pairs)
@@ -567,6 +589,63 @@ def _gluing_plan(template: PultrTemplate, name: str, a_index: dict) -> tuple:
     free = [b for b in bt.domain if b not in first]
     shapes = [(r, [tuple(map(bt.index, t)) for t in bt.ordered(r)]) for r in bt.signature.names()]
     return pairs, agree, free, [first.get(b) for b in bt.domain], shapes
+
+
+def _copies_glue(template: PultrTemplate, name: str, gx: RelStructure, X: RelStructure, plan: tuple) -> bool:
+    """Whether the gadget witnesses of the binary symbol `name` are its
+    forced values on every tau-tuple of gx, decided per copy of gx's block
+    view; False also when that is not decided per copy: no view, a copy
+    that is not a complete bipartite P x Q (`product_sides`), or a free
+    gadget vertex.  A tau-tuple of a copy m is (m[p], m[q]), so
+    - a cross-side agreement ((0, ai), (1, aj)) holds on P x Q exactly when
+      the copy has one value c with m[p][ai] = c and m[q][aj] = c for all
+      p and q;
+    - a same-side agreement, the place of a forced vertex in X's domain and
+      the image of a gadget tuple whose entries all have a place on one
+      side j (among the places glued to them) are checks on each copy
+      vertex of the side; a gadget tuple with no such side is not decided
+      per copy.
+    `plan` is `_gluing_plan(template, name, a_index)`."""
+    pairs, agree, free, places, shapes = plan
+    bt = template.B[name]
+    if free or gx._blocks is None or template.tau.arity(name) != 2 or bt.signature != X.signature:
+        return False
+    glued: list = [[] for _ in bt.domain]  # per gadget vertex, the places glued to it
+    for j, ai, b in pairs:
+        glued[bt.index(b)].append((j, ai))
+    reads = []  # per gadget tuple, its relation and a place of each entry, all on one side
+    for r, positions in shapes:
+        for ps in positions:
+            for side in (0, 1):
+                on = [next((p for p in glued[i] if p[0] == side), None) for i in ps]
+                if None not in on:
+                    reads.append((r, on))
+                    break
+            else:
+                return False
+    for gadget, maps in gx._blocks:
+        sides = product_sides(gadget, name)
+        if sides is None:
+            return False
+        if not sides[0]:  # no tuples of `name` in these copies
+            continue
+        # per side, its copy vertices position by position, each over all copies
+        vertices = [list(itertools.chain.from_iterable(map(itemgetter(v), maps) for v in side)) for side in sides]
+        at = {(j, ai): list(map(itemgetter(ai), vertices[j])) for j, ai, _ in pairs}
+        for p, q in agree:
+            if p[0] == q[0]:
+                if at[p] != at[q]:
+                    return False
+                continue
+            one = at[p][: len(maps)]  # per copy, the value at its first vertex on p's side
+            if at[p] != one * len(sides[p[0]]) or at[q] != one * len(sides[q[0]]):
+                return False
+        if not (
+            all(map(X._index.__contains__, itertools.chain.from_iterable(map(at.__getitem__, set(places)))))
+            and all(X.relations[r].issuperset(zip(*map(at.__getitem__, ps))) for r, ps in reads)
+        ):
+            return False
+    return True
 
 
 def _place_columns(hts: Sequence, pairs: Sequence) -> dict:

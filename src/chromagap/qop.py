@@ -353,32 +353,50 @@ class QuantumAssignment:
     present are the zero projector.  `k` is the declared compatibility level;
     verification, not construction, decides whether it holds.  Zero
     projectors are dropped and dimensions checked once per projector object.
+
+    The family table: `families` holds one copy of each distinct family
+    object given, in the order of its first variable, never the caller's
+    dict, and variables that were given one object share its copy;
+    `family_ids` lists, per variable in the order of `pvms`, the index of
+    its family in `families`.  Families are read-only by contract, as a
+    write through one variable would reach the others.
     """
 
-    __slots__ = ("dim", "k", "pvms")
+    __slots__ = ("dim", "k", "pvms", "families", "family_ids")
 
     def __init__(self, dim: int, k: int, pvms: Mapping[Hashable, Mapping[Hashable, PMatrix]]) -> None:
         self.dim = dim
         self.k = k
-        distinct = {id(m): m for fam in pvms.values() for m in fam.values()}
+        index: dict = {}  # id of a given family object -> its index in the table
+        self.families, self.family_ids = [], []
+        for fam in pvms.values():
+            i = index.get(id(fam))
+            if i is None:
+                i = index[id(fam)] = len(self.families)
+                self.families.append(dict(fam))
+            self.family_ids.append(i)
+        del index
+        self.pvms = dict(zip(pvms, map(self.families.__getitem__, self.family_ids)))
+        distinct = {id(m): m for fam in self.families for m in fam.values()}
         zeros = {i for i, m in distinct.items() if m.is_zero()}
-        self.pvms = {
-            x: {y: m for y, m in fam.items() if id(m) not in zeros} if zeros else dict(fam)
-            for x, fam in pvms.items()
-        }
+        if zeros:
+            for fam in self.families:
+                for y in [y for y, m in fam.items() if id(m) in zeros]:
+                    del fam[y]
         if any(m.dim != dim for i, m in distinct.items() if i not in zeros):
             raise DimMismatch("projector dimension differs from declared dim")
 
     def renamed(self, mapping: Mapping) -> "QuantumAssignment":
-        """The same family objects under the keys mapping[x], not filtered or checked again."""
+        """The same family table under the keys mapping[x], one-to-one, not
+        filtered or checked again; variables that shared a family still
+        share it."""
         out = QuantumAssignment.__new__(QuantumAssignment)
-        out.dim, out.k, out.pvms = self.dim, self.k, {mapping[x]: f for x, f in self.pvms.items()}
+        out.dim, out.k, out.families, out.family_ids = self.dim, self.k, self.families, self.family_ids
+        out.pvms = {mapping[x]: f for x, f in self.pvms.items()}
         return out
 
     def all_diagonal(self) -> bool:
-        return all(
-            m.diag_support() is not None for fam in self.pvms.values() for m in fam.values()
-        )
+        return all(m.diag_support() is not None for fam in self.families for m in fam.values())
 
     def __repr__(self) -> str:
         return f"QuantumAssignment(dim={self.dim}, k={self.k}, |X|={len(self.pvms)})"
@@ -496,18 +514,20 @@ def verify_assignment(
     is the zero matrix; and all projector pairs of variables within Gaifman
     distance k of each other commute.  Absent labels are zero projectors, so
     product checks iterate over present labels only, which is sound and
-    complete.  Each distinct list of projectors gets one PVM check, looked
-    up once per distinct family.  Scope tuples over the same families are
-    counted once, and per symbol and label lists each distinct tuple of
-    projectors at a label tuple outside R(Y) is decided once; the sweep
-    goes tuple by tuple only when a product is nonzero, to name witnesses.
+    complete.  Each family of the assignment's table is read once, for its
+    labels and its items, however many variables share it.  Each distinct
+    list of projectors gets one PVM check, looked up once per distinct
+    family.  Scope tuples over the same families are counted once, and per
+    symbol and label lists each distinct tuple of projectors at a label
+    tuple outside R(Y) is decided once; the sweep goes tuple by tuple only
+    when a product is nonzero, to name witnesses.
     A negative k raises ValueError.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     if set(assignment.pvms) != set(X.domain):
         raise KeyMismatch("assignment keys differ from the variable domain")
-    for fam in assignment.pvms.values():
+    for fam in assignment.families:
         for y in fam:
             if y not in Y:
                 raise KeyMismatch(f"label {y!r} outside the target domain")
@@ -515,7 +535,8 @@ def verify_assignment(
     # families numbered by their (label, projector) items as given, which the
     # PVM check and its issue indexes read; one PVM check per projector list
     given: dict = {}
-    gids = [given.setdefault(tuple(fam.items()), len(given)) for fam in assignment.pvms.values()]
+    gid_of = [given.setdefault(tuple(fam.items()), len(given)) for fam in assignment.families]
+    gids = list(map(gid_of.__getitem__, assignment.family_ids))
     cache = _ProductCache()
     pvm_reports: dict = {}
     reports = []
@@ -731,16 +752,22 @@ def compose_sandwich(
 
     Sums run inside a single PVM, so outputs are projectors and the
     compatibility level of the input carries over unchanged.  Each sum of a
-    partial sum and a projector is computed once per call, as one object.
+    partial sum and a projector is computed once per call, as one object,
+    and each family of the source's table is summed once: the variables
+    that read it share one output family.
     """
     out: dict = {}
     cache = _ProductCache()
+    family_of = dict(zip(assignment.pvms, assignment.family_ids))
+    summed: list = [None] * len(assignment.families)  # per family of the table, its sums
     for x, xp in f.items():
-        fam = assignment.pvms[xp]
-        acc: dict = {}
-        for yp, m in fam.items():
-            y = g[yp]
-            acc[y] = cache.plus(acc[y], m) if y in acc else m
+        i = family_of[xp]
+        acc = summed[i]
+        if acc is None:
+            acc = summed[i] = {}
+            for yp, m in assignment.families[i].items():
+                y = g[yp]
+                acc[y] = cache.plus(acc[y], m) if y in acc else m
         out[x] = acc
     return QuantumAssignment(assignment.dim, assignment.k if k is None else k, out)
 

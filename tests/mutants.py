@@ -72,6 +72,33 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "per-copy-check-drops-the-cross-side-test",
+        "src/chromagap/pultr.py",
+        "if at[p] != one * len(sides[p[0]]) or at[q] != one * len(sides[q[0]]):",
+        "if False:",
+        (
+            "tests/test_pultr.py::test_gamma_functor_matches_reference",
+            "tests/test_pultr.py::test_copies_glue_decides_like_the_column_pass",
+        ),
+    ),
+    Mutant(
+        "gamma-products-memo-keyed-on-the-first-family",
+        "src/chromagap/pultr.py",
+        "key = tuple(map(fid.__getitem__, copies(x)))",
+        "key = (fid[copies(x)[0]],)",
+        (
+            "tests/test_pultr.py::test_gamma_products_matches_reference",
+            "tests/test_pultr.py::test_gamma_products_share_one_family_per_distinct_source_tuple",
+        ),
+    ),
+    Mutant(
+        "verify-writes-into-a-shared-family",
+        "src/chromagap/qop.py",
+        "gid_of = [given.setdefault(tuple(fam.items()), len(given)) for fam in assignment.families]",
+        "gid_of = [given.setdefault(tuple(fam.items()), len(given)) for fam in assignment.families if not fam.update()]",
+        ("tests/test_cli.py::test_no_subcommand_writes_into_a_constructed_assignments_families",),
+    ),
+    Mutant(
         "transfer-compares-only-a-tag-members",
         "src/chromagap/pultr.py",
         "if fam_of_tag != list(map(fam_of_tag.__getitem__, heads)):",

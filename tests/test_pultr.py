@@ -37,6 +37,7 @@ from chromagap.relstruct import (
     digraph,
     enumerate_homomorphisms,
     find_homomorphism,
+    product_sides,
 )
 from helpers import (
     all_pairs_template_predicates,
@@ -530,14 +531,80 @@ def _wrong_witness_at(vertex):
     return witnesses
 
 
+def _view(signature: Signature, name: str, domain, blocks: list) -> RelStructure:
+    """A structure over the binary symbol `name` with the block view
+    `blocks`: its relation is the union of the copies' images, its domain
+    `domain` followed by the copy vertices outside it."""
+    images = {tuple(m[g.index(v)] for v in t) for g, maps in blocks for m in maps for t in g.relations[name]}
+    dom = dict.fromkeys(domain)
+    dom.update(dict.fromkeys(v for _, maps in blocks for m in maps for v in m))
+    return RelStructure._trusted(signature, tuple(dom), {name: images}, blocks)
+
+
+def _product_gadget(signature: Signature, name: str, p: int, q: int, extra=()) -> RelStructure:
+    """The complete bipartite digraph from 0..p-1 to p..p+q-1, plus the
+    arcs `extra` between its vertices."""
+    return RelStructure(signature, range(p + q), {name: [(i, j) for i in range(p) for j in range(p, p + q)] + list(extra)})
+
+
+def _corrupted_line_views(rng, X: RelStructure) -> list:
+    """(kind, view): the line digraph of X with one copy changed, view and
+    relation alike.  "two-heads" swaps an in-arc of a copy for an arc that
+    ends elsewhere; "not-an-arc" swaps an in-arc for a pair that is not an
+    arc of X, over X's vertices or not; "loop" merges a copy's last in-arc
+    with its first out-arc into one vertex on both sides; "isolated" drops a
+    copy, leaving its vertices in no tuple; "non-product" adds an arc from
+    an out-arc back to an in-arc, so the gadget is no longer P x Q."""
+    lx = line_digraph(X)
+    found = [(gadget, m) for gadget, maps in lx._blocks for m in maps]
+    if not found:
+        return []
+    gadget, m = rng.choice(found)
+    sig, p, b = lx.signature, len(product_sides(gadget, "E")[0]), m[0][1]
+    q = len(m) - p
+    changed = []  # (kind, the changed copy as a block, or None)
+    elsewhere = [e for e in X.ordered("E") if e[1] != b]
+    if elsewhere:
+        i = rng.randrange(p)
+        changed.append(("two-heads", (gadget, m[:i] + (rng.choice(elsewhere),) + m[i + 1 :])))
+    non_arcs = [(u, b) for u in X.domain if (u, b) not in X.relations["E"]] + [("zz", b)]
+    i = rng.randrange(p)
+    changed.append(("not-an-arc", (gadget, m[:i] + (rng.choice(non_arcs),) + m[i + 1 :])))
+    merged = RelStructure(sig, range(p + q - 1), {"E": [(i, j) for i in range(p) for j in range(p - 1, p + q - 1)]})
+    changed.append(("loop", (merged, m[:p] + m[p + 1 :])))
+    changed.append(("isolated", None))
+    changed.append(("non-product", (_product_gadget(sig, "E", p, q, [(p, 0)]), m)))
+    rest = [(g, [c for c in maps if c is not m]) for g, maps in lx._blocks]
+    return [
+        (kind, _view(sig, "E", lx.domain, rest + ([(block[0], [block[1]])] if block else [])))
+        for kind, block in changed
+    ]
+
+
+def _first_gluing_failure(template: PultrTemplate, gx: RelStructure, X: RelStructure):
+    """The type and message of the reference witness of the first tuple of
+    gx, in canonical order, that has none; None if every tuple has one."""
+    plan = pultr._gluing_plan(template, "E", {a: i for i, a in enumerate(template.A.domain)})
+    for ht in gx.ordered("E"):
+        failure = _witness_outcome(reference_gadget_witness, template, "E", ht, X, plan)
+        if isinstance(failure, tuple):
+            return failure
+    return None
+
+
 def test_gamma_functor_matches_reference(monkeypatch):
     """Same PVMs, dim and k, or the same exception type, as the reference
     that builds Lambda Gamma X; passing gamma_x = line_digraph(X) changes
-    nothing; a witness wrong at one gadget vertex raises on both paths."""
+    nothing; a witness wrong at one gadget vertex raises on both paths.
+    Views of the line digraph with one copy corrupted (`_corrupted_line_views`)
+    give the same output, or the same exception and message, checked per
+    copy as read without the view; a corrupted view raises the error of the
+    first tuple in canonical order that has no witness."""
     template = linedigraph_template()
     targets = [clique(3), clique(4), line_digraph(clique(4))]
     rng = random.Random(23)
     kinds = set()
+    views = set()
     seen_loop = seen_isolated = False
     for case in range(150):
         X = random_digraph(rng, 5, 8)
@@ -556,6 +623,12 @@ def test_gamma_functor_matches_reference(monkeypatch):
         given = _outcome(gamma_functor, template, X, Y, assignment, k, gamma_x=line_digraph(X))
         assert given == expected
         kinds.add(expected if isinstance(expected, type) else ("dim", expected[0]))
+        for kind, view in _corrupted_line_views(rng, X):
+            got = _lambda_outcome(gamma_functor, template, X, Y, assignment, k, gamma_x=view)
+            assert got == _lambda_outcome(gamma_functor, template, X, Y, assignment, k, gamma_x=without_view(view))
+            first = _first_gluing_failure(template, view, X)
+            assert first is None or got == first
+            views.add((kind, first[1].split(" ")[0] if first else "glued"))
         seen_loop |= any(a == b for a, b in X.relations["E"])
         seen_isolated |= "iso" in X.domain
         if len(X.domain) > 1 and line_digraph(X).relations["E"]:
@@ -570,6 +643,8 @@ def test_gamma_functor_matches_reference(monkeypatch):
                 )
     assert kinds == {("dim", 1), ("dim", 2), CompatibilityTooLow}
     assert seen_loop and seen_isolated
+    assert {kind for kind, _ in views} == {"two-heads", "not-an-arc", "loop", "isolated", "non-product"}
+    assert {"glued", "incompatible", "no", "'zz'"} <= {how for _, how in views}
 
 
 @pytest.mark.parametrize("vertex", ["b1", "b2", "b3"])
@@ -865,11 +940,76 @@ def test_gadget_witnesses_match_the_reference_tuple_by_tuple():
     assert late > 20
 
 
+def _binary_templates() -> list:
+    """Templates over one binary tau symbol that the per-copy check does
+    not decide: a line-digraph gadget with an arc from b1 to b3, which lies
+    inside no eps image, and one with the free vertex b3."""
+    line = linedigraph_template()
+    rho = line.rho
+    crossing = RelStructure(rho, line.B["E"].domain, {"E": [*line.B["E"].relations["E"], ("b1", "b3")]})
+    free = RelStructure(rho, ["b1", "b2", "b3", "b4", "b5"], {"E": [("b1", "b2"), ("b2", "b3"), ("b4", "b5")]})
+    maps = ({"a1": "b1", "a2": "b2"}, {"a1": "b4", "a2": "b5"})
+    return [
+        PultrTemplate(rho, rho, line.A, {"E": crossing}, line.eps),
+        PultrTemplate(rho, Signature((("S", 2),)), line.A, {"S": free}, {"S": maps}),
+    ]
+
+
+def test_copies_glue_decides_like_the_column_pass():
+    """Views of complete bipartite copies over vertices of Gamma X and
+    random A-maps: the line digraph's own copies, stars of tau-tuples around
+    a head or a tail, random products, copies without tuples.  When every
+    gadget tuple lies inside one eps image, no gadget vertex is free and
+    the signatures match, the per-copy check holds exactly when the column
+    pass over all tuples finds every witness; otherwise it leaves the
+    decision to the column pass."""
+    rng = random.Random(59)
+    fixed = [linedigraph_template(), *_binary_templates()]
+    seen = set()
+    for case in range(400):
+        template = fixed[case % 6] if case % 6 < 3 else _glued_template(rng)
+        name, arity = template.tau.symbols[0]
+        if arity != 2:
+            continue
+        X = random_structure(rng, template.rho, 4)
+        gamma = central_apply(template, X)
+        good = gamma.ordered(name)
+        blocks = list(line_digraph(X)._blocks) if name == "E" and case % 6 == 0 else []
+        stars: dict = {}
+        for ht in good:
+            side = rng.randrange(2)
+            stars.setdefault((side, ht[side]), []).append(ht[1 - side])
+        copies = [([v], vs) if side == 0 else (vs, [v]) for (side, v), vs in stars.items()]
+        pool = list(gamma.domain) + [tuple(rng.choice(X.domain + ("unknown",)) for _ in template.A.domain)]
+        for _ in range(rng.randint(0, 2)):
+            copies.append((rng.choices(pool, k=rng.randint(1, 2)), rng.choices(pool, k=rng.randint(1, 2))))
+        sig = template.tau
+        for ps, qs in copies:
+            blocks.append((_product_gadget(sig, name, len(ps), len(qs)), [(*ps, *qs)]))
+        if rng.random() < 0.2:
+            blocks.append((_product_gadget(sig, name, 0, 0), [()]))
+        if case % 7 == 0:
+            other = Signature(tuple((n + "'", ar) for n, ar in template.rho.symbols))
+            X = RelStructure(other, X.domain, {n + "'": ts for n, ts in X.relations.items()})
+        gx = _view(sig, name, gamma.domain, blocks)
+        plan = pultr._gluing_plan(template, name, {a: i for i, a in enumerate(template.A.domain)})
+        bt = template.B[name]
+        images = [set(m.values()) for m in template.eps[name]]
+        decided = X.signature == bt.signature and not plan[2] and all(
+            any(set(t) <= image for image in images) for r in bt.signature.names() for t in bt.relations[r]
+        )
+        passes = isinstance(_witness_outcome(pultr._gadget_witnesses, template, name, gx.ordered(name), X, plan), list)
+        assert pultr._copies_glue(template, name, gx, X, plan) == (decided and passes)
+        seen.add((decided, passes))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
 def test_gamma_products_matches_reference():
     """Same products in the same order, as ordered items, or the same
-    exception, as the reference that scans all of gy per vertex: dim-2
-    families that share labels, copies that repeat a variable, and copy
-    projectors in two bases that need not commute.  Then families whose
+    exception and message, which names the first vertex whose copy
+    projectors do not commute, as the reference that scans all of gy per
+    vertex: dim-2 families that share labels, copies that repeat a
+    variable, and copy projectors in two bases that need not commute.  Then families whose
     projectors are equal but distinct objects, and label triples whose
     prefix products agree but whose last factors differ: each product is
     taken once per content of its two factors, so copies with equal factor
@@ -888,10 +1028,10 @@ def test_gamma_products_matches_reference():
         copies = {x: [rng.choice(X.domain) for _ in template.A.domain] for x in X.domain}
         k = rng.randint(0, 2)
         args = (X, gy, assignment, k, copies.__getitem__)
-        expected = _outcome(reference_gamma_products, *args)
-        assert _outcome(pultr._gamma_products, *args) == expected
-        if isinstance(expected, type):
-            kinds.add(expected)
+        expected = _lambda_outcome(reference_gamma_products, *args)
+        assert _lambda_outcome(pultr._gamma_products, *args) == expected
+        if isinstance(expected[0], type):
+            kinds.add(expected[0])
         else:  # whether some vertex has two products, whose order then shows
             kinds.add(max(len(fam) for _, fam in expected[2]) > 1)
     assert kinds == {True, False, CompatibilityTooLow}
@@ -909,13 +1049,43 @@ def test_gamma_products_matches_reference():
     outcomes = []
     for xs in (["s", "mixed"], ["s", "s'", "h", "h'"]):
         args = (RelStructure(GRAPH_SIGNATURE, xs, {"E": []}), gy, assignment, 1, copies.__getitem__)
-        outcomes.append(_outcome(pultr._gamma_products, *args))
-        assert outcomes[-1] == _outcome(reference_gamma_products, *args)
-    assert outcomes[0] is CompatibilityTooLow
+        outcomes.append(_lambda_outcome(pultr._gamma_products, *args))
+        assert outcomes[-1] == _lambda_outcome(reference_gamma_products, *args)
+    assert outcomes[0] == (CompatibilityTooLow, "copy projectors over 'mixed' do not commute; declared level 4 is insufficient")
     out = pultr._gamma_products(*args)
     assert [len(out.pvms[x]) for x in xs] == [2, 2, 2, 2]
     for x, twin in (("s", "s'"), ("h", "h'")):
         assert all(out.pvms[twin][h] is m for h, m in out.pvms[x].items())
+
+
+def test_gamma_products_share_one_family_per_distinct_source_tuple():
+    """Vertices whose copies read families with equal items, as one object
+    or as equal ones, share one output family; a vertex that differs in any
+    copy gets its own.  `renamed` keeps the sharing, and a constructed
+    assignment shares one copy per family object given, never the caller's,
+    and its family table lists those copies and each variable's index."""
+    one, two = {"a": STANDARD[0], "b": STANDARD[1]}, {"a": STANDARD[1], "b": STANDARD[0]}
+    equal = {"a": PMatrix(STANDARD[0].entries), "b": PMatrix(STANDARD[1].entries)}
+    given = {"s": one, "s'": one, "t": equal, "h": two}
+    assignment = QuantumAssignment(2, 4, given)
+    assert assignment.pvms["s"] is assignment.pvms["s'"] is not one
+    assert assignment.pvms["t"] is not assignment.pvms["s"] and assignment.pvms["t"] is not equal
+    assert assignment.family_ids == [0, 0, 1, 2]
+    assert [id(fam) for fam in assignment.families] == [id(assignment.pvms[x]) for x in ("s", "t", "h")]
+    labels = list(itertools.product("ab", repeat=2))
+    gy = RelStructure(GRAPH_SIGNATURE, labels, {"E": []})
+    copies = {"x": ("s", "s"), "x'": ("s'", "t"), "y": ("s", "h"), "y'": ("t", "h"), "z": ("h", "s")}
+    X = RelStructure(GRAPH_SIGNATURE, list(copies), {"E": []})
+    out = pultr._gamma_products(X, gy, assignment, 1, copies.__getitem__)
+    assert out.pvms["x"] is out.pvms["x'"] and out.pvms["y"] is out.pvms["y'"]
+    assert len({id(out.pvms[x]) for x in ("x", "y", "z")}) == 3
+    assert _lambda_outcome(pultr._gamma_products, X, gy, assignment, 1, copies.__getitem__) == _lambda_outcome(
+        reference_gamma_products, X, gy, assignment, 1, copies.__getitem__
+    )
+    renamed = out.renamed({x: f"r{x}" for x in copies})
+    assert renamed.pvms["rx"] is out.pvms["x"] is renamed.pvms["rx'"]
+    assert renamed.pvms["ry"] is renamed.pvms["ry'"] is not renamed.pvms["rz"]
+    assert renamed.families is out.families and renamed.family_ids is out.family_ids
 
 
 def _copies_template(rng) -> PultrTemplate:
