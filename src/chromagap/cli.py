@@ -1,379 +1,27 @@
-"""Pipeline orchestration and the command-line interface.
-
-Two headline pipelines:
-
-* `pipeline_magic_square` (thm15 shape): magic square -> 2-to-2 reduction ->
-  quantum 4-colouring of the 6144-vertex reduced digraph, with exact
-  verification at every stage and explicit per-stage verdicts.  The
-  level-1 commutator check is also run and its outcome recorded: the
-  forbidden-product (perfectness) layer passes exactly, while pairwise
-  commutation across intersecting contexts provably cannot hold for the
-  magic square (a level-1-compatible perfect family would make all nine
-  grid observables commute and hence make the system classically
-  satisfiable).  The honest verdict separates the two layers.
-
-* `pipeline_machinery` (thm14 shape): a classically-lifted d-to-1 seed run
-  through the d-to-d preprocessing chain, the colouring reduction, and two
-  line-digraph steps, with the compatibility ledger 10 -> 4 -> 1 enforced by
-  verifier runs, ending in a verified 3-colouring witness.
-
-Every verification is an exact full sweep.  The only randomness is the thm14
-seed instance, drawn from one integer seed; reports are reproducible bit for
-bit.
-"""
+"""The `chromagap` command-line tool: argument parsing and dispatch.  Each
+subcommand loads its inputs, calls the library and prints one JSON line;
+the headline pipelines live in `chromagap.pipeline`, and the names callers
+read from here (`PipelineReport`, `machinery_seed_instance`, both
+pipelines) are re-exported."""
 
 from __future__ import annotations
 
 import argparse
 import functools
-import gc
 import json
-import os
 import sys
-import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from . import colouring, csp, dkkms, dmr, pultr, qop, relstruct, serialize
-from .relstruct import ABOVE_CAP, clique, relabel
-
-
-@dataclass
-class Stage:
-    name: str
-    details: dict
-    seconds: float
-
-
-@dataclass
-class PipelineReport:
-    pipeline: str
-    seed: int
-    stages: list = field(default_factory=list)
-    verdict: str = ""
-
-    def add(self, name: str, details: dict, seconds: float) -> None:
-        self.stages.append(Stage(name, details, seconds))
-
-    def to_dict(self) -> dict:
-        return {
-            "pipeline": self.pipeline,
-            "seed": self.seed,
-            "verdict": self.verdict,
-            "stages": [
-                {"name": s.name, "seconds": round(s.seconds, 3), **s.details}
-                for s in self.stages
-            ],
-        }
-
-    def summary(self) -> str:
-        lines = [f"pipeline {self.pipeline} (seed {self.seed})"]
-        for s in self.stages:
-            lines.append(f"  [{s.seconds:7.2f}s] {s.name}")
-            for key, value in s.details.items():
-                lines.append(f"      {key}: {value}")
-        lines.append(f"verdict: {self.verdict}")
-        return "\n".join(lines)
-
-
-def _collector_paused(pipeline):
-    """Run `pipeline` with the cyclic garbage collector off, and put the
-    collector back as it was on return or on a raise.  The pipelines build
-    hundreds of thousands of acyclic tuples, dicts and projector families
-    and no reference cycles, so collections there walk live objects and
-    free nothing; reference counting frees everything the run drops."""
-
-    @functools.wraps(pipeline)
-    def paused(*args, **kwargs):
-        was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            return pipeline(*args, **kwargs)
-        finally:
-            if was_enabled:
-                gc.enable()
-
-    return paused
-
-
-@_collector_paused
-def pipeline_magic_square(
-    seed: int = 0,
-    *,
-    outdir: Optional[str] = None,
-) -> PipelineReport:
-    """Magic square -> rho -> eta, with exact verification everywhere; the
-    run is deterministic and `seed` only labels the report."""
-    report = PipelineReport("thm15", seed)
-
-    t0 = time.perf_counter()
-    system, game_assignment = qop.mermin_peres()
-    sat = system.sat_value()
-    game_check = dkkms.verify_game_assignment(system, 1, game_assignment)
-    report.add(
-        "magic-square",
-        {
-            "sat": str(sat),
-            "pseudo_telepathic": sat < 1 and game_check.passed,
-            "game_form": "pass" if game_check.passed else "FAIL",
-            "dim": game_assignment.dim,
-        },
-        time.perf_counter() - t0,
-    )
-    if not game_check.passed or sat != Fraction(5, 6):
-        report.verdict = "FAIL at the magic-square stage"
-        return report
-
-    t0 = time.perf_counter()
-    rho1 = dkkms.build_rho1(system, 1, 2)
-    rho2 = dkkms.build_rho2(rho1)
-    # the strategy passed the game-form check of the magic-square stage
-    transferred = dkkms.transfer_checked_strategy(rho2, game_assignment)
-    x1, a1 = csp.to_structures(rho1.instance)
-    x2, a2 = csp.to_structures(rho2.instance)
-    perfect_rho1 = qop.verify_assignment(x1, a1, transferred, 0)
-    perfect_rho2 = qop.verify_assignment(x2, a2, transferred, 0)
-    level1 = qop.verify_assignment(x2, a2, transferred, 1)
-    profile = csp.classify_label_cover(rho2.instance)
-    report.add(
-        "rho-reduction",
-        {
-            "vertices": len(rho2.instance.variables),
-            "alphabet": len(rho2.instance.alphabet),
-            "tags": {t: rho1.tags.count(t) for t in sorted(set(rho1.tags))},
-            "d_to_d": (profile.d_to_d.m, profile.d_to_d.d) if profile.d_to_d else None,
-            "perfect_rho1": perfect_rho1.summary(),
-            "perfect_rho2": perfect_rho2.summary(),
-            "level1_commutators": level1.summary(),
-            "level1_note": (
-                "commutator failures are intrinsic: a perfect level-1-compatible "
-                "family for this instance would force a classical solution"
-            ),
-        },
-        time.perf_counter() - t0,
-    )
-    if not (perfect_rho1.perfect and perfect_rho2.perfect):
-        report.verdict = "FAIL at the rho stage"
-        return report
-
-    t0 = time.perf_counter()
-    eta, coloured, ctx = colouring.eta_quantum_transfer(rho2.instance, transferred, 0)
-    verification = qop.verify_assignment(eta, clique(4), coloured, 0)
-    bipartite, lower_bound = _chromatic_lower_bound(eta)
-    report.add(
-        "eta-colouring",
-        {
-            "vertices": len(eta.domain),
-            "edges": len(eta.relations["E"]),
-            "dim": coloured.dim,
-            "verification": verification.summary(),
-            "chromatic_lower_bound": lower_bound,
-            "bipartite": bipartite,
-            "soundness_note": (
-                "at one repetition the reduced graph is bipartite (the "
-                "reduction's constraint graph splits into row and column "
-                "tuples); large classical chromatic number only emerges "
-                "asymptotically and is not claimed here"
-            ),
-        },
-        time.perf_counter() - t0,
-    )
-    if outdir:
-        os.makedirs(outdir, exist_ok=True)
-        serialize.dump(
-            serialize.assignment_to_dict(transferred),
-            os.path.join(outdir, "rho_assignment.json"),
-        )
-        serialize.dump(
-            serialize.instance_to_dict(rho2.instance),
-            os.path.join(outdir, "rho2_instance.json"),
-        )
-    ok = verification.perfect
-    report.verdict = (
-        "perfect quantum 4-colouring on dim 4 (exact-zero forbidden products); "
-        "level-1 commutation fails as recorded"
-        if ok
-        else "FAIL at the eta stage"
-    )
-    return report
-
-
-_CLIQUE_TRIES = 64
-
-
-def _chromatic_lower_bound(X: relstruct.RelStructure) -> tuple[bool, int]:
-    """(bipartite, lower bound): a BFS 2-colouring, and for a graph that is
-    not bipartite a greedy clique probe from the highest-degree vertices."""
-    if relstruct.is_bipartite(X):  # so loop-free: any edge needs two colours
-        return True, 2 if X.relations[X.graph_symbol()] else 1
-    adj = X.gaifman_adjacency()
-    best_clique = 3
-    by_degree = sorted(X.domain, key=lambda v: -len(adj[v]))[:_CLIQUE_TRIES]
-    neighbour_sets: dict = {}
-
-    def nbrs(w):
-        if w not in neighbour_sets:
-            neighbour_sets[w] = set(adj[w])
-        return neighbour_sets[w]
-
-    for v in by_degree:
-        members = [v]
-        for u in adj[v]:
-            if all(u in nbrs(w) for w in members):
-                members.append(u)
-        best_clique = max(best_clique, len(members))
-    return False, best_clique
-
-
-def machinery_seed_instance(seed: int) -> tuple[csp.CspInstance, dict]:
-    """A tiny satisfiable d-to-1 instance (d = 2, one right vertex, single-
-    letter right alphabet) with seed-dependent weights, plus a perfect
-    classical assignment."""
-    import random
-
-    rng = random.Random(seed)
-    pred = {("a0", "b0"), ("a1", "b0")}
-    # weights bounded so the copy counts of the equalisation stage stay >= 1
-    w1 = Fraction(rng.randint(1, 3), 1)
-    w2 = Fraction(rng.randint(1, 3), 1)
-    inst = csp.CspInstance(
-        ["p", "q", "y"],
-        ["a0", "a1", "b0"],
-        [(("p", "y"), pred), (("q", "y"), pred)],
-        [w1, w2],
-    )
-    assignment = {"p": "a0", "q": rng.choice(["a0", "a1"]), "y": "b0"}
-    return inst, assignment
-
-
-@_collector_paused
-def pipeline_machinery(
-    i: int = 2,
-    seed: int = 0,
-    *,
-    outdir: Optional[str] = None,
-) -> PipelineReport:
-    """Classically-lifted end-to-end run of the full reduction machinery,
-    with the compatibility ledger 3*2^i - 2 -> ... -> 1 enforced by verifier
-    runs at every step (i = 2 gives 10 -> 4 -> 1)."""
-    if i != 2:
-        raise dmr.SizeBudgetExceeded("the desk-scale machinery run supports i = 2")
-    report = PipelineReport("thm14", seed)
-    k_ladder = (10, 4, 1)  # 3 * 2^i - 2 at i = 2, then k -> (k - 2) / 2 per line digraph
-
-    t0 = time.perf_counter()
-    inst, classical = machinery_seed_instance(seed)
-    lift = qop.lift_classical(classical)
-    final, dmr_report, tracked = dmr.dmr_pipeline(
-        inst, Fraction(12), k_ladder[0], 1, lift, budget=_MACHINERY_BUDGET
-    )
-    report.add(
-        "dmr-chain",
-        {
-            "parameters": {k: str(v) for k, v in dmr_report.parameters.items()},
-            "certificates": dmr_report.certificates,
-            "quantum": dmr_report.quantum_ledger,
-            "final": repr(final),
-        },
-        time.perf_counter() - t0,
-    )
-
-    t0 = time.perf_counter()
-    eta, eta_assignment, ctx = colouring.eta_quantum_transfer(final, tracked, k_ladder[0])
-    eta, mapping = relabel(eta, "g")
-    eta_assignment = eta_assignment.renamed(mapping)
-    k4 = clique(4)
-    check0 = qop.verify_assignment(eta, k4, eta_assignment, k_ladder[0])
-    report.add(
-        "eta",
-        {
-            "vertices": len(eta.domain),
-            "edges": len(eta.relations["E"]),
-            "level": k_ladder[0],
-            "verification": check0.summary(),
-        },
-        time.perf_counter() - t0,
-    )
-
-    current_x, current_y = eta, k4
-    current = eta_assignment
-    ledger = [k_ladder[0]]
-    for step, k_next in enumerate(k_ladder[1:], start=1):
-        t0 = time.perf_counter()
-        line_x = colouring.line_digraph(current_x)
-        transferred = colouring.linedigraph_quantum_transfer(
-            current_x, current_y, current, k_next, gamma_x=line_x
-        )
-        current_x = line_x
-        current_y = colouring.line_digraph(current_y)
-        current_x, mapping = relabel(current_x, f"d{step}_")
-        transferred = transferred.renamed(mapping)
-        check = qop.verify_assignment(current_x, current_y, transferred, k_next)
-        ledger.append(k_next)
-        report.add(
-            f"line-digraph-{step}",
-            {
-                "vertices": len(current_x.domain),
-                "edges": current_x.count("E"),
-                "level": k_next,
-                "verification": check.summary(),
-            },
-            time.perf_counter() - t0,
-        )
-        current = transferred
-        if not check.passed:
-            report.verdict = f"FAIL at line-digraph step {step}"
-            return report
-
-    t0 = time.perf_counter()
-    # current_y is delta^2 K4 as the last transfer named it, so the colouring composes
-    chi = relstruct.chromatic_number(current_y, 4)
-    to_k3 = relstruct.find_homomorphism(current_y, clique(3))
-    final_assignment = qop.compose_sandwich(
-        {v: v for v in current.pvms}, current, to_k3, k=0
-    )
-    check_final = qop.verify_assignment(current_x, clique(3), final_assignment, 0)
-    bipartite = relstruct.is_bipartite(current_x)
-    report.add(
-        "three-colouring",
-        {
-            "chi_delta2_k4": chi if chi is not ABOVE_CAP else "above cap",
-            "ledger": ledger,
-            "verification": check_final.summary(),
-            "final_bipartite": bipartite,
-            "bipartite_note": "a bipartite output would already be quantum 2-colourable",
-        },
-        time.perf_counter() - t0,
-    )
-    if outdir:
-        os.makedirs(outdir, exist_ok=True)
-        serialize.dump(
-            serialize.assignment_to_dict(final_assignment),
-            os.path.join(outdir, "three_colouring_witness.json"),
-        )
-        serialize.dump(
-            serialize.structure_to_dict(current_x),
-            os.path.join(outdir, "final_digraph.json"),
-        )
-    report.verdict = (
-        f"ledger {'->'.join(map(str, ledger))}; verified 3-colouring witness"
-        if check_final.passed and chi == 3
-        else "FAIL at the final colouring stage"
-    )
-    return report
-
-
-# -- command-line interface --------------------------------------------------
-
+from .pipeline import PipelineReport, machinery_seed_instance, pipeline_machinery, pipeline_magic_square
+from .relstruct import ABOVE_CAP
 
 # fixed limits: search nodes of `pultr gamma` and `pultr check`, vertices of
-# the `eta` digraph, and left vertices of the left-regular stage of `dmr` and
-# of the thm14 chain
+# the `eta` digraph, and left vertices of the left-regular stage of `dmr`
 _PULTR_BUDGET = 10_000_000
 _ETA_BUDGET = 10_000_000
 _DMR_BUDGET = 1_000_000
-_MACHINERY_BUDGET = 5_000_000
 
 
 class InputError(Exception):
@@ -595,8 +243,7 @@ def _pipeline(args) -> int:
     else:
         report = pipeline_machinery(2, args.seed, outdir=args.outdir)
     print(report.summary())
-    if args.outdir:
-        serialize.dump(report.to_dict(), os.path.join(args.outdir, "report.json"))
+    report.write("report.json", PipelineReport.to_dict, report)
     return 0 if not report.verdict.startswith("FAIL") else 1
 
 

@@ -691,13 +691,13 @@ def _gadget_witnesses(
     witnesses = []
     for ht in hts:
         if any(ht[i][ai] != ht[j][aj] for (i, ai), (j, aj) in agree):
-            raise WellDefinednessViolation(f"incompatible eps images while gluing {name!r}")
+            raise WellDefinednessViolation(f"incompatible eps images while gluing {name!r}: {ht!r}")
         forced = {b: ht[j][ai] for j, ai, b in pairs}
         if free:
             h = next(_search_homomorphisms(bt, X, fixed=forced, limit=1), None)
         else:
             h = forced if check_homomorphism(forced, bt, X) else None
         if h is None:
-            raise WellDefinednessViolation(f"no gadget witness for {name!r} tuple")
+            raise WellDefinednessViolation(f"no gadget witness for {name!r} tuple {ht!r}")
         witnesses.append(h)
     return [list(map(itemgetter(b), witnesses)) for b in bt.domain]

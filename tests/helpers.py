@@ -1457,16 +1457,16 @@ def reference_gadget_witness(template: PultrTemplate, name: str, ht: tuple, X: R
     pairs, agree, free = plan[:3]
     for (i, ai), (j, aj) in agree:
         if ht[i][ai] != ht[j][aj]:
-            raise pultr.WellDefinednessViolation(f"incompatible eps images while gluing {name!r}")
+            raise pultr.WellDefinednessViolation(f"incompatible eps images while gluing {name!r}: {ht!r}")
     bt = template.B[name]
     forced = {b: ht[j][ai] for j, ai, b in pairs}
     if not free:
         if not relstruct.check_homomorphism(forced, bt, X):
-            raise pultr.WellDefinednessViolation(f"no gadget witness for {name!r} tuple")
+            raise pultr.WellDefinednessViolation(f"no gadget witness for {name!r} tuple {ht!r}")
         return forced
     for h in relstruct._search_homomorphisms(bt, X, fixed=forced, limit=1):
         return h
-    raise pultr.WellDefinednessViolation(f"no gadget witness for {name!r} tuple")
+    raise pultr.WellDefinednessViolation(f"no gadget witness for {name!r} tuple {ht!r}")
 
 
 # -- reference GF(2) layer ---------------------------------------------------------
@@ -1630,15 +1630,26 @@ def reference_build_rho1(system, n: int, ell: int):
     return dkkms.RhoInstance(system, n, ell, inst, vertices, tuple(tags), labels)
 
 
+# draws `random_regular_system` makes before it gives up on the sizes asked
+REGULAR_SYSTEM_ATTEMPTS = 2_000
+
+
 def random_regular_system(rng: random.Random, equations: int, variables: int):
     """A regular 3XOR system: each variable in at most two equations, any two
-    equations sharing at most one variable; variable names z0, z1, ..."""
+    equations sharing at most one variable; variable names z0, z1, ...
+    Equation triples are drawn until one is regular; after
+    REGULAR_SYSTEM_ATTEMPTS draws (none may exist, as for 3 equations on 5
+    variables) it raises ValueError naming the sizes."""
     pool = [f"z{j}" for j in range(variables)]
-    while True:
+    for _ in range(REGULAR_SYSTEM_ATTEMPTS):
         eqs = [(tuple(rng.sample(pool, 3)), rng.randint(0, 1)) for _ in range(equations)]
         system = dkkms.XorSystem.from_equations(eqs)
         if dkkms.is_regular(system, 2).regular:
             return system
+    raise ValueError(
+        f"no regular system of {equations} equations on {variables} variables "
+        f"in {REGULAR_SYSTEM_ATTEMPTS} draws"
+    )
 
 
 # -- reference encoders ----------------------------------------------------------

@@ -190,6 +190,20 @@ MUTANTS = (
             "tests/test_cli.py::test_machinery_pipeline_never_builds_the_relabelled_second_line_digraph",
         ),
     ),
+    Mutant(
+        "thm15-runs-on-after-a-failed-game-check",
+        "src/chromagap/pipeline.py",
+        'report.verdict = "FAIL at the magic-square stage"\n        return report',
+        "pass",
+        ("tests/test_pipeline.py::test_thm15_runner_stops_at_a_failed_game_check",),
+    ),
+    Mutant(
+        "soundness-note-always-bipartite",
+        "src/chromagap/pipeline.py",
+        "soundness_note=_soundness_note(bipartite, lower_bound, profile.bipartite is not None),",
+        "soundness_note=_soundness_note(True, 2, True),",
+        ("tests/test_pipeline.py::test_thm15_runner_matches_its_reference_mode_run",),
+    ),
 )
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

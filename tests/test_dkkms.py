@@ -358,6 +358,14 @@ def test_build_rho1_matches_reference_on_random_regular_systems():
     assert tags.count("1-to-1") >= 20 and tags.count("2-to-2") >= 20
 
 
+def test_random_regular_system_names_sizes_it_cannot_fill():
+    """3 equations on 5 variables fill 9 places, but at most 3 variables can
+    lie in two equations, which gives at most 8: the draws stop at their
+    bound with a ValueError naming the sizes."""
+    with pytest.raises(ValueError, match="no regular system of 3 equations on 5 variables"):
+        random_regular_system(random.Random(0), 3, 5)
+
+
 def test_build_rho1_matches_reference_on_pairs_of_equations(monkeypatch):
     """n = 2 with ell = 2 and 3 (alphabet 8).  Each tuple has hundreds of
     low spaces, so both builds read the same seeded sample of four per

@@ -295,6 +295,19 @@ def test_gadget_witness_rejects_tuples_that_disagree_on_a_glued_vertex():
         _witness(template, "E", (("a", "b"), ("b", "a")), X, plan)
 
 
+def test_gadget_witness_errors_name_the_failing_tuple():
+    """Both witness errors end with the tuple they stopped at, on the fast
+    path and on the reference alike."""
+    template = linedigraph_template()
+    X = digraph([("a", "b"), ("b", "c"), ("c", "d")])
+    plan = pultr._gluing_plan(template, "E", {"a1": 0, "a2": 1})
+    for ht in ((("a", "b"), ("c", "d")), (("a", "b"), ("b", "a"))):
+        for witness in (_witness, reference_gadget_witness):
+            with pytest.raises(WellDefinednessViolation) as info:
+                witness(template, "E", ht, X, plan)
+            assert str(info.value).endswith(repr(ht))
+
+
 def test_gamma_functor_unchanged_with_filtered_witness(monkeypatch):
     rng = random.Random(4)
     cases = []
